@@ -74,6 +74,7 @@ from .split4 import (
 )
 from .surfaces import (
     CustomRevolution,
+    FrameData,
     G2Family,
     Hyperbolic,
     Plane,

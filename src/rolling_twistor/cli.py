@@ -87,11 +87,13 @@ def _grid_for(surface, args):
     return surface.profile_grid(getattr(args, "grid", 10) or 10)
 
 
-def _require_constant_curvature(s2):
+def _constant_curvature(s2):
+    """Curvature lambda of a constant-curvature second surface."""
     if not s2.is_constant_curvature:
         raise SpecParseError(
             f"the second surface must have constant curvature, got {s2.spec_string()!r}"
         )
+    return s2.frame_data(s2.chart_point(sum(s2.profile_range()) / 2.0)).kappa
 
 
 def _quartic_rows(s1, lam, grid, tol, jobs):
@@ -112,8 +114,7 @@ def _quartic_rows(s1, lam, grid, tol, jobs):
 def cmd_quartic(args):
     s1 = parse_surface(args.s1)
     s2 = parse_surface(args.s2)
-    _require_constant_curvature(s2)
-    lam = s2.jet(s2.chart_point(sum(s2.profile_range()) / 2.0)).kappa
+    lam = _constant_curvature(s2)
     grid = _grid_for(s1, args)
     lines, _, _ = _quartic_rows(s1, lam, grid, args.tol, _resolve_jobs(args))
     header = [
@@ -127,8 +128,7 @@ def cmd_quartic(args):
 def cmd_g2check(args):
     s1 = parse_surface(args.s1)
     s2 = parse_surface(args.s2)
-    _require_constant_curvature(s2)
-    lam = s2.jet(s2.chart_point(sum(s2.profile_range()) / 2.0)).kappa
+    lam = _constant_curvature(s2)
     grid = _grid_for(s1, args)
     lines, worst, _ = _quartic_rows(s1, lam, grid, args.tol, _resolve_jobs(args))
     report = ci.G2Report(rows=(), max_scaled=worst, is_g2=worst < args.tol, tol=args.tol)
@@ -199,8 +199,7 @@ def cmd_roll(args):
 def cmd_oracle(args):
     s1 = parse_surface(args.s1)
     s2 = parse_surface(args.s2)
-    _require_constant_curvature(s2)
-    lam = s2.jet(s2.chart_point(sum(s2.profile_range()) / 2.0)).kappa
+    lam = _constant_curvature(s2)
     grid = _grid_for(s1, args)[: args.points]
     lo2, hi2 = s2.profile_range()
     p2 = s2.chart_point((lo2 + hi2) / 2.0)
@@ -331,3 +330,7 @@ def main(argv=None):
 
 def entrypoint():
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -62,13 +62,17 @@ def omega_coframe(s1, s2_or_lam, p):
     """
     s1, s2 = _resolve_pair(s1, s2_or_lam)
     a = _as_point5(p)
-    j1 = s1.jet((a[0], a[1]))
-    j2 = s2.jet((a[2], a[3]))
+    return _omega_rows(s1, s2, a, s1.jet((a[0], a[1])), s2.frame_data((a[2], a[3])))
+
+
+def _omega_rows(s1, s2, a, j1, d2):
+    """omega_coframe at the chart point a, given the jet j1 of the first
+    surface and the frame data d2 of the second there."""
     if not j1.killing:
         raise ValueError("the explicit coframe requires a rotationally adapted first surface")
-    k, lam = j1.kappa, j2.kappa
+    k, lam = j1.kappa, d2.kappa
     _require_noninteg(k, lam)
-    a2, a4, k1 = j1.a2, j2.a2, j1.kappa1
+    a2, a4, k1 = j1.a2, d2.a2, j1.kappa1
     d = k - lam
     c, s = np.cos(a[4]), np.sin(a[4])
     sig = _sigma_rows(s1, s2, a)
@@ -111,9 +115,10 @@ def theta_coframe(s1, s2_or_lam, p):
     coefficient functions."""
     s1, s2 = _resolve_pair(s1, s2_or_lam)
     a = _as_point5(p)
-    w = omega_coframe(s1, s2, a)
     j1 = s1.jet((a[0], a[1]))
-    lam = s2.jet((a[2], a[3])).kappa
+    d2 = s2.frame_data((a[2], a[3]))
+    w = _omega_rows(s1, s2, a, j1, d2)
+    lam = d2.kappa
     k, a2, k1, k11 = j1.kappa, j1.a2, j1.kappa1, j1.kappa11
     d = k - lam
 

@@ -4,8 +4,9 @@ The configuration chart is (x, y, u, v, phi): surface-1 chart coordinates,
 surface-2 chart coordinates, and the contact-frame rotation angle.  The
 restricted velocity space is spanned by two fields X1, X2; their iterated
 commutators X3 = [X1, X2], X4 = [X1, X3], X5 = [X2, X3] have closed forms in
-terms of the surface jets, and away from curvature-matching points the five
-fields frame the space (rank growth 2, 3, 5).
+terms of the surface frame data (X3) and jets (X4, X5), and away from
+curvature-matching points the five fields frame the space (rank growth
+2, 3, 5).
 """
 
 from __future__ import annotations
@@ -68,79 +69,70 @@ def velocity_fields(s1, s2):
 
     def X1(p):
         a = _as_point5(p)
-        j1 = s1.jet((a[0], a[1]))
-        j2 = s2.jet((a[2], a[3]))
+        d1 = s1.frame_data((a[0], a[1]))
+        d2 = s2.frame_data((a[2], a[3]))
         f1 = s1.frame((a[0], a[1]))
         f2 = s2.frame((a[2], a[3]))
         c, s = np.cos(a[4]), np.sin(a[4])
         out = np.empty(5)
         out[0:2] = f1[0]
         out[2:4] = c * f2[0] + s * f2[1]
-        out[4] = -j1.a1 + j2.a1 * c + j2.a2 * s
+        out[4] = -d1.a1 + d2.a1 * c + d2.a2 * s
         return out
 
     def X2(p):
         a = _as_point5(p)
-        j1 = s1.jet((a[0], a[1]))
-        j2 = s2.jet((a[2], a[3]))
+        d1 = s1.frame_data((a[0], a[1]))
+        d2 = s2.frame_data((a[2], a[3]))
         f1 = s1.frame((a[0], a[1]))
         f2 = s2.frame((a[2], a[3]))
         c, s = np.cos(a[4]), np.sin(a[4])
         out = np.empty(5)
         out[0:2] = f1[1]
         out[2:4] = -s * f2[0] + c * f2[1]
-        out[4] = -j1.a2 - j2.a1 * s + j2.a2 * c
+        out[4] = -d1.a2 - d2.a1 * s + d2.a2 * c
         return out
 
     return X1, X2
 
 
-def _killing_data(s1, s2, a):
-    """Jet-level quantities the closed bracket formulas need.
-
-    For the rotationally adapted catalog frames a1 = 0, so a11 = a12 = 0,
-    a22 = 0 and a21 = kappa + a2^2 (the structure identity of the curvature),
-    and the angular derivative kappa2 vanishes; same on the second surface.
-    """
-    j1 = s1.jet((a[0], a[1]))
-    j2 = s2.jet((a[2], a[3]))
-    return j1, j2
-
-
 def frame_fields(s1, s2):
-    """Closed-form fields (X1, X2, X3, X4, X5) of the derived frame."""
+    """Closed-form fields (X1, X2, X3, X4, X5) of the derived frame.
+
+    X4 and X5 assume the rotationally adapted frames of the catalog: a1 = 0
+    on both surfaces, so its derivatives vanish and a21 = kappa + a2^2 (the
+    structure identity of the curvature), and the e2-derivatives of both
+    curvatures vanish.
+    """
     X1, X2 = velocity_fields(s1, s2)
 
     def X3(p):
         a = _as_point5(p)
-        j1, j2 = _killing_data(s1, s2, a)
-        out = j1.a1 * X1(a) + j1.a2 * X2(a)
-        out[4] += j2.kappa - j1.kappa
+        d1 = s1.frame_data((a[0], a[1]))
+        d2 = s2.frame_data((a[2], a[3]))
+        out = d1.a1 * X1(a) + d1.a2 * X2(a)
+        out[4] += d2.kappa - d1.kappa
         return out
 
     def _x45(a, which):
-        j1, j2 = _killing_data(s1, s2, a)
+        j1 = s1.jet((a[0], a[1]))
+        j2 = s2.jet((a[2], a[3]))
         kappa, lam = j1.kappa, j2.kappa
         dl = lam - kappa
         _require_noninteg(kappa, lam)
         f2 = s2.frame((a[2], a[3]))
         c, s = np.cos(a[4]), np.sin(a[4])
-        a2, a4 = j1.a2, j2.a2
-        a3 = j2.a1  # zero for the catalog
-        lam3, lam4 = j2.kappa1, 0.0
-        a11, a12, a22 = 0.0, 0.0, 0.0
+        a2, a4, lam3 = j1.a2, j2.a2, j2.kappa1
         a21 = kappa + a2 * a2
         if which == 4:
-            F = j1.kappa1 / dl - (a3 + lam4 / dl) * s + (a4 - lam3 / dl) * c
+            F = j1.kappa1 / dl + (a4 - lam3 / dl) * c
             # X3-coefficient a2 - F (not -F): expanding [X1, X3] produces an
             # extra a2 X3 from a2 [X1, X2]; confirmed by the numerical bracket
-            out = (a11 + j1.a1 * F) * X1(a) + (a21 + a2 * F) * X2(a) + (a2 - F) * X3(a)
+            out = (a21 + a2 * F) * X2(a) + (a2 - F) * X3(a)
             out[2:4] += dl * (s * f2[0] - c * f2[1])
         else:
-            kappa2 = 0.0  # e2-derivative of kappa; zero in the adapted frame
-            G = kappa2 / dl - (a4 - lam3 / dl) * s - (a3 + lam4 / dl) * c
-            # symmetric correction: [X2, a1 X1] contributes -a1 X3
-            out = (a12 + j1.a1 * G) * X1(a) + (a22 + a2 * G) * X2(a) + (-j1.a1 - G) * X3(a)
+            G = -(a4 - lam3 / dl) * s
+            out = a2 * G * X2(a) - G * X3(a)
             out[2:4] += dl * (c * f2[0] + s * f2[1])
         return out
 
@@ -175,8 +167,7 @@ class Frame5:
 def derived_frame(s1, s2, p):
     """Closed-form derived frame at p; requires unequal curvatures there."""
     a = _as_point5(p)
-    j1, j2 = _killing_data(s1, s2, a)
-    _require_noninteg(j1.kappa, j2.kappa)
+    _require_noninteg(s1.frame_data((a[0], a[1])).kappa, s2.frame_data((a[2], a[3])).kappa)
     fields = frame_fields(s1, s2)
     return Frame5(point=a, matrix=np.array([f(a) for f in fields]))
 

@@ -215,10 +215,10 @@ def no_twist_residual(traj, s1, s2, v0=(1.0, 0.0)):
     gamma1 = np.empty(n)
     gamma2 = np.empty(n)
     for k, p in enumerate(traj.points):
-        j1 = s1.jet((p[0], p[1]))
-        j2 = s2.jet((p[2], p[3]))
-        gamma1[k] = j1.a1 * v1[k, 0] + j1.a2 * v1[k, 1]
-        gamma2[k] = j2.a1 * v2[k, 0] + j2.a2 * v2[k, 1]
+        d1 = s1.frame_data((p[0], p[1]))
+        d2 = s2.frame_data((p[2], p[3]))
+        gamma1[k] = d1.a1 * v1[k, 0] + d1.a2 * v1[k, 1]
+        gamma2[k] = d2.a1 * v2[k, 0] + d2.a2 * v2[k, 1]
     theta = cumulative_integral(gamma1, traj.dt)
     v = np.einsum("kij,j->ki", np.array([_rotation(t) for t in theta]), np.asarray(v0, float))
     w = np.einsum("kij,kj->ki", np.array([_rotation(p[4]) for p in traj.points]), v)

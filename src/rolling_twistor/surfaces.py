@@ -3,9 +3,10 @@
 Every family carries a rotationally adapted orthonormal frame (e1, e2) with
 [e1, e2] = a1 e1 + a2 e2 and a1 = 0, so the curvature depends on one profile
 coordinate only and the derivative of the curvature along e2 vanishes.  The
-jet of a surface at a point collects a2, the Gaussian curvature kappa, and
-the e1-derivatives of kappa up to fourth order; this is exactly the data the
-quartic invariant formulas consume.
+frame data of a surface at a point is (a1, a2, kappa), in closed form; it is
+all the velocity fields, their first bracket and the rolling diagnostics
+read.  The jet adds the e1-derivatives of kappa up to fourth order; this is
+exactly the data the quartic invariant formulas consume.
 
 Revolution-type families use coordinates (rho, psi) with metric
 (beta + alpha rho^2)^2 drho^2 + rho^2 dpsi^2 and frame
@@ -17,6 +18,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,9 +28,19 @@ from .taylor import TaylorJet
 REVOLUTION_MARGIN = 1e-6  # keep |beta + alpha rho^2| away from the frame degeneracy
 
 
+class FrameData(NamedTuple):
+    """Connection coefficients (a1, a2) of the frame and the Gaussian
+    curvature kappa at a point: the first three fields of the jet."""
+
+    a1: float
+    a2: float
+    kappa: float
+
+
 @dataclass(frozen=True)
 class SurfaceJet:
-    """Pointwise frame data: a2 and the e1-derivatives of kappa.
+    """Pointwise jet: the frame data (a1, a2, kappa) and the e1-derivatives
+    of kappa up to fourth order.
 
     `killing` asserts the frame is adapted to a rotational symmetry (a1 = 0
     and the e2-derivative of kappa vanishes); every catalog family is.
@@ -70,6 +82,10 @@ class Surface:
 
     kind = "surface"
     is_constant_curvature = False
+
+    def frame_data(self, p) -> FrameData:
+        """(a1, a2, kappa) at p, equal to the first three fields of `jet`."""
+        raise NotImplementedError
 
     def jet(self, p) -> SurfaceJet:
         raise NotImplementedError
@@ -122,8 +138,11 @@ class Plane(Surface):
     kind = "plane"
     is_constant_curvature = True
 
+    def frame_data(self, p):
+        return FrameData(0.0, 0.0, 0.0)
+
     def jet(self, p):
-        return SurfaceJet(a1=0.0, a2=0.0, kappa=0.0)
+        return SurfaceJet(*self.frame_data(p))
 
     def frame(self, p):
         return np.eye(2) / self.scale
@@ -157,11 +176,14 @@ class Sphere(Surface):
         if not (1e-9 < theta < math.pi - 1e-9):
             raise DomainError(f"sphere polar chart requires 0 < theta < pi, got {theta}")
 
-    def jet(self, p):
+    def frame_data(self, p):
         self.validate(p)
         theta = p[0]
         r = self.radius
-        return SurfaceJet(a1=0.0, a2=-math.cos(theta) / (r * math.sin(theta)), kappa=1.0 / r**2)
+        return FrameData(0.0, -math.cos(theta) / (r * math.sin(theta)), 1.0 / r**2)
+
+    def jet(self, p):
+        return SurfaceJet(*self.frame_data(p))
 
     def frame(self, p):
         self.validate(p)
@@ -198,13 +220,14 @@ class Hyperbolic(Surface):
         if theta < 1e-9:
             raise DomainError(f"hyperbolic polar chart requires theta > 0, got {theta}")
 
-    def jet(self, p):
+    def frame_data(self, p):
         self.validate(p)
         theta = p[0]
         r = self.radius
-        return SurfaceJet(
-            a1=0.0, a2=-math.cosh(theta) / (r * math.sinh(theta)), kappa=-1.0 / r**2
-        )
+        return FrameData(0.0, -math.cosh(theta) / (r * math.sinh(theta)), -1.0 / r**2)
+
+    def jet(self, p):
+        return SurfaceJet(*self.frame_data(p))
 
     def frame(self, p):
         self.validate(p)
@@ -239,6 +262,13 @@ class _RevolutionBase(Surface):
             raise DomainError(
                 f"frame degenerates where beta + alpha rho^2 = 0 (rho = {rho})"
             )
+
+    def frame_data(self, p):
+        self.validate(p)
+        rho = p[0] if np.ndim(p) else float(p)
+        h = self.h(rho)
+        # h*h*h rounds as TaylorJet's h**3 does, so kappa equals the jet's bit for bit
+        return FrameData(0.0, -1.0 / (rho * h), 2.0 * self.alpha / (h * h * h))
 
     def jet(self, p):
         self.validate(p)
@@ -360,6 +390,10 @@ class CustomRevolution(_RevolutionBase):
         out = self._h(TaylorJet.constant(float(rho), 0))
         return out.value if isinstance(out, TaylorJet) else float(out)
 
+    def frame_data(self, p):
+        j = self.jet(p)
+        return FrameData(j.a1, j.a2, j.kappa)
+
     def jet(self, p):
         rho = p[0] if np.ndim(p) else float(p)
         if rho <= 0:
@@ -469,6 +503,10 @@ def parse_surface(spec):
                 raise SpecParseError(
                     f"bad numeric value {val!r} at position {pos} in {spec!r}", position=pos
                 ) from None
+            if not math.isfinite(kv[key]):
+                raise SpecParseError(
+                    f"non-finite value in {item!r} at position {pos} in {spec!r}", position=pos
+                )
             pos += len(item) + 1
     try:
         if kind == "plane":

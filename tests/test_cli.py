@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import rolling_twistor
 from rolling_twistor.cli import main
 
 
@@ -220,3 +226,36 @@ class TestDeterminismAndJobs:
                      "--nr", "4", "--nphi", "4"]) == 0
         out = capsys.readouterr().out
         assert out.startswith("# family=g2 eps=1 nr=4 nphi=4")
+
+
+class TestNonFiniteSpecs:
+    @pytest.mark.parametrize(
+        "spec, token, position",
+        [
+            ("sphere:r=nan", "r=nan", 7),
+            ("sphere:r=inf", "r=inf", 7),
+            ("profile:alpha=nan,beta=1", "alpha=nan", 8),
+        ],
+    )
+    def test_rejected_at_parse_time(self, capsys, spec, token, position):
+        assert main(["g2check", "--s1", spec, "--s2", "plane", "--grid", "3"]) == 2
+        err = capsys.readouterr().err
+        assert repr(token) in err
+        assert f"position {position}" in err
+
+
+class TestModuleEntryPoints:
+    @pytest.mark.parametrize("module", ["rolling_twistor", "rolling_twistor.cli"])
+    def test_python_dash_m_runs_the_cli(self, module):
+        src = str(Path(rolling_twistor.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+        env.pop("ROLLING_TWISTOR_JOBS", None)
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "g2check", "--s1", "sphere:r=1", "--s2", "plane",
+             "--grid", "3"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout.startswith("# rolling-twistor g2check\n")
+        assert "# verdict: not-G2" in proc.stdout
