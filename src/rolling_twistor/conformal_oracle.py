@@ -20,7 +20,7 @@ import numpy as np
 
 from .cartan_invariants import CartanQuartic
 from .distribution5 import _as_point5, _require_noninteg
-from .errors import StepSizeError
+from .finitediff import check_step, richardson
 from .surfaces import Surface, constant_curvature_surface
 
 # constant coefficient matrix of the metric in the theta basis:
@@ -268,6 +268,16 @@ def _assemble_curvature(d):
     return g0, ginv, gamma, riem, ricci, scalar, w
 
 
+def _curvature_tiers(metric, p, h):
+    """`_assemble_curvature` of the metric derivatives at step h, at step h/2
+    and of their Richardson extrapolation, in that order."""
+    h = check_step(h)
+    d1 = _metric_derivatives(metric, p, h)
+    d2 = _metric_derivatives(metric, p, h / 2.0)
+    extrap = _Derivs(g0=d1.g0, dg=richardson(d1.dg, d2.dg), ddg=richardson(d1.ddg, d2.ddg))
+    return _assemble_curvature(d1), _assemble_curvature(d2), _assemble_curvature(extrap)
+
+
 def curvature(metric, p, h=DEFAULT_FD_STEP):
     """Curvature bundle of a metric field at p by central differences.
 
@@ -275,33 +285,13 @@ def curvature(metric, p, h=DEFAULT_FD_STEP):
     extrapolated; the h-vs-h/2 discrepancy of each assembled tensor is
     reported as its noise floor.
     """
-    p = np.asarray(p, dtype=float)
-    if h <= 0:
-        raise StepSizeError("finite-difference step must be positive")
-    d1 = _metric_derivatives(metric, p, h)
-    d2 = _metric_derivatives(metric, p, h / 2.0)
-    extrap = _Derivs(
-        g0=d1.g0,
-        dg=(4.0 * d2.dg - d1.dg) / 3.0,
-        ddg=(4.0 * d2.ddg - d1.ddg) / 3.0,
-    )
-    raw1 = _assemble_curvature(d1)
-    raw2 = _assemble_curvature(d2)
-    g0, ginv, gamma, riem, ricci, scalar, weyl = _assemble_curvature(extrap)
+    raw1, raw2, extrap = _curvature_tiers(metric, np.asarray(p, dtype=float), h)
     names = ("christoffel", "riemann", "ricci", "scalar", "weyl")
-    noise = {}
-    for name, i in zip(names, (2, 3, 4, 5, 6)):
-        noise[name] = float(np.max(np.abs(np.asarray(raw1[i]) - np.asarray(raw2[i]))))
-    return CurvatureBundle(
-        g=g0,
-        ginv=ginv,
-        christoffel=gamma,
-        riemann=riem,
-        ricci=ricci,
-        scalar=scalar,
-        weyl=weyl,
-        noise=noise,
-    )
+    noise = {
+        name: float(np.max(np.abs(np.asarray(raw1[i]) - np.asarray(raw2[i]))))
+        for i, name in enumerate(names, start=2)
+    }
+    return CurvatureBundle(*extrap, noise=noise)
 
 
 def riemann_symmetry_residual(bundle):
@@ -353,18 +343,8 @@ def cartan_from_weyl(s1, s2_or_lam, p, h=DEFAULT_FD_STEP):
     """
     s1, s2 = _resolve_pair(s1, s2_or_lam)
     a = _as_point5(p)
-    T = theta_coframe(s1, s2, a)
-    Y = T.duals()
-    g = metric_field(s1, s2)
-
-    d1 = _metric_derivatives(g, a, h)
-    d2 = _metric_derivatives(g, a, h / 2.0)
-    extrap = _Derivs(
-        g0=d1.g0, dg=(4.0 * d2.dg - d1.dg) / 3.0, ddg=(4.0 * d2.ddg - d1.ddg) / 3.0
-    )
-    w1 = _assemble_curvature(d1)[6]
-    w2 = _assemble_curvature(d2)[6]
-    w = _assemble_curvature(extrap)[6]
+    Y = theta_coframe(s1, s2, a).duals()
+    w1, w2, w = (c[6] for c in _curvature_tiers(metric_field(s1, s2), a, h))
 
     A = _contract_quartic(w, Y)
     A1 = _contract_quartic(w1, Y)

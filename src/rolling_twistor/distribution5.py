@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IntegrablePointError, StepSizeError
+from .errors import IntegrablePointError
+from .finitediff import check_step, richardson
 
 INTEGRABLE_TOL = 1e-10
 RANK_TOL = 1e-7  # singular value threshold, relative to the largest
@@ -172,14 +173,13 @@ def derived_frame(s1, s2, p):
     return Frame5(point=a, matrix=np.array([f(a) for f in fields]))
 
 
-def jacobian(field, p, h=None, richardson=True):
-    """Jacobian d(field)/d(coords) by central differences (optionally with one
-    Richardson extrapolation level)."""
+def jacobian(field, p, h=None):
+    """Jacobian d(field)/d(coords) by central differences with one Richardson
+    extrapolation level."""
     a = _as_point5(p)
     if h is None:
         h = 1e-5 * (1.0 + float(np.max(np.abs(a))))
-    if h <= 0:
-        raise StepSizeError("finite-difference step must be positive")
+    h = check_step(h)
 
     def jac(step):
         cols = []
@@ -189,24 +189,22 @@ def jacobian(field, p, h=None, richardson=True):
             cols.append((np.asarray(field(a + e)) - np.asarray(field(a - e))) / (2.0 * step))
         return np.array(cols).T  # J[i, k] = d field_i / d coord_k
 
-    if not richardson:
-        return jac(h)
-    return (4.0 * jac(h / 2.0) - jac(h)) / 3.0
+    return richardson(jac(h), jac(h / 2.0))
 
 
-def lie_bracket(F, G, p, h=None, richardson=True):
+def lie_bracket(F, G, p, h=None):
     """Commutator [F, G](p) = (DG) F - (DF) G with finite-difference Jacobians."""
     a = _as_point5(p)
-    JF = jacobian(F, a, h, richardson)
-    JG = jacobian(G, a, h, richardson)
+    JF = jacobian(F, a, h)
+    JG = jacobian(G, a, h)
     return JG @ np.asarray(F(a)) - JF @ np.asarray(G(a))
 
 
-def bracket_field(F, G, h=None, richardson=True):
+def bracket_field(F, G, h=None):
     """The commutator as a field (each evaluation differentiates numerically)."""
 
     def B(p):
-        return lie_bracket(F, G, p, h=h, richardson=richardson)
+        return lie_bracket(F, G, p, h=h)
 
     return B
 
@@ -221,7 +219,7 @@ class GrowthResult:
         return iter(self.ranks)
 
 
-def growth_vector(s1, s2, p, rank_tol=RANK_TOL, h_inner=None, h_outer=None):
+def growth_vector(s1, s2, p, rank_tol=RANK_TOL):
     """Ranks of the iterated bracket spans (2, ., .) at p.
 
     Brackets are numerical; double brackets differentiate the (already
@@ -230,10 +228,9 @@ def growth_vector(s1, s2, p, rank_tol=RANK_TOL, h_inner=None, h_outer=None):
     inside a factor-5 band around the threshold are flagged ill-conditioned.
     """
     a = _as_point5(p)
-    if h_outer is None:
-        h_outer = 1e-3 * (1.0 + float(np.max(np.abs(a))))
+    h_outer = 1e-3 * (1.0 + float(np.max(np.abs(a))))
     X1, X2 = velocity_fields(s1, s2)
-    B12 = bracket_field(X1, X2, h=h_inner)
+    B12 = bracket_field(X1, X2)
     v1, v2 = X1(a), X2(a)
     v3 = B12(a)
     v4 = lie_bracket(X1, B12, a, h=h_outer)

@@ -17,6 +17,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import DomainError
+from .finitediff import fd_weights, sampled_derivative
 from .surfaces import G2Family, RevolutionProfile, Surface
 
 QUAD_ABS_TOL = 1e-12
@@ -168,27 +169,21 @@ def build_mesh(family, rho_range, nr, nphi, z_func=None):
     return RevolutionMesh(family_tag=tag, eps=eps, rho=rho, phi=phi, xyz=xyz)
 
 
-RHO_STENCIL = 7  # centered 7-point along the profile direction
-RHO_MARGIN = RHO_STENCIL // 2
+RHO_ORDER = 6  # centered 7-point stencil along the profile direction
+RHO_MARGIN = RHO_ORDER // 2
 PHI_STENCIL = 13  # periodic stencil along the angle, exact to high order
 
 
-def _is_full_circle(mesh):
-    return abs((mesh.phi[-1] - mesh.phi[0]) - 2.0 * math.pi) < 1e-12
-
-
-def _phi_derivative(values, dphi, deriv=1):
+def _phi_derivative(values, dphi):
     """Periodic centered stencil derivative along axis 1.
 
     The grid duplicates the seam column (phi = 0 and 2 pi), so the unique
     columns are values[:, :-1]; the duplicate column is rebuilt at the end.
     """
-    from .finitediff import fd_weights
-
     m = values.shape[1] - 1
     width = min(PHI_STENCIL, m if m % 2 == 1 else m - 1)
     half = width // 2
-    w = fd_weights(np.arange(width, dtype=float), float(half), deriv)[:, deriv] / dphi**deriv
+    w = fd_weights(np.arange(width, dtype=float), float(half), 1)[:, 1] / dphi
     unique = values[:, :-1]
     out = np.zeros_like(unique)
     for s in range(width):
@@ -196,32 +191,19 @@ def _phi_derivative(values, dphi, deriv=1):
     return np.concatenate([out, out[:, :1]], axis=1)
 
 
-def _rho_derivative(values, drho):
-    """Centered 7-point derivative along axis 0 (shifted near the edges;
-    callers measure on interior rows where stencils are fully centered)."""
-    from .finitediff import fd_weights
-
-    nr = values.shape[0]
-    width = min(RHO_STENCIL, nr)
-    offsets = np.arange(width, dtype=float)
-    out = np.empty_like(values)
-    for i in range(nr):
-        lo = min(max(i - width // 2, 0), nr - width)
-        w = fd_weights(offsets, float(i - lo), 1)[:, 1] / drho
-        out[i] = np.tensordot(w, values[lo : lo + width], axes=(0, 0))
-    return out
+def _mesh_phi_derivative(mesh, values):
+    """Derivative along axis 1 of values on the mesh grid: periodic on a full
+    circle, else the shifted stencils of `sampled_derivative`."""
+    dphi = float(mesh.phi[1] - mesh.phi[0])
+    if abs((mesh.phi[-1] - mesh.phi[0]) - 2.0 * math.pi) < 1e-12:  # full circle
+        return _phi_derivative(values, dphi)
+    return np.swapaxes(sampled_derivative(np.swapaxes(values, 0, 1), dphi, order=RHO_ORDER), 0, 1)
 
 
 def _grid_partials(mesh):
     """FD tangents X_rho, X_phi over the grid."""
     drho = float(mesh.rho[1] - mesh.rho[0])
-    dphi = float(mesh.phi[1] - mesh.phi[0])
-    x_r = _rho_derivative(mesh.xyz, drho)
-    if _is_full_circle(mesh):
-        x_p = _phi_derivative(mesh.xyz, dphi)
-    else:
-        x_p = np.swapaxes(_rho_derivative(np.swapaxes(mesh.xyz, 0, 1), dphi), 0, 1)
-    return x_r, x_p
+    return sampled_derivative(mesh.xyz, drho, order=RHO_ORDER), _mesh_phi_derivative(mesh, mesh.xyz)
 
 
 def induced_metric_residual(mesh, h_of_rho):
@@ -252,14 +234,10 @@ def mesh_gauss_curvature(mesh, margin=2 * RHO_MARGIN):
     forms; returns (rho values, curvature array) for rows with fully
     centered nested stencils."""
     drho = float(mesh.rho[1] - mesh.rho[0])
-    dphi = float(mesh.phi[1] - mesh.phi[0])
     x_r, x_p = _grid_partials(mesh)
-    x_rr = _rho_derivative(x_r, drho)
-    x_rp = _rho_derivative(x_p, drho)
-    if _is_full_circle(mesh):
-        x_pp = _phi_derivative(x_p, dphi)
-    else:
-        x_pp = np.swapaxes(_rho_derivative(np.swapaxes(x_p, 0, 1), dphi), 0, 1)
+    x_rr = sampled_derivative(x_r, drho, order=RHO_ORDER)
+    x_rp = sampled_derivative(x_p, drho, order=RHO_ORDER)
+    x_pp = _mesh_phi_derivative(mesh, x_p)
     normal = np.cross(x_r, x_p)
     normal = normal / np.linalg.norm(normal, axis=2, keepdims=True)
     E = np.einsum("ijk,ijk->ij", x_r, x_r)

@@ -1,26 +1,45 @@
-"""Finite-difference and sampled-data helpers.
+"""Finite differences for the whole package.
 
-High-order stencils are generated with Fornberg's recursion, so the
-trajectory diagnostics can measure derivatives of sampled curves well below
-the integrator's own error order.
+Fornberg stencils let the trajectory and mesh diagnostics differentiate
+sampled data well below the integrator's own error order; the brackets and
+the oracle's metric derivatives share `check_step` and `richardson`.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from .errors import StepSizeError
+
+
+def check_step(h):
+    """h as a float, or StepSizeError unless it is a finite positive number."""
+    h = float(h)
+    if not (math.isfinite(h) and h > 0.0):
+        raise StepSizeError(f"step size must be a finite positive number, got {h}")
+    return h
+
+
+def richardson(coarse, fine):
+    """One Richardson level for an O(h^2) scheme: `coarse` taken at step h,
+    `fine` at h/2; the result is O(h^4)."""
+    return (4.0 * fine - coarse) / 3.0
 
 
 def fd_weights(nodes, x0, m):
     """Weights for derivatives 0..m at x0 from arbitrary nodes (Fornberg).
 
     Returns an array w of shape (len(nodes), m+1); column k gives the weights
-    of the k-th derivative.
+    of the k-th derivative.  An array x0 runs the recursion for all its
+    points at once, elementwise, and appends its shape to that of w.
     """
     x = np.asarray(nodes, dtype=float)
     n = len(x)
     if m >= n:
         raise ValueError("need more nodes than the requested derivative order")
-    c = np.zeros((n, m + 1))
+    c = np.zeros((n, m + 1) + np.shape(x0))
     c1 = 1.0
     c4 = x[0] - x0
     c[0, 0] = 1.0
@@ -52,18 +71,15 @@ def sampled_derivative(values, dt, order=6, deriv=1):
     """
     y = np.asarray(values, dtype=float)
     n = y.shape[0]
-    width = order + 1
-    if width > n:
-        width = n
+    width = min(order + 1, n)
     if width <= deriv:
         raise ValueError("not enough samples for the requested derivative")
-    half = width // 2
-    out = np.empty_like(y)
     offsets = np.arange(width, dtype=float)
+    stencils = fd_weights(offsets, offsets, deriv)[:, deriv]  # column s: window offset s
+    out = np.empty_like(y)
     for i in range(n):
-        lo = min(max(i - half, 0), n - width)
-        w = fd_weights(offsets, float(i - lo), deriv)[:, deriv]
-        out[i] = np.tensordot(w, y[lo : lo + width], axes=(0, 0)) / dt**deriv
+        lo = min(max(i - width // 2, 0), n - width)
+        out[i] = np.tensordot(stencils[:, i - lo], y[lo : lo + width], axes=(0, 0)) / dt**deriv
     return out
 
 
@@ -87,11 +103,12 @@ def cumulative_integral(values, dt, order=4):
     y = np.asarray(values, dtype=float)
     n = y.shape[0]
     width = min(order, n)
+    nodes = np.arange(width, dtype=float)
+    weights = [_interval_weights(nodes, s, s + 1.0) for s in range(width - 1)]
     out = np.zeros(y.shape)
     acc = np.zeros(y.shape[1:]) if y.ndim > 1 else 0.0
     for k in range(n - 1):
         lo = min(max(k - (width - 1) // 2, 0), n - width)
-        w = _interval_weights(np.arange(width, dtype=float), k - lo, k - lo + 1.0)
-        acc = acc + dt * np.tensordot(w, y[lo : lo + width], axes=(0, 0))
+        acc = acc + dt * np.tensordot(weights[k - lo], y[lo : lo + width], axes=(0, 0))
         out[k + 1] = acc
     return out

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distribution5 import ConfigPoint, _as_point5, velocity_fields
-from .errors import DomainError, SpecParseError, StepSizeError
-from .finitediff import cumulative_integral, sampled_derivative
+from .errors import DomainError, SpecParseError
+from .finitediff import check_step, cumulative_integral, sampled_derivative
 
 
 @dataclass(frozen=True)
@@ -106,8 +106,7 @@ def integrate_fields(f1, f2, start, ctrl, dt, t_end, validate=None):
     `validate`, when given, is called on each accepted sample; a DomainError
     aborts with the partial trajectory attached to the exception.
     """
-    if dt <= 0:
-        raise StepSizeError("dt must be positive")
+    check_step(dt)
     y = _as_point5(start).copy()
     n_steps = max(1, int(round(t_end / dt)))
     dt = t_end / n_steps  # land on t_end exactly
@@ -167,15 +166,14 @@ def integrate(s1, s2, start, ctrl, dt, t_end, normalize_speed=False):
     return traj
 
 
-def _frame_velocities(traj, s1, s2, fd_order=6):
+def _frame_velocities(traj, s1, s2):
     """Frame components of the sampled contact-curve velocities.
 
     Returns (v1, v2): arrays (n, 2) with the orthonormal-frame components of
-    the chart velocities on each surface, measured by high-order finite
+    the chart velocities on each surface, measured by sixth-order finite
     differences of the samples.
     """
-    dt = traj.dt
-    vel = sampled_derivative(traj.points, dt, order=min(fd_order, len(traj) - 1))
+    vel = sampled_derivative(traj.points, traj.dt)
     n = len(traj)
     v1 = np.empty((n, 2))
     v2 = np.empty((n, 2))
@@ -222,7 +220,7 @@ def no_twist_residual(traj, s1, s2, v0=(1.0, 0.0)):
     theta = cumulative_integral(gamma1, traj.dt)
     v = np.einsum("kij,j->ki", np.array([_rotation(t) for t in theta]), np.asarray(v0, float))
     w = np.einsum("kij,kj->ki", np.array([_rotation(p[4]) for p in traj.points]), v)
-    wdot = sampled_derivative(w, traj.dt, order=min(6, n - 1))
+    wdot = sampled_derivative(w, traj.dt)
     J = np.array([[0.0, -1.0], [1.0, 0.0]])
     resid = wdot - gamma2[:, None] * (w @ J.T)
     return float(np.max(np.linalg.norm(resid, axis=1)))

@@ -482,6 +482,7 @@ def parse_surface(spec):
         raise SpecParseError(f"unknown surface family {kind!r} in {spec!r}", position=0)
     allowed = _SPEC_KEYS[kind]
     kv = {}
+    tokens = []  # (item, position, value) per key=value
     args = m.group("args")
     if args:
         pos = len(kind) + 1
@@ -497,6 +498,10 @@ def parse_surface(spec):
                     f"unknown key {key!r} for family {kind!r} at position {pos} in {spec!r}",
                     position=pos,
                 )
+            if key in kv:
+                raise SpecParseError(
+                    f"repeated key in {item!r} at position {pos} in {spec!r}", position=pos
+                )
             try:
                 kv[key] = float(val)
             except ValueError:
@@ -507,21 +512,44 @@ def parse_surface(spec):
                 raise SpecParseError(
                     f"non-finite value in {item!r} at position {pos} in {spec!r}", position=pos
                 )
+            tokens.append((item, pos, kv[key]))
             pos += len(item) + 1
     try:
         if kind == "plane":
-            return Plane()
-        if kind == "sphere":
-            return Sphere(radius=kv["r"])
-        if kind == "hyperbolic":
-            return Hyperbolic(radius=kv["r"])
-        if kind == "profile":
-            return RevolutionProfile(kv["alpha"], kv["beta"], kv.get("gamma", 0.0))
-        eps = kv["eps"]
-        if eps != int(eps):
-            raise ValueError("eps must be an integer")
-        return G2Family(int(eps))
+            surface = Plane()
+        elif kind == "sphere":
+            surface = Sphere(radius=kv["r"])
+        elif kind == "hyperbolic":
+            surface = Hyperbolic(radius=kv["r"])
+        elif kind == "profile":
+            surface = RevolutionProfile(kv["alpha"], kv["beta"], kv.get("gamma", 0.0))
+        else:
+            eps = kv["eps"]
+            if eps != int(eps):
+                raise ValueError("eps must be an integer")
+            surface = G2Family(int(eps))
     except KeyError as exc:
         raise SpecParseError(f"missing key {exc.args[0]!r} in {spec!r}", position=0) from None
     except ValueError as exc:
         raise SpecParseError(f"invalid parameters in {spec!r}: {exc}", position=0) from None
+    if tokens and not _curvature_representable(surface):
+        # name the value of the largest binary exponent in magnitude
+        item, pos, _ = max(tokens, key=lambda t: abs(math.frexp(t[2])[1]))
+        msg = f"curvature overflows or underflows for {item!r} at position {pos} in {spec!r}"
+        raise SpecParseError(msg, position=pos)
+    return surface
+
+
+def _curvature_representable(surface):
+    """True iff the Gaussian curvature at the ends of the default profile
+    range, where they lie in the chart, is a finite nonzero float."""
+    for t in surface.profile_range():
+        try:
+            kappa = surface.frame_data(surface.chart_point(t)).kappa
+        except DomainError:
+            continue
+        except ArithmeticError:  # OverflowError in 1 / r**2, ZeroDivisionError
+            return False
+        if not (math.isfinite(kappa) and kappa != 0.0):
+            return False
+    return True

@@ -235,6 +235,14 @@ class TestNonFiniteSpecs:
             ("sphere:r=nan", "r=nan", 7),
             ("sphere:r=inf", "r=inf", 7),
             ("profile:alpha=nan,beta=1", "alpha=nan", 8),
+            # curvature 1/r^2 or 2 alpha/h^3 overflows or underflows
+            ("sphere:r=1e308", "r=1e308", 7),
+            ("hyperbolic:r=1e308", "r=1e308", 11),
+            ("sphere:r=1e-200", "r=1e-200", 7),
+            ("profile:alpha=1e308,beta=1", "alpha=1e308", 8),
+            ("profile:beta=1,alpha=1e308", "alpha=1e308", 15),
+            # a repeated key would silently keep the last value
+            ("sphere:r=1,r=2", "r=2", 11),
         ],
     )
     def test_rejected_at_parse_time(self, capsys, spec, token, position):
@@ -242,6 +250,16 @@ class TestNonFiniteSpecs:
         err = capsys.readouterr().err
         assert repr(token) in err
         assert f"position {position}" in err
+
+
+class TestOracleStep:
+    @pytest.mark.parametrize("step", ["0", "-1e-3", "nan", "inf"])
+    def test_unusable_fd_step_exits_3(self, tmp_path, capsys, step):
+        code, text = run(tmp_path, "oracle", "--s1", "sphere:r=1", "--s2", "plane",
+                         "--points", "1", f"--fd-step={step}")
+        assert code == 3
+        assert text == ""
+        assert "step size must be a finite positive number" in capsys.readouterr().err
 
 
 class TestModuleEntryPoints:

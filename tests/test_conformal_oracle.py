@@ -4,7 +4,7 @@ import pytest
 from rolling_twistor import conformal_oracle as co
 from rolling_twistor.cartan_invariants import CartanQuartic, quartic_killing_case
 from rolling_twistor.distribution5 import frame_fields
-from rolling_twistor.errors import IntegrablePointError
+from rolling_twistor.errors import IntegrablePointError, StepSizeError
 from rolling_twistor.surfaces import Hyperbolic, Plane, RevolutionProfile, Sphere, g2_family
 
 RNG = np.random.default_rng(321)
@@ -193,6 +193,24 @@ class TestCartanFromWeyl:
             ocl = co.cartan_from_weyl(SPHERE, PLANE, p)
             closed = quartic_killing_case(SPHERE.jet((p[0], p[1])), 0.0)
             assert co.proportionality_residual(ocl.quartic, closed) < 1e-3
+
+    @pytest.mark.parametrize("h", [0.0, -1e-3, float("nan")])
+    def test_unusable_step_raises(self, h):
+        p = np.array([1.1, 0.0, 0.0, 0.0, 0.3])
+        with pytest.raises(StepSizeError):
+            co.cartan_from_weyl(SPHERE, PLANE, p, h=h)
+
+    def test_one_hundred_two_metric_evaluations(self, monkeypatch):
+        calls = []
+        original = co.metric_components
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(co, "metric_components", counting)
+        co.cartan_from_weyl(SPHERE, PLANE, np.array([1.1, 0.0, 0.0, 0.0, 0.3]))
+        assert len(calls) == 102
 
     def test_nine_to_one_below_noise_floor(self):
         p = np.array([1.0, 0.1, 1.3, 0.2, 0.5])

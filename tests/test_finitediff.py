@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from rolling_twistor.finitediff import cumulative_integral, fd_weights, sampled_derivative
+from rolling_twistor import finitediff
+from rolling_twistor.errors import StepSizeError
+from rolling_twistor.finitediff import (
+    _interval_weights,
+    check_step,
+    cumulative_integral,
+    fd_weights,
+    richardson,
+    sampled_derivative,
+)
 
 
 def test_classic_central_weights():
@@ -55,3 +64,90 @@ def test_cumulative_integral_fourth_order():
 def test_too_few_nodes_raises():
     with pytest.raises(ValueError):
         fd_weights(np.array([0.0, 1.0]), 0.0, 2)
+
+
+def reference_sampled_derivative(y, dt, order, deriv):
+    # one Fornberg solve per sample, the textbook form of the shifted stencils
+    n = y.shape[0]
+    width = min(order + 1, n)
+    out = np.empty_like(y)
+    for i in range(n):
+        lo = min(max(i - width // 2, 0), n - width)
+        w = fd_weights(np.arange(width, dtype=float), float(i - lo), deriv)[:, deriv]
+        out[i] = np.tensordot(w, y[lo : lo + width], axes=(0, 0)) / dt**deriv
+    return out
+
+
+def reference_cumulative_integral(y, dt, order):
+    # one moment solve per interval
+    n = y.shape[0]
+    width = min(order, n)
+    out = np.zeros(y.shape)
+    acc = np.zeros(y.shape[1:]) if y.ndim > 1 else 0.0
+    for k in range(n - 1):
+        lo = min(max(k - (width - 1) // 2, 0), n - width)
+        w = _interval_weights(np.arange(width, dtype=float), k - lo, k - lo + 1.0)
+        acc = acc + dt * np.tensordot(w, y[lo : lo + width], axes=(0, 0))
+        out[k + 1] = acc
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 5, 7, 8, 101])
+@pytest.mark.parametrize("shape", [(), (5,)])
+def test_stencil_tables_equal_per_sample_solves(n, shape):
+    rng = np.random.default_rng(n)
+    y = rng.standard_normal((n, *shape))
+    dt = 0.037
+    for order, deriv in ((6, 1), (4, 2), (1, 1)):
+        if min(order + 1, n) <= deriv:
+            continue
+        assert np.array_equal(
+            sampled_derivative(y, dt, order=order, deriv=deriv),
+            reference_sampled_derivative(y, dt, order, deriv),
+        )
+    for order in (4, 2):
+        assert np.array_equal(
+            cumulative_integral(y, dt, order=order), reference_cumulative_integral(y, dt, order)
+        )
+
+
+def test_sampled_derivative_makes_one_fornberg_call(monkeypatch):
+    calls = []
+    original = finitediff.fd_weights
+
+    def counting(nodes, x0, m):
+        calls.append(np.array(x0))
+        return original(nodes, x0, m)
+
+    monkeypatch.setattr(finitediff, "fd_weights", counting)
+    sampled_derivative(np.zeros(101), 0.1, order=6)
+    assert len(calls) == 1
+    assert np.array_equal(calls[0], np.arange(7.0))
+
+
+def test_fd_weights_with_array_x0_equals_scalar_calls():
+    nodes = np.array([0.0, 0.3, 1.1, 1.7, 2.0, 3.2])
+    x0 = np.array([[0.0, 0.5], [1.7, 3.3]])
+    w = fd_weights(nodes, x0, 3)
+    assert w.shape == (6, 4, 2, 2)
+    for idx in np.ndindex(x0.shape):
+        assert np.array_equal(w[(slice(None), slice(None)) + idx], fd_weights(nodes, x0[idx], 3))
+
+
+def test_richardson_exact_on_quadratic_error_model():
+    a, b, h = 1.25, -3.5, 0.5
+    # values exactly representable, so the blend recovers a to the last bit
+    assert richardson(a + b * h**2, a + b * (h / 2) ** 2) == a
+    coarse = np.array([a + b * h**2, 2 * a + b * h**2])
+    fine = np.array([a + b * (h / 2) ** 2, 2 * a + b * (h / 2) ** 2])
+    assert np.array_equal(richardson(coarse, fine), [a, 2 * a])
+
+
+@pytest.mark.parametrize("h", [0.0, -1e-3, float("nan"), float("inf")])
+def test_check_step_rejects_non_positive_and_non_finite(h):
+    with pytest.raises(StepSizeError, match="finite positive number"):
+        check_step(h)
+
+
+def test_check_step_returns_float():
+    assert check_step(np.float64(1e-3)) == 1e-3

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rolling_twistor.errors import DomainError, SpecParseError
+from rolling_twistor.errors import DomainError, SpecParseError, StepSizeError
 from rolling_twistor.rolling import (
     ControlCurve,
     Trajectory,
@@ -246,3 +246,9 @@ def test_export_format(tmp_path):
     assert len(lines) == 1 + len(traj)
     row = lines[1].split(",")
     assert len(row) == 8
+
+
+@pytest.mark.parametrize("dt", [float("nan"), float("inf"), -1e-3])
+def test_unusable_dt_raises_step_error(dt):
+    with pytest.raises(StepSizeError, match="step size must be a finite positive number"):
+        integrate(PLANE, PLANE, np.zeros(5), ControlCurve.constant(1, 0), dt, 1.0)
