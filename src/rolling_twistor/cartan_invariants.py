@@ -14,12 +14,13 @@ the dimensional scale (kappa - lambda)^4 * max(kappa^2, lambda^2, 1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import IntegrablePointError
+from .errors import DomainError, IntegrablePointError
 
 VANISH_TOL = 1e-8  # relative threshold for "all A_i vanish"
 ROOT_CLUSTER_RADIUS = 1e-6  # multiplicity clustering, scaled by 1 + |root|
@@ -57,6 +58,20 @@ def quartic_killing_case(jet, lam):
         raise IntegrablePointError(
             f"kappa = lambda = {k}: integrable point, quartic undefined"
         )
+    try:
+        quartic = _killing_coefficients(jet, lam)
+        finite = all(map(math.isfinite, quartic))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise DomainError(
+            f"the quartic overflows at kappa = {float(k)!r}, lambda = {float(lam)!r}"
+        )
+    return quartic
+
+
+def _killing_coefficients(jet, lam):
+    k = jet.kappa
     a2 = jet.a2
     k1, k11, k111, k1111 = jet.kappa1, jet.kappa11, jet.kappa111, jet.kappa1111
     d = k - lam

@@ -11,9 +11,8 @@ parse errors, 3 numeric-domain failures.
 from __future__ import annotations
 
 import argparse
-import os
+import contextlib
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -22,10 +21,9 @@ from . import conformal_oracle as oracle_mod
 from . import distribution5 as dist
 from . import embedding as emb
 from . import rolling as roll_mod
-from .errors import DomainError, RollingTwistorError, SpecParseError, StepSizeError
+from .errors import DomainError, RollingTwistorError, SpecParseError
+from .finitediff import check_step
 from .surfaces import parse_surface
-
-JOBS_ENV = "ROLLING_TWISTOR_JOBS"
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -51,40 +49,34 @@ def _parse_range(spec, name):
     return lo, hi, count
 
 
-def _resolve_jobs(args):
-    if getattr(args, "jobs", None):
-        return max(1, args.jobs)
-    env = os.environ.get(JOBS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise SpecParseError(f"{JOBS_ENV} must be an integer, got {env!r}") from None
-    return 1
-
-
-def _map_ordered(fn, items, jobs):
-    """Apply fn over items, preserving input order regardless of scheduling."""
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
+@contextlib.contextmanager
+def _output(path):
+    """The -o file, or stdout when none is given."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+    else:
+        yield sys.stdout
 
 
 def _emit(lines, output):
-    text = "\n".join(lines) + "\n"
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _output(output) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def _grid_for(surface, args):
-    if getattr(args, "rho", None):
+    if args.rho:
         lo, hi, count = _parse_range(args.rho, "rho")
         return surface.profile_grid(count, lo, hi)
-    return surface.profile_grid(getattr(args, "grid", 10) or 10)
+    if args.grid < 1:
+        raise SpecParseError(f"--grid needs a positive count, got {args.grid}")
+    return surface.profile_grid(args.grid)
+
+
+def _mid_point(surface):
+    """Chart point at the middle of the surface's default profile range."""
+    lo, hi = surface.profile_range()
+    return surface.chart_point((lo + hi) / 2.0)
 
 
 def _constant_curvature(s2):
@@ -93,51 +85,42 @@ def _constant_curvature(s2):
         raise SpecParseError(
             f"the second surface must have constant curvature, got {s2.spec_string()!r}"
         )
-    return s2.frame_data(s2.chart_point(sum(s2.profile_range()) / 2.0)).kappa
+    return s2.frame_data(_mid_point(s2)).kappa
 
 
-def _quartic_rows(s1, lam, grid, tol, jobs):
-    report_rows = _map_ordered(
-        lambda p: ci.g2_check(s1, lam, [p], tol=tol).rows[0], grid, jobs
-    )
-    lines = [
-        "# columns: coord1,coord2,kappa,A1,A2,A3,A4,A5,scaled_max,root_type",
-        "# note: root_type is the final column and may itself contain commas, e.g. [2,2]",
-    ]
-    for row in report_rows:
-        vals = [row.point[0], row.point[1], row.kappa, *row.quartic, row.scaled_max]
-        lines.append(",".join(_fmt(v) for v in vals) + f",{row.root_tag}")
-    worst = max(row.scaled_max for row in report_rows)
-    return lines, worst, report_rows
-
-
-def cmd_quartic(args):
+def _quartic_table(args, verdict):
+    """Write the quartic table of `quartic`/`g2check` (with the verdict line
+    when `verdict`) and return the G2 report of the whole grid."""
     s1 = parse_surface(args.s1)
     s2 = parse_surface(args.s2)
     lam = _constant_curvature(s2)
     grid = _grid_for(s1, args)
-    lines, _, _ = _quartic_rows(s1, lam, grid, args.tol, _resolve_jobs(args))
-    header = [
-        "# rolling-twistor quartic",
+    report = ci.g2_check(s1, lam, grid, tol=args.tol)
+    lines = [
+        f"# rolling-twistor {args.command}",
         f"# s1={s1.spec_string()} s2={s2.spec_string()} lambda={_fmt(lam)} points={len(grid)}",
     ]
-    _emit(header + lines, args.output)
+    if verdict:
+        lines.append(f"# verdict: {report.verdict} (max scaled |A_i| = "
+                     f"{_fmt(report.max_scaled)}, tol = {_fmt(args.tol)})")
+    lines += [
+        "# columns: coord1,coord2,kappa,A1,A2,A3,A4,A5,scaled_max,root_type",
+        "# note: root_type is the final column and may itself contain commas, e.g. [2,2]",
+    ]
+    for row in report.rows:
+        vals = [row.point[0], row.point[1], row.kappa, *row.quartic, row.scaled_max]
+        lines.append(",".join(_fmt(v) for v in vals) + f",{row.root_tag}")
+    _emit(lines, args.output)
+    return report
+
+
+def cmd_quartic(args):
+    _quartic_table(args, verdict=False)
     return EXIT_OK
 
 
 def cmd_g2check(args):
-    s1 = parse_surface(args.s1)
-    s2 = parse_surface(args.s2)
-    lam = _constant_curvature(s2)
-    grid = _grid_for(s1, args)
-    lines, worst, _ = _quartic_rows(s1, lam, grid, args.tol, _resolve_jobs(args))
-    report = ci.G2Report(rows=(), max_scaled=worst, is_g2=worst < args.tol, tol=args.tol)
-    header = [
-        "# rolling-twistor g2check",
-        f"# s1={s1.spec_string()} s2={s2.spec_string()} lambda={_fmt(lam)} points={len(grid)}",
-        f"# verdict: {report.verdict} (max scaled |A_i| = {_fmt(worst)}, tol = {_fmt(args.tol)})",
-    ]
-    _emit(header + lines, args.output)
+    report = _quartic_table(args, verdict=True)
     return EXIT_OK if report.is_g2 else EXIT_NEGATIVE
 
 
@@ -145,21 +128,15 @@ def cmd_growth(args):
     s1 = parse_surface(args.s1)
     s2 = parse_surface(args.s2)
     grid = _grid_for(s1, args)
-    lo2, hi2 = s2.profile_range()
-    p2 = s2.chart_point((lo2 + hi2) / 2.0)
-
-    def one(p1):
-        point = np.array([p1[0], p1[1], p2[0], p2[1], args.phi])
-        res = dist.growth_vector(s1, s2, point)
-        return point, res
-
-    results = _map_ordered(one, grid, _resolve_jobs(args))
+    p2 = _mid_point(s2)
     lines = [
         "# rolling-twistor growth",
         f"# s1={s1.spec_string()} s2={s2.spec_string()} points={len(grid)}",
         "# columns: x,y,u,v,phi,n1,n2,n3,ill_conditioned",
     ]
-    for point, res in results:
+    for p1 in grid:
+        point = np.array([p1[0], p1[1], p2[0], p2[1], args.phi])
+        res = dist.growth_vector(s1, s2, point)
         coords = ",".join(_fmt(c) for c in point)
         n1, n2, n3 = res.ranks
         lines.append(f"{coords},{n1},{n2},{n3},{int(res.ill_conditioned)}")
@@ -170,55 +147,62 @@ def cmd_growth(args):
 def cmd_roll(args):
     s1 = parse_surface(args.s1)
     s2 = parse_surface(args.s2)
+    if not 0.0 < args.T < np.inf:
+        raise SpecParseError(f"--T must be a finite positive number, got {args.T!r}")
     if args.control:
         ctrl = roll_mod.ControlCurve.from_file(args.control)
+        t0, t1 = float(ctrl.times[0]), float(ctrl.times[-1])
+        slack = 1e-12 * args.T  # a last time written as T * k / k may round 1 ulp low
+        if t0 > slack or t1 < args.T - slack:
+            raise SpecParseError(
+                f"control file {args.control}: times span [{t0!r}, {t1!r}],"
+                f" which does not cover [0, --T {args.T!r}]"
+            )
     else:
         ctrl = roll_mod.ControlCurve.constant(args.c1, args.c2, t_end=args.T)
     start = [float(t) for t in args.start.split(",")]
     if len(start) != 5:
         raise SpecParseError(f"--start expects x,y,u,v,phi, got {args.start!r}")
-    traj = roll_mod.integrate(s1, s2, np.array(start), ctrl, args.dt, args.T)
+    try:
+        traj = roll_mod.integrate(s1, s2, np.array(start), ctrl, args.dt, args.T)
+    except DomainError as exc:  # integrate attaches the samples accepted before the error
+        t = float(exc.last_valid.times[-1])
+        raise DomainError(f"{exc} (integration stopped at t = {t!r})") from exc
     slip = roll_mod.no_slip_residual(traj, s1, s2)
     twist = roll_mod.no_twist_residual(traj, s1, s2)
     l1, l2 = roll_mod.contact_arclengths(traj, s1, s2)
-    lines = [
+    header = [
         "# rolling-twistor roll",
         f"# s1={s1.spec_string()} s2={s2.spec_string()} dt={_fmt(args.dt)} T={_fmt(args.T)}",
         f"# no_slip_residual={_fmt(slip)} no_twist_residual={_fmt(twist)}"
         f" L1={_fmt(l1)} L2={_fmt(l2)}",
-        "# t,x,y,u,v,phi,c1,c2",
     ]
-    for t, p in zip(traj.times, traj.points):
-        c = ctrl(t)
-        row = [t, p[0], p[1], p[2], p[3], p[4], c[0], c[1]]
-        lines.append(",".join(_fmt(v) for v in row))
-    _emit(lines, args.output)
+    with _output(args.output) as fh:
+        fh.write("\n".join(header) + "\n")
+        roll_mod.export_trajectory(traj, fh)
     return EXIT_OK
 
 
 def cmd_oracle(args):
     s1 = parse_surface(args.s1)
     s2 = parse_surface(args.s2)
+    if args.points < 1:
+        raise SpecParseError(f"--points needs a positive count, got {args.points}")
+    check_step(args.fd_step)
     lam = _constant_curvature(s2)
     grid = _grid_for(s1, args)[: args.points]
-    lo2, hi2 = s2.profile_range()
-    p2 = s2.chart_point((lo2 + hi2) / 2.0)
-
-    def one(p1):
-        point = np.array([p1[0], p1[1], p2[0], p2[1], args.phi])
-        ocl = oracle_mod.cartan_from_weyl(s1, s2, point, h=args.fd_step)
-        closed = ci.quartic_killing_case(s1.jet(p1), lam)
-        resid = oracle_mod.proportionality_residual(ocl.quartic, closed)
-        return point, ocl, closed, resid
-
-    results = _map_ordered(one, grid, _resolve_jobs(args))
+    p2 = _mid_point(s2)
     lines = [
         "# rolling-twistor oracle",
         f"# s1={s1.spec_string()} s2={s2.spec_string()} fd_step={_fmt(args.fd_step)}",
         "# columns: x,y,u,v,phi,weyl_norm,A1_oracle..A5_oracle,"
         "A1_closed..A5_closed,prop_residual,noise_floor",
     ]
-    for point, ocl, closed, resid in results:
+    for p1 in grid:
+        point = np.array([p1[0], p1[1], p2[0], p2[1], args.phi])
+        ocl = oracle_mod.cartan_from_weyl(s1, s2, point, h=args.fd_step)
+        closed = ci.quartic_killing_case(s1.jet(p1), lam)
+        resid = oracle_mod.proportionality_residual(ocl.quartic, closed)
         vals = [
             *point,
             ocl.weyl_norm,
@@ -234,11 +218,11 @@ def cmd_oracle(args):
 
 def cmd_embed(args):
     family = parse_surface(args.family)
-    lo, hi = (float(t) for t in args.rho_range.split(":"))
-    if args.output:
-        emb.emit_mesh(family, (lo, hi), args.nr, args.nphi, args.output)
-    else:
-        emb.emit_mesh(family, (lo, hi), args.nr, args.nphi, sys.stdout)
+    try:
+        lo, hi = (float(t) for t in args.rho_range.split(":"))
+    except ValueError:
+        raise SpecParseError(f"--rho-range expects numeric lo:hi, got {args.rho_range!r}") from None
+    emb.emit_mesh(family, (lo, hi), args.nr, args.nphi, args.output or sys.stdout)
     return EXIT_OK
 
 
@@ -259,18 +243,15 @@ def build_parser():
         if grids:
             p.add_argument("--grid", type=int, default=10, help="points across the default range")
             p.add_argument("--rho", help="profile grid lo:hi:count (overrides --grid)")
-        p.add_argument("--jobs", type=int, help=f"worker pool size (or ${JOBS_ENV})")
+        p.add_argument("--jobs", type=int, help=argparse.SUPPRESS)  # accepted and ignored
         p.add_argument("-o", "--output", help="output file (default: stdout)")
 
-    p = sub.add_parser("quartic", help="quartic coefficients over a grid")
-    common(p)
-    p.add_argument("--tol", type=float, default=ci.VANISH_TOL, help="vanishing tolerance")
-    p.set_defaults(func=cmd_quartic)
-
-    p = sub.add_parser("g2check", help="maximal-symmetry verdict over a grid")
-    common(p)
-    p.add_argument("--tol", type=float, default=ci.VANISH_TOL, help="vanishing tolerance")
-    p.set_defaults(func=cmd_g2check)
+    for name, summary, func in (("quartic", "quartic coefficients over a grid", cmd_quartic),
+                                ("g2check", "maximal-symmetry verdict over a grid", cmd_g2check)):
+        p = sub.add_parser(name, help=summary)
+        common(p)
+        p.add_argument("--tol", type=float, default=ci.VANISH_TOL, help="vanishing tolerance")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("growth", help="growth-vector sweep")
     common(p)
@@ -317,11 +298,11 @@ def main(argv=None):
     except SpecParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DomainError, StepSizeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     except RollingTwistorError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except OverflowError as exc:
+        print(f"error: numeric overflow ({exc})", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,7 +10,7 @@ from rolling_twistor.cartan_invariants import (
     root_type,
     vanishing_scale,
 )
-from rolling_twistor.errors import IntegrablePointError
+from rolling_twistor.errors import DomainError, IntegrablePointError
 from rolling_twistor.surfaces import (
     RevolutionProfile,
     Sphere,
@@ -34,6 +34,20 @@ class TestQuarticKillingCase:
     def test_frozen_value_kappa2_lambda0(self):
         q = quartic_killing_case(const_jet(2.0, a2=0.37), 0.0)
         assert q == CartanQuartic(576.0, 576.0, 768.0, 1152.0, 2304.0)
+
+    @pytest.mark.parametrize(
+        "kappa, lam, shown",
+        [
+            (1e200, 0.0, "kappa = 1e+200, lambda = 0.0"),  # d**4 raises OverflowError
+            (1e60, 2.5e59, "kappa = 1e+60, lambda = 2.5e+59"),  # products reach inf
+            (np.float64(1e200), 0.0, "kappa = 1e+200, lambda = 0.0"),  # d**4 is inf
+        ],
+        ids=["float-pow", "float-product", "float64"],
+    )
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflow_raises_domain_error(self, kappa, lam, shown):
+        with pytest.raises(DomainError, match=shown.replace("+", r"\+")):
+            quartic_killing_case(const_jet(kappa), lam)
 
     def test_g2_family_vanishes_at_sample_point(self):
         jet = g2_family(1).jet((1.0, 0.0))

@@ -277,3 +277,147 @@ class TestModuleEntryPoints:
         assert proc.returncode == 1
         assert proc.stdout.startswith("# rolling-twistor g2check\n")
         assert "# verdict: not-G2" in proc.stdout
+
+
+class TestSerialFrontEnd:
+    def test_jobs_hidden_from_help(self, capsys):
+        assert main(["quartic", "--help"]) == 0
+        assert "--jobs" not in capsys.readouterr().out
+
+    def test_jobs_env_not_read(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("ROLLING_TWISTOR_JOBS", "not-a-number")
+        code, text = run(tmp_path, "quartic", "--s1", "sphere:r=1", "--s2", "plane", "--grid", "2")
+        assert code == 0
+        assert text.startswith("# rolling-twistor quartic")
+
+    def test_one_g2_check_per_grid(self, tmp_path, monkeypatch):
+        import rolling_twistor.cli as cli
+
+        calls = []
+        original = cli.ci.g2_check
+
+        def spy(s1, lam, grid, tol):
+            calls.append(len(grid))
+            return original(s1, lam, grid, tol=tol)
+
+        monkeypatch.setattr(cli.ci, "g2_check", spy)
+        for command in ("quartic", "g2check"):
+            run(tmp_path, command, "--s1", "sphere:r=1", "--s2", "sphere:r=2", "--grid", "7")
+        assert calls == [7, 7]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["quartic", "--s1", "sphere:r=1", "--s2", "sphere:r=2", "--grid", "3"],
+            ["g2check", "--s1", "g2:eps=-1", "--s2", "plane", "--rho", "1.5:3:4"],
+            ["growth", "--s1", "sphere:r=1", "--s2", "plane", "--grid", "2"],
+            ["roll", "--s1", "sphere:r=1", "--s2", "plane", "--start", "1.2,0,0,0,0",
+             "--dt", "0.01", "--T", "0.2"],
+            ["oracle", "--s1", "sphere:r=1", "--s2", "plane", "--points", "1"],
+            ["embed", "--family", "g2:eps=1", "--rho-range", "0:1", "--nr", "4", "--nphi", "4"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_stdout_equals_output_file(self, tmp_path, capsys, argv):
+        out = tmp_path / "out.txt"
+        code_file = main(argv + ["-o", str(out)])
+        assert capsys.readouterr().out == ""
+        code_stdout = main(argv)
+        assert code_stdout == code_file
+        assert capsys.readouterr().out.encode() == out.read_bytes()
+
+
+class TestCountsAndSteps:
+    @pytest.mark.parametrize("command", ["quartic", "g2check", "growth", "oracle"])
+    @pytest.mark.parametrize("grid", ["0", "-3"])
+    def test_grid_must_be_positive(self, tmp_path, capsys, command, grid):
+        code, text = run(tmp_path, command, "--s1", "sphere:r=1", "--s2", "sphere:r=3",
+                         "--grid", grid)
+        assert code == 2
+        assert text == ""
+        assert f"--grid needs a positive count, got {grid}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("points", ["0", "-1"])
+    def test_points_must_be_positive(self, tmp_path, capsys, points):
+        code, text = run(tmp_path, "oracle", "--s1", "sphere:r=1", "--s2", "plane",
+                         "--points", points, "--grid", "3", "--fd-step", "0")
+        assert code == 2
+        assert text == ""
+        assert f"--points needs a positive count, got {points}" in capsys.readouterr().err
+
+    def test_fd_step_checked_before_any_point(self, tmp_path, monkeypatch):
+        import rolling_twistor.cli as cli
+
+        calls = []
+        monkeypatch.setattr(cli.oracle_mod, "cartan_from_weyl",
+                            lambda *a, **k: calls.append(a))
+        code, _ = run(tmp_path, "oracle", "--s1", "sphere:r=1", "--s2", "plane",
+                      "--points", "2", "--fd-step", "0")
+        assert code == 3
+        assert calls == []
+
+
+class TestQuarticOverflow:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["g2check", "--s1", "sphere:r=1e-100", "--s2", "plane", "--grid", "2"],
+            ["g2check", "--s1", "sphere:r=1e-30", "--s2", "sphere:r=2e-30", "--grid", "2"],
+            ["oracle", "--s1", "sphere:r=1e-100", "--s2", "plane", "--points", "1"],
+        ],
+    )
+    def test_overflow_is_a_numeric_failure(self, tmp_path, capsys, argv):
+        code, text = run(tmp_path, *argv)
+        assert code == 3
+        assert text == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+
+class TestRollInputs:
+    @pytest.mark.parametrize("T", ["-1", "0", "nan", "inf"])
+    def test_final_time_must_be_finite_positive(self, tmp_path, capsys, T):
+        code, text = run(tmp_path, "roll", "--s1", "plane", "--s2", "plane", f"--T={T}")
+        assert code == 2
+        assert text == ""
+        assert "--T must be a finite positive number" in capsys.readouterr().err
+
+    def test_control_file_must_cover_the_run(self, tmp_path, capsys):
+        ctrl = tmp_path / "short.csv"
+        ctrl.write_text("0.0, 1.0, 0.0\n0.5, 1.0, 0.0\n")
+        code, text = run(tmp_path, "roll", "--s1", "plane", "--s2", "plane",
+                         "--start", "0,0,0,0,0", "--control", str(ctrl), "--T", "2")
+        assert code == 2
+        assert text == ""
+        assert "does not cover [0, --T 2.0]" in capsys.readouterr().err
+
+    def test_control_file_starting_late_rejected(self, tmp_path):
+        ctrl = tmp_path / "late.csv"
+        ctrl.write_text("0.1, 1.0, 0.0\n1.0, 1.0, 0.0\n")
+        code, _ = run(tmp_path, "roll", "--s1", "plane", "--s2", "plane",
+                      "--start", "0,0,0,0,0", "--control", str(ctrl), "--T", "1")
+        assert code == 2
+
+    def test_control_file_ending_one_ulp_short_accepted(self, tmp_path):
+        T = 0.10603948491860132
+        last = T * 20 / 20  # rounds to the float just below T
+        assert last < T
+        ctrl = tmp_path / "ctrl.csv"
+        ctrl.write_text(f"0.0, 1.0, 0.0\n{last!r}, 1.0, 0.0\n")
+        code, _ = run(tmp_path, "roll", "--s1", "plane", "--s2", "plane", "--start", "0,0,0,0,0",
+                      "--control", str(ctrl), "--dt", "0.01", f"--T={T!r}")
+        assert code == 0
+
+    def test_chart_exit_names_last_valid_time(self, tmp_path, capsys):
+        code, text = run(tmp_path, "roll", "--s1", "sphere:r=1", "--s2", "plane",
+                         "--start", "3.0,0,0,0,0", "--dt", "0.01", "--T", "1.0")
+        assert code == 3
+        assert text == ""
+        assert "(integration stopped at t = 0.14)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", ["0:2:3", "0", "a:b"])
+    def test_embed_rho_range_names_flag_and_token(self, tmp_path, capsys, spec):
+        code, _ = run(tmp_path, "embed", "--family", "g2:eps=1", "--rho-range", spec)
+        assert code == 2
+        assert f"--rho-range expects numeric lo:hi, got {spec!r}" in capsys.readouterr().err

@@ -1,4 +1,5 @@
-"""Golden outputs of the README command-line examples.
+"""Golden outputs of the README command-line examples, plus the growth
+sweep and a roll driven by a control file.
 
 Each example runs through `cli.main` with `-o` into a temporary file; the
 sha256 of the exit code and the file bytes must match the recorded value.
@@ -46,6 +47,21 @@ README_EXAMPLES = {
     ),
 }
 
+# "{control}" stands for a control file holding CONTROL_ROWS, written per test
+CONTROL_ROWS = "# t, c1, c2\n0.0, 1.0, 0.0\n0.25, 0.9, 0.2\n0.5, 0.8, 0.4\n"
+
+MORE_EXAMPLES = {
+    "growth_sphere_plane": (
+        ["growth", "--s1", "sphere:r=1", "--s2", "plane", "--grid", "4"],
+        "ed2990357f9da2dec4946fc9319cf5c5b968172a0dec6b1275e32ed2c474d8cf",
+    ),
+    "roll_control_file": (
+        ["roll", "--s1", "sphere:r=1", "--s2", "plane", "--start", "1.2,0.1,0,0,0",
+         "--control", "{control}", "--dt", "0.01", "--T", "0.5"],
+        "36a1debdbaf44c33a098c3929230611ecc70e80c9cf25f8b66031dae41e3131d",
+    ),
+}
+
 
 def golden_digest(argv, out):
     code = main(argv + ["-o", str(out)])
@@ -56,4 +72,13 @@ def golden_digest(argv, out):
 @pytest.mark.parametrize("name", sorted(README_EXAMPLES))
 def test_readme_example_golden(name, tmp_path):
     argv, expected = README_EXAMPLES[name]
+    assert golden_digest(argv, tmp_path / f"{name}.txt") == expected
+
+
+@pytest.mark.parametrize("name", sorted(MORE_EXAMPLES))
+def test_more_example_golden(name, tmp_path):
+    argv, expected = MORE_EXAMPLES[name]
+    control = tmp_path / "control.csv"
+    control.write_text(CONTROL_ROWS)
+    argv = [str(control) if a == "{control}" else a for a in argv]
     assert golden_digest(argv, tmp_path / f"{name}.txt") == expected
