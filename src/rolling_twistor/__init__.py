@@ -17,6 +17,7 @@ from .cartan_invariants import (
     quartic_constant,
     quartic_killing_case,
     root_type,
+    root_types,
     vanishing_scale,
 )
 from .conformal_oracle import (

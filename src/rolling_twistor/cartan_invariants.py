@@ -20,7 +20,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, IntegrablePointError
+from .distribution5 import _require_noninteg
+from .errors import DomainError
 
 VANISH_TOL = 1e-8  # relative threshold for "all A_i vanish"
 ROOT_CLUSTER_RADIUS = 1e-6  # multiplicity clustering, scaled by 1 + |root|
@@ -54,10 +55,7 @@ def quartic_killing_case(jet, lam):
     if not jet.killing or jet.a1 != 0.0:
         raise ValueError("the closed-form quartic requires a rotationally adapted jet (a1 = 0)")
     k = jet.kappa
-    if abs(k - lam) <= 1e-14 * max(abs(k), abs(lam), 1.0):
-        raise IntegrablePointError(
-            f"kappa = lambda = {k}: integrable point, quartic undefined"
-        )
+    _require_noninteg(k, lam)  # the quartic is undefined where the distribution is integrable
     try:
         quartic = _killing_coefficients(jet, lam)
         finite = all(map(math.isfinite, quartic))
@@ -145,19 +143,48 @@ def root_type(quartic, cluster_radius=ROOT_CLUSTER_RADIUS, degree_tol=1e-12):
     """Classify the quartic over the complex numbers with multiplicity
     clustering; an (approximately) vanishing leading coefficient contributes
     a root at infinity."""
-    p = quartic.poly_coefficients() if isinstance(quartic, CartanQuartic) else np.asarray(
-        quartic, dtype=float
-    )
-    scale = float(np.max(np.abs(p)))
-    if scale == 0.0:
-        return RootType(tag="zero", roots=(), multiplicities=())
-    desc = p[::-1].copy()  # descending degree for the companion solve
-    lead = 0
-    while lead < 4 and abs(desc[lead]) <= degree_tol * scale:
-        lead += 1
-    inf_mult = lead
-    roots = np.roots(desc[lead:]) if lead < 4 else np.array([], dtype=complex)
+    return root_types([quartic], cluster_radius, degree_tol)[0]
 
+
+def root_types(quartics, cluster_radius=ROOT_CLUSTER_RADIUS, degree_tol=1e-12):
+    """`root_type` of each quartic (a CartanQuartic or five ascending
+    polynomial coefficients).
+
+    The companion matrices are built as `np.roots` builds them, after the
+    leading coefficients below degree_tol of the largest are dropped (roots
+    at infinity) and the exact trailing zeros are split off (roots at 0).
+    The quartics of one remaining degree share one `np.linalg.eigvals` call
+    on their stacked companion matrices, which gives each the roots
+    `np.roots` gives it.
+    """
+    p = np.array(
+        [q.poly_coefficients() if isinstance(q, CartanQuartic) else q for q in quartics],
+        dtype=float,
+    ).reshape(-1, 5)
+    desc = p[:, ::-1]  # descending degree for the companion solve
+    scale = np.max(np.abs(p), axis=1)
+    lead = np.cumprod(np.abs(desc[:, :4]) <= degree_tol * scale[:, None], axis=1).sum(axis=1)
+    trailing = np.cumprod(desc[:, :0:-1] == 0.0, axis=1).sum(axis=1)
+    groups = {}  # (lead, trailing) -> rows
+    for i, key in enumerate(zip(lead.tolist(), trailing.tolist())):
+        if scale[i] != 0.0:
+            groups.setdefault(key, []).append(i)
+    kinds = [RootType(tag="zero", roots=(), multiplicities=())] * len(p)
+    for (lo, tz), rows in groups.items():
+        c = desc[rows, lo : 5 - tz]
+        d = c.shape[1] - 1
+        finite = [[]] * len(rows)
+        if d:
+            companion = np.tile(np.eye(d, k=-1), (len(rows), 1, 1))
+            companion[:, 0, :] = -c[:, 1:] / c[:, :1]
+            finite = np.linalg.eigvals(companion).tolist()
+        for i, w in zip(rows, finite):
+            kinds[i] = _classify(w + [0j] * tz, lo, cluster_radius)
+    return kinds
+
+
+def _classify(roots, inf_mult, cluster_radius):
+    """RootType of the finite roots and inf_mult roots at infinity."""
     clusters = []  # list of [representative, count]
     for z in sorted(roots, key=lambda w: (w.real, w.imag)):
         for c in clusters:
@@ -214,19 +241,31 @@ class G2Report:
 
 def g2_check(s1, lam, grid, tol=VANISH_TOL):
     """Evaluate the quartic over a grid of chart points of s1 (rolling on
-    constant curvature lam) and decide whether it vanishes identically."""
-    grid = list(grid)
+    constant curvature lam) and decide whether it vanishes identically.
+
+    One `s1.jet` call evaluates the whole grid; the quartic is formed row by
+    row, and the rows that do not vanish are classified together.  An
+    invalid grid raises the error of its first failing point.
+    """
+    grid = [tuple(p) for p in grid]
     if not grid:
         raise ValueError("g2_check needs a nonempty grid")
+    try:
+        jets = s1.jet(tuple(np.array(c, dtype=float) for c in zip(*grid)))
+    except DomainError as exc:
+        # a row before the first point outside the chart may fail first
+        if getattr(exc, "point_index", 0):
+            g2_check(s1, lam, grid[: exc.point_index], tol)
+        raise
     rows = []
     worst = 0.0
-    for p in grid:
-        jet = s1.jet(p)
+    for p, jet in zip(grid, jets.points()):
         q = quartic_killing_case(jet, lam)
-        scale = vanishing_scale(jet.kappa, lam)
-        scaled = q.max_abs / scale
+        scaled = q.max_abs / vanishing_scale(jet.kappa, lam)
         worst = max(worst, scaled)
-        tag = "zero" if scaled < tol else root_type(q).tag
-        rows.append(G2Row(point=tuple(p), kappa=jet.kappa, quartic=q,
-                          scaled_max=scaled, root_tag=tag))
+        rows.append(G2Row(point=p, kappa=jet.kappa, quartic=q, scaled_max=scaled,
+                          root_tag="zero"))
+    loud = [i for i, row in enumerate(rows) if not row.scaled_max < tol]
+    for i, kind in zip(loud, root_types([rows[i].quartic for i in loud])):
+        rows[i] = rows[i]._replace(root_tag=kind.tag)
     return G2Report(rows=tuple(rows), max_scaled=worst, is_g2=worst < tol, tol=tol)

@@ -20,6 +20,7 @@ import numpy as np
 
 from .cartan_invariants import CartanQuartic
 from .distribution5 import _as_point5, _require_noninteg
+from .errors import DomainError
 from .finitediff import check_step, richardson
 from .surfaces import Surface, constant_curvature_surface
 
@@ -81,16 +82,24 @@ def _omega_rows(s1, s2, a, j1, d2):
 
     w = np.zeros((5, 5))
     w[0] = sig[0]
-    c2 = 2.0 * a2**2 * k + 2.0 * k**2 - a2 * k1 - 2.0 * a2**2 * lam - 3.0 * k * lam + lam**2
-    c3 = a2**2 * k + k**2 - a2 * k1 - a2**2 * lam - k * lam
-    w[1] = (
-        c2 * sig[1] + c3 * s * sig[2] - (a2 * a4 * d + c3 * c) * sig[3]
-    ) / d**2 + a2 * dphi / d
-    w[2] = (
-        (-a2 * d + k1) * sig[1] + k1 * s * sig[2] + (a4 * d - k1 * c) * sig[3]
-    ) / d**2 - dphi / d
-    w[3] = (-sig[1] - s * sig[2] + c * sig[3]) / d
-    w[4] = (sig[0] - c * sig[2] - s * sig[3]) / d
+    try:
+        c2 = 2.0 * a2**2 * k + 2.0 * k**2 - a2 * k1 - 2.0 * a2**2 * lam - 3.0 * k * lam + lam**2
+        c3 = a2**2 * k + k**2 - a2 * k1 - a2**2 * lam - k * lam
+        w[1] = (
+            c2 * sig[1] + c3 * s * sig[2] - (a2 * a4 * d + c3 * c) * sig[3]
+        ) / d**2 + a2 * dphi / d
+        w[2] = (
+            (-a2 * d + k1) * sig[1] + k1 * s * sig[2] + (a4 * d - k1 * c) * sig[3]
+        ) / d**2 - dphi / d
+        w[3] = (-sig[1] - s * sig[2] + c * sig[3]) / d
+        w[4] = (sig[0] - c * sig[2] - s * sig[3]) / d
+        finite = np.isfinite(w).all()
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise DomainError(
+            f"the oracle coframe overflows at kappa = {float(k)!r}, lambda = {float(lam)!r}"
+        )
     return w
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IntegrablePointError
+from .errors import DomainError, IntegrablePointError
 from .finitediff import check_step, richardson
 
 INTEGRABLE_TOL = 1e-10
@@ -226,6 +226,8 @@ def growth_vector(s1, s2, p, rank_tol=RANK_TOL):
     numerical) first bracket, so they use a larger outer step to keep the
     inner noise from polluting the rank decision.  Singular values falling
     inside a factor-5 band around the threshold are flagged ill-conditioned.
+    Brackets that are not finite, or ranks that decrease, raise DomainError:
+    the curvature is too large for the numerical brackets.
     """
     a = _as_point5(p)
     h_outer = 1e-3 * (1.0 + float(np.max(np.abs(a))))
@@ -235,6 +237,8 @@ def growth_vector(s1, s2, p, rank_tol=RANK_TOL):
     v3 = B12(a)
     v4 = lie_bracket(X1, B12, a, h=h_outer)
     v5 = lie_bracket(X2, B12, a, h=h_outer)
+    if not np.isfinite([v1, v2, v3, v4, v5]).all():
+        raise _growth_error(s1, s2, a, "the brackets are not finite")
 
     sigmas = []
     ranks = []
@@ -246,4 +250,14 @@ def growth_vector(s1, s2, p, rank_tol=RANK_TOL):
         if np.any((s > cutoff / 5.0) & (s < cutoff * 5.0)):
             flagged = True
         sigmas.append(tuple(float(t) for t in s))
+    if ranks != sorted(ranks):
+        raise _growth_error(s1, s2, a, f"the ranks {tuple(ranks)} decrease")
     return GrowthResult(ranks=tuple(ranks), singular_values=tuple(sigmas), ill_conditioned=flagged)
+
+
+def _growth_error(s1, s2, a, what):
+    kappa = s1.frame_data((a[0], a[1])).kappa
+    lam = s2.frame_data((a[2], a[3])).kappa
+    return DomainError(
+        f"no growth vector: {what} at kappa = {float(kappa)!r}, lambda = {float(lam)!r}"
+    )

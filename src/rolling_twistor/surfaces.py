@@ -6,7 +6,9 @@ coordinate only and the derivative of the curvature along e2 vanishes.  The
 frame data of a surface at a point is (a1, a2, kappa), in closed form; it is
 all the velocity fields, their first bracket and the rolling diagnostics
 read.  The jet adds the e1-derivatives of kappa up to fourth order; this is
-exactly the data the quartic invariant formulas consume.
+exactly the data the quartic invariant formulas consume.  `jet` also takes a
+stack of chart points, a pair of 1-D coordinate arrays, and evaluates the
+whole stack in one pass; each point rounds as it does on its own.
 
 Revolution-type families use coordinates (rho, psi) with metric
 (beta + alpha rho^2)^2 drho^2 + rho^2 dpsi^2 and frame
@@ -43,7 +45,8 @@ class SurfaceJet:
     of kappa up to fourth order.
 
     `killing` asserts the frame is adapted to a rotational symmetry (a1 = 0
-    and the e2-derivative of kappa vanishes); every catalog family is.
+    and the e2-derivative of kappa vanishes); every catalog family is.  The
+    jet of a stack of points has a 1-D array in every numeric field.
     """
 
     a1: float
@@ -76,6 +79,10 @@ class SurfaceJet:
             [self.a1, self.a2, self.kappa, self.kappa1, self.kappa11, self.kappa111, self.kappa1111]
         )
 
+    def points(self):
+        """The single-point jets, with float fields, of the jet of a stack."""
+        return [SurfaceJet(*row, killing=self.killing) for row in self.as_array().T.tolist()]
+
 
 class Surface:
     """Base class; concrete families implement jets, frames and domains."""
@@ -88,6 +95,7 @@ class Surface:
         raise NotImplementedError
 
     def jet(self, p) -> SurfaceJet:
+        """Jet at a chart point, or at each point of a stack (see module doc)."""
         raise NotImplementedError
 
     def frame(self, p):
@@ -129,6 +137,49 @@ def _check_scale(s0):
         raise ValueError("scale factor must be nonzero")
 
 
+def _is_stack(p):
+    """True for a stack of chart points: a pair of 1-D coordinate arrays."""
+    if isinstance(p, np.ndarray):
+        return p.ndim == 2
+    return isinstance(p, (tuple, list)) and isinstance(p[0], np.ndarray)
+
+
+def _profile_coordinate(p):
+    """First coordinate of a chart point; a bare number is that coordinate."""
+    try:
+        return p[0]
+    except (TypeError, IndexError):
+        return float(p)
+
+
+def _each_point(p, fn):
+    """fn of each point of the stack p, in order, as a pair of floats.  The
+    DomainError of the first point that fails carries its index in the stack
+    as `point_index`."""
+    out = []
+    for i, q in enumerate(zip(*(np.asarray(c, dtype=float).tolist() for c in p))):
+        try:
+            out.append(fn(q))
+        except DomainError as exc:
+            exc.point_index = i
+            raise
+    return out
+
+
+def _zeros_like(x):
+    return np.zeros_like(x) if isinstance(x, np.ndarray) else 0.0
+
+
+def _constant_jet(surface, p):
+    """Jet of a constant-curvature family: its frame data, with vanishing
+    curvature derivatives."""
+    if not _is_stack(p):
+        return SurfaceJet(*surface.frame_data(p))
+    a1, a2, kappa = np.array(_each_point(p, surface.frame_data)).T
+    zero = _zeros_like(kappa)
+    return SurfaceJet(a1, a2, kappa, zero, zero, zero, zero)
+
+
 @dataclass(frozen=True)
 class Plane(Surface):
     """Flat plane, Cartesian chart; `scale` multiplies the unit metric."""
@@ -142,7 +193,7 @@ class Plane(Surface):
         return FrameData(0.0, 0.0, 0.0)
 
     def jet(self, p):
-        return SurfaceJet(*self.frame_data(p))
+        return _constant_jet(self, p)
 
     def frame(self, p):
         return np.eye(2) / self.scale
@@ -183,7 +234,7 @@ class Sphere(Surface):
         return FrameData(0.0, -math.cos(theta) / (r * math.sin(theta)), 1.0 / r**2)
 
     def jet(self, p):
-        return SurfaceJet(*self.frame_data(p))
+        return _constant_jet(self, p)
 
     def frame(self, p):
         self.validate(p)
@@ -227,7 +278,7 @@ class Hyperbolic(Surface):
         return FrameData(0.0, -math.cosh(theta) / (r * math.sinh(theta)), -1.0 / r**2)
 
     def jet(self, p):
-        return SurfaceJet(*self.frame_data(p))
+        return _constant_jet(self, p)
 
     def frame(self, p):
         self.validate(p)
@@ -251,34 +302,42 @@ class _RevolutionBase(Surface):
 
     Subclasses provide `alpha` and `beta` (fields or properties)."""
 
+    _h_formula = "beta + alpha rho^2"  # named where the frame degenerates
+
     def h(self, rho):
         return self.beta + self.alpha * rho * rho
 
     def validate(self, p):
-        rho = p[0] if np.ndim(p) else float(p)
+        rho = _profile_coordinate(p)
         if rho <= 0:
             raise DomainError(f"revolution chart requires rho > 0, got {rho}")
         if abs(self.h(rho)) < REVOLUTION_MARGIN:
-            raise DomainError(
-                f"frame degenerates where beta + alpha rho^2 = 0 (rho = {rho})"
-            )
+            raise DomainError(f"frame degenerates where {self._h_formula} = 0 (rho = {rho})")
+
+    def _rho(self, p):
+        """Profile coordinate of a valid chart point (a float), or of each
+        point of a valid stack (an array)."""
+        if _is_stack(p):
+            _each_point(p, self.validate)
+            return np.asarray(p[0], dtype=float)
+        self.validate(p)
+        return _profile_coordinate(p)
 
     def frame_data(self, p):
         self.validate(p)
-        rho = p[0] if np.ndim(p) else float(p)
+        rho = _profile_coordinate(p)
         h = self.h(rho)
         # h*h*h rounds as TaylorJet's h**3 does, so kappa equals the jet's bit for bit
         return FrameData(0.0, -1.0 / (rho * h), 2.0 * self.alpha / (h * h * h))
 
     def jet(self, p):
-        self.validate(p)
-        rho = p[0] if np.ndim(p) else float(p)
+        rho = self._rho(p)
         # exact Taylor arithmetic: kappa = 2 alpha / h^3 expanded to 4th order,
         # then the e1-derivative chain f -> f'(rho)/h applied four times
         r = TaylorJet.variable(rho, 4)
         h = self.beta + self.alpha * r * r
         kappa = 2.0 * self.alpha / h**3
-        return _jet_from_series(kappa, h, rho, a2=-1.0 / (rho * self.h(rho)))
+        return _jet_from_series(kappa, h, a2=-1.0 / (rho * self.h(rho)))
 
     def frame(self, p):
         self.validate(p)
@@ -289,14 +348,14 @@ class _RevolutionBase(Surface):
         return (0.5, 2.0)
 
 
-def _jet_from_series(kappa_series, h_series, rho, a2):
+def _jet_from_series(kappa_series, h_series, a2):
     derivs = [kappa_series.value]
     f = kappa_series
     for _ in range(4):
         f = f.derivative() / h_series.truncate(f.order - 1)
         derivs.append(f.value)
     return SurfaceJet(
-        a1=0.0,
+        a1=_zeros_like(a2),
         a2=a2,
         kappa=derivs[0],
         kappa1=derivs[1],
@@ -350,7 +409,7 @@ class G2Family(_RevolutionBase):
         return float(self.eps)
 
     def validate(self, p):
-        rho = p[0] if np.ndim(p) else float(p)
+        rho = _profile_coordinate(p)
         if self.eps == -1 and rho <= 1.0:
             raise DomainError(
                 f"the eps=-1 family is restricted to rho > 1 (frame degenerates at 1), got {rho}"
@@ -381,6 +440,7 @@ class CustomRevolution(_RevolutionBase):
     """
 
     kind = "custom"
+    _h_formula = "h"
 
     def __init__(self, h_func, label="custom"):
         self._h = h_func
@@ -395,17 +455,13 @@ class CustomRevolution(_RevolutionBase):
         return FrameData(j.a1, j.a2, j.kappa)
 
     def jet(self, p):
-        rho = p[0] if np.ndim(p) else float(p)
-        if rho <= 0:
-            raise DomainError(f"revolution chart requires rho > 0, got {rho}")
+        rho = self._rho(p)
         r = TaylorJet.variable(rho, 5)
         h = self._h(r)
         if not isinstance(h, TaylorJet):
             h = TaylorJet.constant(float(h), 5)
-        if abs(h.value) < REVOLUTION_MARGIN:
-            raise DomainError(f"frame degenerates where h = 0 (rho = {rho})")
         kappa = h.derivative() / (r * h**3).truncate(4)
-        return _jet_from_series(kappa, h.truncate(4), rho, a2=-1.0 / (rho * h.value))
+        return _jet_from_series(kappa, h.truncate(4), a2=-1.0 / (rho * h.value))
 
     def spec_string(self):
         return f"custom:{self.label}"

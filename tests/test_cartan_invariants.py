@@ -225,3 +225,20 @@ class TestOdeSufficiency:
             jet = fam.jet((rho, 0.0))
             q = quartic_killing_case(jet, 0.0)
             assert q.max_abs < 1e-8 * vanishing_scale(jet.kappa, 0.0)
+
+
+@pytest.mark.parametrize("rel, integrable", [(5e-11, True), (1e-13, True), (5e-10, False)])
+def test_quartic_uses_the_distribution_threshold(rel, integrable):
+    # one threshold (INTEGRABLE_TOL = 1e-10, relative) for the quartic and the frame
+    from rolling_twistor.distribution5 import INTEGRABLE_TOL, _require_noninteg
+
+    lam = 1.0 + rel
+    assert (rel <= INTEGRABLE_TOL) == integrable
+    if integrable:
+        with pytest.raises(IntegrablePointError):
+            quartic_killing_case(const_jet(1.0), lam)
+        with pytest.raises(IntegrablePointError):
+            _require_noninteg(1.0, lam)
+    else:
+        quartic_killing_case(const_jet(1.0), lam)
+        _require_noninteg(1.0, lam)

@@ -421,3 +421,35 @@ class TestRollInputs:
         code, _ = run(tmp_path, "embed", "--family", "g2:eps=1", "--rho-range", spec)
         assert code == 2
         assert f"--rho-range expects numeric lo:hi, got {spec!r}" in capsys.readouterr().err
+
+
+class TestIntegrableThreshold:
+    def test_nearly_equal_spheres_are_integrable(self, tmp_path, capsys):
+        # |kappa - lambda| = 2e-13: inside the distribution's 1e-10 threshold,
+        # where the quartic's coefficients are of size 1e-49
+        code, text = run(tmp_path, "g2check", "--s1", "sphere:r=1", "--s2",
+                         "sphere:r=1.0000000000001", "--grid", "2")
+        assert code == 3
+        assert text == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: equal curvatures (kappa = 1.0, lambda = 0.99999999999980")
+        assert "integrable" in err
+
+
+class TestHugeCurvature:
+    def test_growth_names_the_curvatures(self, tmp_path, capsys):
+        code, text = run(tmp_path, "growth", "--s1", "sphere:r=1e-100", "--s2", "plane",
+                         "--grid", "2")
+        assert code == 3
+        assert text == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: no growth vector: the ranks (2, 1, 1) decrease")
+        assert "kappa = 1e+200, lambda = 0.0" in err
+
+    def test_oracle_names_the_curvatures(self, tmp_path, capsys):
+        code, text = run(tmp_path, "oracle", "--s1", "sphere:r=1e-100", "--s2", "plane",
+                         "--points", "1")
+        assert code == 3
+        assert text == ""
+        err = capsys.readouterr().err
+        assert err == "error: the oracle coframe overflows at kappa = 1e+200, lambda = 0.0\n"

@@ -22,11 +22,11 @@ README_EXAMPLES = {
     ),
     "g2check_g2_family": (
         ["g2check", "--s1", "g2:eps=-1", "--s2", "plane", "--rho", "1.5:3:40"],
-        "f8cfac6f38d9092e5ae02d1400d5f03b5ab98a3c8de3587266b89d83aa76bbd5",
+        "cea7a584184a435dbab9038625c90b9cd9b2040893fd9283f33349d1d6c35658",
     ),
     "g2check_homothetic_profile": (
         ["g2check", "--s1", "profile:alpha=1,beta=-5", "--s2", "plane", "--rho", "0.5:1.9:30"],
-        "9740a1a1a009cc769ccf30548bf9b1ed08f60338af9be93920bf2bb787853a7e",
+        "f0e144732f0e2e48912abe60dbc77b2642717aa247adc3dd7297e49e2d0d3018",
     ),
     "quartic_generic_spheres": (
         ["quartic", "--s1", "sphere:r=1", "--s2", "sphere:r=2", "--grid", "10"],
