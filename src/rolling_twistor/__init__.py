@@ -84,11 +84,9 @@ from .surfaces import (
     SurfaceJet,
     g2_family,
     gaussian_curvature_profile,
-    jet_at,
     parse_surface,
     profile_ode_residual,
     reciprocal_ode_residual,
-    scale_surface,
 )
 
 __version__ = "0.1.0"

@@ -25,6 +25,7 @@ from .errors import DomainError
 
 VANISH_TOL = 1e-8  # relative threshold for "all A_i vanish"
 ROOT_CLUSTER_RADIUS = 1e-6  # multiplicity clustering, scaled by 1 + |root|
+DEGREE_TOL = 1e-12  # leading coefficients below this share of the largest are roots at infinity
 
 
 class CartanQuartic(NamedTuple):
@@ -139,19 +140,19 @@ class RootType:
     multiplicities: tuple
 
 
-def root_type(quartic, cluster_radius=ROOT_CLUSTER_RADIUS, degree_tol=1e-12):
+def root_type(quartic, cluster_radius=ROOT_CLUSTER_RADIUS):
     """Classify the quartic over the complex numbers with multiplicity
     clustering; an (approximately) vanishing leading coefficient contributes
     a root at infinity."""
-    return root_types([quartic], cluster_radius, degree_tol)[0]
+    return root_types([quartic], cluster_radius)[0]
 
 
-def root_types(quartics, cluster_radius=ROOT_CLUSTER_RADIUS, degree_tol=1e-12):
+def root_types(quartics, cluster_radius=ROOT_CLUSTER_RADIUS):
     """`root_type` of each quartic (a CartanQuartic or five ascending
     polynomial coefficients).
 
     The companion matrices are built as `np.roots` builds them, after the
-    leading coefficients below degree_tol of the largest are dropped (roots
+    leading coefficients below DEGREE_TOL of the largest are dropped (roots
     at infinity) and the exact trailing zeros are split off (roots at 0).
     The quartics of one remaining degree share one `np.linalg.eigvals` call
     on their stacked companion matrices, which gives each the roots
@@ -163,7 +164,7 @@ def root_types(quartics, cluster_radius=ROOT_CLUSTER_RADIUS, degree_tol=1e-12):
     ).reshape(-1, 5)
     desc = p[:, ::-1]  # descending degree for the companion solve
     scale = np.max(np.abs(p), axis=1)
-    lead = np.cumprod(np.abs(desc[:, :4]) <= degree_tol * scale[:, None], axis=1).sum(axis=1)
+    lead = np.cumprod(np.abs(desc[:, :4]) <= DEGREE_TOL * scale[:, None], axis=1).sum(axis=1)
     trailing = np.cumprod(desc[:, :0:-1] == 0.0, axis=1).sum(axis=1)
     groups = {}  # (lead, trailing) -> rows
     for i, key in enumerate(zip(lead.tolist(), trailing.tolist())):
@@ -199,7 +200,7 @@ def _classify(roots, inf_mult, cluster_radius):
     if inf_mult:
         mults.append(inf_mult)
         reps.append(None)
-    order = np.argsort(mults)[::-1]
+    order = sorted(range(len(mults)), key=lambda i: -mults[i])  # stable: ties keep their order
     mults = tuple(int(mults[i]) for i in order)
     reps = tuple(reps[i] for i in order)
     tag = "[" + ",".join(str(m) for m in mults) + "]"

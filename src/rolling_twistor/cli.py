@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import sys
 
 import numpy as np
@@ -35,14 +36,26 @@ def _fmt(x):
     return f"{float(x):.17g}"
 
 
+def _finite(text):
+    """`text` as a finite float: the argparse type of the float options that
+    must be finite, and the parser of each number of a range or point spec."""
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"expects a finite number, got {text!r}")
+    return x
+
+
 def _parse_range(spec, name):
     parts = spec.split(":")
     if len(parts) != 3:
         raise SpecParseError(f"--{name} expects lo:hi:count, got {spec!r}")
     try:
-        lo, hi = float(parts[0]), float(parts[1])
+        lo, hi = _finite(parts[0]), _finite(parts[1])
         count = int(parts[2])
-    except ValueError:
+    except (ValueError, argparse.ArgumentTypeError):
         raise SpecParseError(f"--{name} expects numeric lo:hi:count, got {spec!r}") from None
     if count < 1:
         raise SpecParseError(f"--{name} needs a positive count, got {count}")
@@ -91,6 +104,8 @@ def _constant_curvature(s2):
 def _quartic_table(args, verdict):
     """Write the quartic table of `quartic`/`g2check` (with the verdict line
     when `verdict`) and return the G2 report of the whole grid."""
+    if not 0.0 < args.tol < math.inf:
+        raise SpecParseError(f"--tol must be a finite positive number, got {args.tol!r}")
     s1 = parse_surface(args.s1)
     s2 = parse_surface(args.s2)
     lam = _constant_curvature(s2)
@@ -160,22 +175,23 @@ def cmd_roll(args):
             )
     else:
         ctrl = roll_mod.ControlCurve.constant(args.c1, args.c2, t_end=args.T)
-    start = [float(t) for t in args.start.split(",")]
+    try:
+        start = [_finite(t) for t in args.start.split(",")]
+    except argparse.ArgumentTypeError:
+        start = []
     if len(start) != 5:
-        raise SpecParseError(f"--start expects x,y,u,v,phi, got {args.start!r}")
+        raise SpecParseError(f"--start expects numeric x,y,u,v,phi, got {args.start!r}")
     try:
         traj = roll_mod.integrate(s1, s2, np.array(start), ctrl, args.dt, args.T)
     except DomainError as exc:  # integrate attaches the samples accepted before the error
         t = float(exc.last_valid.times[-1])
         raise DomainError(f"{exc} (integration stopped at t = {t!r})") from exc
-    slip = roll_mod.no_slip_residual(traj, s1, s2)
-    twist = roll_mod.no_twist_residual(traj, s1, s2)
-    l1, l2 = roll_mod.contact_arclengths(traj, s1, s2)
+    d = roll_mod.diagnostics(traj, s1, s2)
     header = [
         "# rolling-twistor roll",
         f"# s1={s1.spec_string()} s2={s2.spec_string()} dt={_fmt(args.dt)} T={_fmt(args.T)}",
-        f"# no_slip_residual={_fmt(slip)} no_twist_residual={_fmt(twist)}"
-        f" L1={_fmt(l1)} L2={_fmt(l2)}",
+        f"# no_slip_residual={_fmt(d.no_slip)} no_twist_residual={_fmt(d.no_twist)}"
+        f" L1={_fmt(d.L1)} L2={_fmt(d.L2)}",
     ]
     with _output(args.output) as fh:
         fh.write("\n".join(header) + "\n")
@@ -219,8 +235,8 @@ def cmd_oracle(args):
 def cmd_embed(args):
     family = parse_surface(args.family)
     try:
-        lo, hi = (float(t) for t in args.rho_range.split(":"))
-    except ValueError:
+        lo, hi = (_finite(t) for t in args.rho_range.split(":"))
+    except (ValueError, argparse.ArgumentTypeError):
         raise SpecParseError(f"--rho-range expects numeric lo:hi, got {args.rho_range!r}") from None
     emb.emit_mesh(family, (lo, hi), args.nr, args.nphi, args.output or sys.stdout)
     return EXIT_OK
@@ -243,7 +259,6 @@ def build_parser():
         if grids:
             p.add_argument("--grid", type=int, default=10, help="points across the default range")
             p.add_argument("--rho", help="profile grid lo:hi:count (overrides --grid)")
-        p.add_argument("--jobs", type=int, help=argparse.SUPPRESS)  # accepted and ignored
         p.add_argument("-o", "--output", help="output file (default: stdout)")
 
     for name, summary, func in (("quartic", "quartic coefficients over a grid", cmd_quartic),
@@ -255,14 +270,14 @@ def build_parser():
 
     p = sub.add_parser("growth", help="growth-vector sweep")
     common(p)
-    p.add_argument("--phi", type=float, default=0.3, help="fiber angle of the sample points")
+    p.add_argument("--phi", type=_finite, default=0.3, help="fiber angle of the sample points")
     p.set_defaults(func=cmd_growth)
 
     p = sub.add_parser("roll", help="integrate an admissible rolling motion")
     common(p, grids=False)
     p.add_argument("--control", help="control file with rows t, c1, c2")
-    p.add_argument("--c1", type=float, default=1.0, help="constant control c1")
-    p.add_argument("--c2", type=float, default=0.0, help="constant control c2")
+    p.add_argument("--c1", type=_finite, default=1.0, help="constant control c1")
+    p.add_argument("--c2", type=_finite, default=0.0, help="constant control c2")
     p.add_argument("--start", default="1.0,0.0,0.0,0.0,0.0", help="start point x,y,u,v,phi")
     p.add_argument("--dt", type=float, default=1e-3, help="integration step")
     p.add_argument("--T", type=float, default=1.0, help="final time")
@@ -271,7 +286,7 @@ def build_parser():
     p = sub.add_parser("oracle", help="Weyl-tensor cross-check of the quartic")
     common(p)
     p.add_argument("--points", type=int, default=5, help="number of sample points")
-    p.add_argument("--phi", type=float, default=0.3, help="fiber angle of the sample points")
+    p.add_argument("--phi", type=_finite, default=0.3, help="fiber angle of the sample points")
     p.add_argument("--fd-step", dest="fd_step", type=float,
                    default=oracle_mod.DEFAULT_FD_STEP, help="finite-difference step")
     p.set_defaults(func=cmd_oracle)

@@ -22,7 +22,6 @@ from .cartan_invariants import CartanQuartic
 from .distribution5 import _as_point5, _require_noninteg
 from .errors import DomainError
 from .finitediff import check_step, richardson
-from .surfaces import Surface, constant_curvature_surface
 
 # constant coefficient matrix of the metric in the theta basis:
 # th1*th5 + th5*th1 - th2*th4 - th4*th2 + 4/3 th3*th3
@@ -34,13 +33,9 @@ ETA5[2, 2] = 4.0 / 3.0
 DEFAULT_FD_STEP = 1e-3
 
 
-def _resolve_pair(s1, s2_or_lam):
-    s2 = s2_or_lam if isinstance(s2_or_lam, Surface) else constant_curvature_surface(
-        float(s2_or_lam)
-    )
+def _require_constant(s2):
     if not s2.is_constant_curvature:
         raise ValueError("the oracle requires a constant-curvature second surface")
-    return s1, s2
 
 
 def _sigma_rows(s1, s2, a):
@@ -51,17 +46,16 @@ def _sigma_rows(s1, s2, a):
     return rows
 
 
-def omega_coframe(s1, s2_or_lam, p):
+def omega_coframe(s1, s2, p):
     """Rows omega_1..omega_5 of the adapted coframe at p.
 
     These dualize the frame (X1, X2, X3, X4 - a2 X3, X5 + a1 X3): same
     filtration spans as the commutator frame, with the fourth slot shifted
     by a multiple of X3.  Any such adapted choice represents the same
     conformal class; this one admits the compact closed form used here.
-    The second argument may be a constant-curvature surface or a bare
-    curvature value, which selects the canonical chart for it.
+    The second surface must have constant curvature.
     """
-    s1, s2 = _resolve_pair(s1, s2_or_lam)
+    _require_constant(s2)
     a = _as_point5(p)
     return _omega_rows(s1, s2, a, s1.jet((a[0], a[1])), s2.frame_data((a[2], a[3])))
 
@@ -119,10 +113,10 @@ class Coframe5:
         return np.linalg.inv(self.matrix)
 
 
-def theta_coframe(s1, s2_or_lam, p):
+def theta_coframe(s1, s2, p):
     """Invariant coframe assembled from the omega rows with the jet-dependent
     coefficient functions."""
-    s1, s2 = _resolve_pair(s1, s2_or_lam)
+    _require_constant(s2)
     a = _as_point5(p)
     j1 = s1.jet((a[0], a[1]))
     d2 = s2.frame_data((a[2], a[3]))
@@ -157,16 +151,16 @@ def theta_coframe(s1, s2_or_lam, p):
     return Coframe5(point=a, matrix=th)
 
 
-def metric_components(s1, s2_or_lam, p):
+def metric_components(s1, s2, p):
     """Symmetric 5x5 components of the (3,2)-signature metric at p."""
-    T = theta_coframe(s1, s2_or_lam, p).matrix
+    T = theta_coframe(s1, s2, p).matrix
     G = T.T @ ETA5 @ T
     return 0.5 * (G + G.T)  # exact symmetry despite rounding asymmetries
 
 
-def metric_field(s1, s2_or_lam):
+def metric_field(s1, s2):
     """The metric as a callable over configuration points."""
-    s1, s2 = _resolve_pair(s1, s2_or_lam)
+    _require_constant(s2)
 
     def g(p):
         return metric_components(s1, s2, p)
@@ -344,13 +338,12 @@ def _contract_quartic(weyl, Y):
     )
 
 
-def cartan_from_weyl(s1, s2_or_lam, p, h=DEFAULT_FD_STEP):
+def cartan_from_weyl(s1, s2, p, h=DEFAULT_FD_STEP):
     """Quartic coefficients from the Weyl tensor of the explicit metric.
 
     The five contractions pair the null directions spanning the distribution
     with their orthogonal partners in the transverse null plane.
     """
-    s1, s2 = _resolve_pair(s1, s2_or_lam)
     a = _as_point5(p)
     Y = theta_coframe(s1, s2, a).duals()
     w1, w2, w = (c[6] for c in _curvature_tiers(metric_field(s1, s2), a, h))

@@ -219,7 +219,7 @@ class GrowthResult:
         return iter(self.ranks)
 
 
-def growth_vector(s1, s2, p, rank_tol=RANK_TOL):
+def growth_vector(s1, s2, p):
     """Ranks of the iterated bracket spans (2, ., .) at p.
 
     Brackets are numerical; double brackets differentiate the (already
@@ -245,7 +245,7 @@ def growth_vector(s1, s2, p, rank_tol=RANK_TOL):
     flagged = False
     for vectors in ([v1, v2], [v1, v2, v3], [v1, v2, v3, v4, v5]):
         s = np.linalg.svd(np.array(vectors), compute_uv=False)
-        cutoff = rank_tol * s[0]
+        cutoff = RANK_TOL * s[0]
         ranks.append(int(np.sum(s > cutoff)))
         if np.any((s > cutoff / 5.0) & (s < cutoff * 5.0)):
             flagged = True

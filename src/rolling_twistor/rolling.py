@@ -11,10 +11,11 @@ order instead of being swamped by measurement error.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .distribution5 import ConfigPoint, _as_point5, velocity_fields
+from .distribution5 import _as_point5, validate_point, velocity_fields
 from .errors import DomainError, SpecParseError
 from .finitediff import check_step, cumulative_integral, sampled_derivative
 
@@ -86,13 +87,9 @@ class Trajectory:
     points: np.ndarray  # shape (n, 5)
     control: ControlCurve | None
     dt: float
-    order: int = 4
 
     def __len__(self):
         return len(self.times)
-
-    def config_points(self):
-        return [ConfigPoint.from_array(row) for row in self.points]
 
     @property
     def phi_winding(self):
@@ -158,12 +155,48 @@ def integrate(s1, s2, start, ctrl, dt, t_end, normalize_speed=False):
     else:
         control = ctrl
 
-    def validate(y):
-        s1.validate((y[0], y[1]))
-        s2.validate((y[2], y[3]))
+    return integrate_fields(f1, f2, start, control, dt, t_end,
+                            validate=lambda y: validate_point(s1, s2, y))
 
-    traj = integrate_fields(f1, f2, start, control, dt, t_end, validate=validate)
-    return traj
+
+class Diagnostics(NamedTuple):
+    """Constraint residuals and contact-curve arc lengths of a trajectory.
+
+    `no_slip` is the max norm of A_phi(velocity on surface 1) - (velocity on
+    surface 2).  `no_twist` transports e1 in parallel along the first contact
+    curve, rotates it by A_phi and takes the max norm of the covariant
+    derivative of the image along the second.  `L1`, `L2` are the arc lengths
+    of the two contact curves in their own metrics.
+    """
+
+    no_slip: float
+    no_twist: float
+    L1: float
+    L2: float
+
+
+def diagnostics(traj, s1, s2):
+    """`Diagnostics` of the trajectory, from one measurement of the sampled
+    contact-curve velocities."""
+    v1, v2 = _frame_velocities(traj, s1, s2)
+    no_slip = 0.0
+    for k in range(len(traj)):
+        rotated = _rotation(traj.points[k, 4]) @ v1[k]
+        no_slip = max(no_slip, float(np.linalg.norm(rotated - v2[k])))
+    L1, L2 = (float(cumulative_integral(np.linalg.norm(v, axis=1), traj.dt)[-1]) for v in (v1, v2))
+    return Diagnostics(no_slip, _no_twist(traj, s1, s2, v1, v2), L1, L2)
+
+
+def no_slip_residual(traj, s1, s2):
+    return diagnostics(traj, s1, s2).no_slip
+
+
+def no_twist_residual(traj, s1, s2):
+    return diagnostics(traj, s1, s2).no_twist
+
+
+def contact_arclengths(traj, s1, s2):
+    return diagnostics(traj, s1, s2)[2:]
 
 
 def _frame_velocities(traj, s1, s2):
@@ -190,25 +223,10 @@ def _rotation(phi):
     return np.array([[c, -s], [s, c]])
 
 
-def no_slip_residual(traj, s1, s2):
-    """Max norm of A_phi(velocity on surface 1) - (velocity on surface 2)."""
-    v1, v2 = _frame_velocities(traj, s1, s2)
-    worst = 0.0
-    for k in range(len(traj)):
-        rotated = _rotation(traj.points[k, 4]) @ v1[k]
-        worst = max(worst, float(np.linalg.norm(rotated - v2[k])))
-    return worst
-
-
-def no_twist_residual(traj, s1, s2, v0=(1.0, 0.0)):
-    """Parallel-transport v0 along the first contact curve, rotate by A_phi,
-    and measure the covariant derivative of the image along the second.
-
-    The transport equation vdot = gamma1(t) J v (J the rotation generator)
+def _no_twist(traj, s1, s2, v1, v2):
+    """The transport equation vdot = gamma1(t) J v (J the rotation generator)
     integrates in closed form to a rotation by the time integral of gamma1,
-    which is evaluated with high-order quadrature of the sampled data.
-    """
-    v1, v2 = _frame_velocities(traj, s1, s2)
+    which is evaluated with high-order quadrature of the sampled data."""
     n = len(traj)
     gamma1 = np.empty(n)
     gamma2 = np.empty(n)
@@ -218,7 +236,7 @@ def no_twist_residual(traj, s1, s2, v0=(1.0, 0.0)):
         gamma1[k] = d1.a1 * v1[k, 0] + d1.a2 * v1[k, 1]
         gamma2[k] = d2.a1 * v2[k, 0] + d2.a2 * v2[k, 1]
     theta = cumulative_integral(gamma1, traj.dt)
-    v = np.einsum("kij,j->ki", np.array([_rotation(t) for t in theta]), np.asarray(v0, float))
+    v = np.einsum("kij,j->ki", np.array([_rotation(t) for t in theta]), np.array([1.0, 0.0]))
     w = np.einsum("kij,kj->ki", np.array([_rotation(p[4]) for p in traj.points]), v)
     wdot = sampled_derivative(w, traj.dt)
     J = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -226,30 +244,11 @@ def no_twist_residual(traj, s1, s2, v0=(1.0, 0.0)):
     return float(np.max(np.linalg.norm(resid, axis=1)))
 
 
-def contact_arclengths(traj, s1, s2):
-    """Arc lengths of the two contact curves in their own metrics."""
-    v1, v2 = _frame_velocities(traj, s1, s2)
-    speeds1 = np.linalg.norm(v1, axis=1)
-    speeds2 = np.linalg.norm(v2, axis=1)
-    L1 = cumulative_integral(speeds1, traj.dt)[-1]
-    L2 = cumulative_integral(speeds2, traj.dt)[-1]
-    return float(L1), float(L2)
-
-
-def export_trajectory(traj, path_or_handle):
-    """Write `t, x, y, u, v, phi, c1, c2` rows (phi unwrapped)."""
-    close = False
-    if isinstance(path_or_handle, (str, bytes)):
-        fh = open(path_or_handle, "w", encoding="utf-8")
-        close = True
-    else:
-        fh = path_or_handle
-    try:
-        fh.write("# t,x,y,u,v,phi,c1,c2\n")
-        for t, p in zip(traj.times, traj.points):
-            c = traj.control(t) if traj.control is not None else (0.0, 0.0)
-            row = [t, p[0], p[1], p[2], p[3], p[4], c[0], c[1]]
-            fh.write(",".join(f"{val:.17g}" for val in row) + "\n")
-    finally:
-        if close:
-            fh.close()
+def export_trajectory(traj, fh):
+    """Write `t, x, y, u, v, phi, c1, c2` rows (phi unwrapped) to the open
+    text handle fh."""
+    fh.write("# t,x,y,u,v,phi,c1,c2\n")
+    for t, p in zip(traj.times, traj.points):
+        c = traj.control(t) if traj.control is not None else (0.0, 0.0)
+        row = [t, p[0], p[1], p[2], p[3], p[4], c[0], c[1]]
+        fh.write(",".join(f"{val:.17g}" for val in row) + "\n")

@@ -42,10 +42,6 @@ def norm_squared(v):
     return inner(v, v)
 
 
-def is_null(v, tol=1e-14):
-    return abs(norm_squared(v)) < tol * max(1.0, float(np.dot(v, v)))
-
-
 def wedge(v, w):
     """Bivector components of v ^ w in the ordered basis."""
     v = np.asarray(v, dtype=float)
@@ -132,27 +128,6 @@ def levi_civita_from_structure(c, signature=(2, 2)):
             for k in range(4):
                 gamma_low[i, j, k] = 0.5 * (cl[i, k, j] - cl[k, j, i] + cl[j, i, k])
     return g[:, None, None] * gamma_low
-
-
-def first_structure_residual(c, gamma):
-    """Componentwise residual of d sigma^i + Gamma^i_j ^ sigma^j evaluated on
-    frame pairs; zero iff `gamma` is torsion-free for `c`."""
-    c = np.asarray(c, dtype=float)
-    gamma = np.asarray(gamma, dtype=float)
-    res = np.empty_like(c)
-    for i in range(4):
-        for k in range(4):
-            for l in range(4):
-                res[i, k, l] = -c[i, k, l] + gamma[i, l, k] - gamma[i, k, l]
-    return res
-
-
-def lowered_antisymmetry_residual(gamma, signature=(2, 2)):
-    """Residual of Gamma_{ij k} + Gamma_{ji k} = 0 (metric compatibility)."""
-    p, q = signature
-    g = np.array([1.0] * p + [-1.0] * q)
-    low = g[:, None, None] * np.asarray(gamma, dtype=float)
-    return low + np.swapaxes(low, 0, 1)
 
 
 def twistor_lift_coefficient(gamma, i, phi):

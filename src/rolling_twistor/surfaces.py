@@ -471,16 +471,6 @@ def g2_family(eps):
     return G2Family(int(eps))
 
 
-def jet_at(surface, p):
-    """Full pointwise jet of a catalog surface (op-level alias)."""
-    return surface.jet(p)
-
-
-def scale_surface(surface, s0):
-    """Family with metric multiplied by s0^2; jets transform accordingly."""
-    return surface.scaled(s0)
-
-
 def gaussian_curvature_profile(alpha, beta, rho):
     """Gaussian curvature 2 alpha / (beta + alpha rho^2)^3 of the profile metric."""
     h = beta + alpha * rho * rho
@@ -502,15 +492,6 @@ def reciprocal_ode_residual(x1, x2, x3, rho):
     obtained from the profile equation by swapping dependent and independent
     variables; its general solution is x = alpha rho^2/2 + beta log rho + gamma."""
     return x3 * rho**2 + x2 * rho - x1
-
-
-def constant_curvature_surface(lam):
-    """Canonical catalog surface of constant curvature `lam`."""
-    if lam == 0.0:
-        return Plane()
-    if lam > 0.0:
-        return Sphere(radius=1.0 / math.sqrt(lam))
-    return Hyperbolic(radius=1.0 / math.sqrt(-lam))
 
 
 _SPEC_RE = re.compile(r"^(?P<kind>[a-zA-Z0-9_]+)(?::(?P<args>.*))?$")

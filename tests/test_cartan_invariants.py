@@ -118,6 +118,22 @@ class TestRootType:
         assert rt.tag == "[4]"
         assert rt.roots == (None,)
 
+    @pytest.mark.parametrize(
+        "roots, tag, order",
+        [
+            ([-2.0, 1.0, 1.0, 3.0], "[2,1,1]", [1.0, -2.0, 3.0]),
+            ([-1.0, 2.0, 4.0], "[1,1,1,1]", [-1.0, 2.0, 4.0, None]),  # z^4 coefficient 0
+        ],
+    )
+    def test_tied_clusters_keep_ascending_order(self, roots, tag, order):
+        # the largest multiplicity first, ties in ascending order and the root
+        # at infinity last, whatever numpy's sort kernel does with ties
+        poly = np.append(np.poly(roots)[::-1], [0.0] * (5 - len(roots) - 1))  # ascending
+        rt = root_type(CartanQuartic(poly[0], poly[1] / 4, poly[2] / 6, poly[3] / 4, poly[4]))
+        assert rt.tag == tag
+        got = [None if z is None else z.real for z in rt.roots]
+        assert got == [None if r is None else pytest.approx(r, abs=1e-6) for r in order]
+
     def test_simple_roots(self):
         # (z-1)(z-2)(z+3)(z+5) expanded into the weighted coefficients
         poly = np.poly([1.0, 2.0, -3.0, -5.0])[::-1]  # ascending

@@ -188,14 +188,6 @@ class TestDeterminismAndJobs:
         assert main(argv + ["-o", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_jobs_flag_preserves_order_and_bytes(self, tmp_path):
-        a = tmp_path / "a.txt"
-        b = tmp_path / "b.txt"
-        argv = ["quartic", "--s1", "g2:eps=1", "--s2", "plane", "--rho", "0.2:2:20"]
-        assert main(argv + ["-o", str(a)]) == 0
-        assert main(argv + ["--jobs", "4", "-o", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
-
     def test_jobs_env_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ROLLING_TWISTOR_JOBS", "2")
         code, _ = run(tmp_path, "quartic", "--s1", "sphere:r=1", "--s2", "plane", "--grid", "4")
@@ -280,9 +272,11 @@ class TestModuleEntryPoints:
 
 
 class TestSerialFrontEnd:
-    def test_jobs_hidden_from_help(self, capsys):
-        assert main(["quartic", "--help"]) == 0
-        assert "--jobs" not in capsys.readouterr().out
+    def test_jobs_flag_is_a_usage_error(self, tmp_path):
+        code, text = run(tmp_path, "quartic", "--s1", "sphere:r=1", "--s2", "plane",
+                         "--jobs", "2")
+        assert code == 2
+        assert text == ""
 
     def test_jobs_env_not_read(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ROLLING_TWISTOR_JOBS", "not-a-number")
@@ -325,6 +319,65 @@ class TestSerialFrontEnd:
         code_stdout = main(argv)
         assert code_stdout == code_file
         assert capsys.readouterr().out.encode() == out.read_bytes()
+
+
+class TestRollDiagnostics:
+    def test_roll_measures_the_velocities_once(self, tmp_path, monkeypatch):
+        import rolling_twistor.rolling as rolling
+
+        widths = []
+        original = rolling.sampled_derivative
+
+        def spy(values, dt, *args, **kwargs):
+            widths.append(np.shape(values)[1])
+            return original(values, dt, *args, **kwargs)
+
+        monkeypatch.setattr(rolling, "sampled_derivative", spy)
+        code, _ = run(tmp_path, "roll", "--s1", "sphere:r=1", "--s2", "plane",
+                      "--start", "1.2,0,0,0,0", "--dt", "0.01", "--T", "0.2")
+        assert code == 0
+        # the contact velocities (5 coordinates), then the no-twist image (2)
+        assert widths == [5, 2]
+
+
+class TestFiniteNumbers:
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
+    @pytest.mark.parametrize("s2", ["plane", "sphere:r=3"])
+    def test_tol_must_be_finite_positive(self, tmp_path, capsys, tol, s2):
+        code, text = run(tmp_path, "g2check", "--s1", "sphere:r=1", "--s2", s2, "--grid", "2",
+                         f"--tol={tol}")
+        assert code == 2
+        assert text == ""
+        assert "--tol must be a finite positive number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, flag, token",
+        [
+            (["roll", "--s1", "plane", "--s2", "plane", "--start", "1,0,0,0,nan"], "--start",
+             "1,0,0,0,nan"),
+            (["roll", "--s1", "plane", "--s2", "plane", "--start", "inf,0,0,0,0"], "--start",
+             "inf,0,0,0,0"),
+            (["roll", "--s1", "plane", "--s2", "plane", "--start", "1,0,0,0,x"], "--start",
+             "1,0,0,0,x"),
+            (["roll", "--s1", "plane", "--s2", "plane", "--c1", "nan"], "--c1", "nan"),
+            (["roll", "--s1", "plane", "--s2", "plane", "--c2=-inf"], "--c2", "-inf"),
+            (["growth", "--s1", "sphere:r=1", "--s2", "plane", "--phi", "inf"], "--phi", "inf"),
+            (["oracle", "--s1", "sphere:r=1", "--s2", "plane", "--phi", "inf"], "--phi", "inf"),
+            (["quartic", "--s1", "sphere:r=1", "--s2", "plane", "--rho", "0.5:inf:2"], "--rho",
+             "0.5:inf:2"),
+            (["embed", "--family", "g2:eps=1", "--rho-range", "0.5:inf"], "--rho-range",
+             "0.5:inf"),
+        ],
+        ids=lambda v: v if isinstance(v, str) else v[0],
+    )
+    def test_non_finite_numbers_name_the_flag(self, tmp_path, capsys, argv, flag, token):
+        code, text = run(tmp_path, *argv)
+        assert code == 2
+        assert text == ""
+        err = capsys.readouterr().err
+        assert flag in err
+        assert repr(token) in err
+        assert "Traceback" not in err
 
 
 class TestCountsAndSteps:

@@ -68,12 +68,6 @@ class TestOmegaCoframe:
         with pytest.raises(IntegrablePointError):
             co.omega_coframe(PLANE, PLANE, np.zeros(5))
 
-    def test_lambda_scalar_resolves_to_canonical_surface(self):
-        p = np.array([1.1, 0.0, 1.2, 0.3, 0.5])
-        W1 = co.omega_coframe(SPHERE, Sphere(3.0), p)
-        W2 = co.omega_coframe(SPHERE, 1.0 / 9.0, p)
-        assert np.allclose(W1, W2)
-
 
 class TestThetaCoframe:
     def test_theta3_is_minus_omega3(self):

@@ -240,7 +240,8 @@ class TestScalingInvariance:
 def test_export_format(tmp_path):
     traj = integrate(PLANE, PLANE, np.zeros(5), ControlCurve.constant(1.0, 0.0), 0.25, 1.0)
     out = tmp_path / "traj.csv"
-    export_trajectory(traj, str(out))
+    with open(out, "w", encoding="utf-8") as fh:
+        export_trajectory(traj, fh)
     lines = out.read_text().splitlines()
     assert lines[0] == "# t,x,y,u,v,phi,c1,c2"
     assert len(lines) == 1 + len(traj)

@@ -110,6 +110,24 @@ def random_structure():
     return c - np.swapaxes(c, 1, 2)
 
 
+def first_structure_residual(c, gamma):
+    """Componentwise residual of d sigma^i + Gamma^i_j ^ sigma^j evaluated on
+    frame pairs; zero iff `gamma` is torsion-free for `c`."""
+    res = np.empty_like(c)
+    for i in range(4):
+        for k in range(4):
+            for l in range(4):
+                res[i, k, l] = -c[i, k, l] + gamma[i, l, k] - gamma[i, k, l]
+    return res
+
+
+def lowered_antisymmetry_residual(gamma):
+    """Residual of Gamma_{ij k} + Gamma_{ji k} = 0 (metric compatibility) in
+    signature (2, 2)."""
+    low = np.array([1.0, 1.0, -1.0, -1.0])[:, None, None] * gamma
+    return low + np.swapaxes(low, 0, 1)
+
+
 class TestLeviCivita:
     def test_product_surface_frame(self):
         a1, a2, a3, a4 = 1.3, -0.4, 2.2, 0.9
@@ -133,19 +151,14 @@ class TestLeviCivita:
         assert np.allclose(g, 0.0)
 
     def test_structure_equation_on_random_inputs(self):
-        # independent residual: evaluate d sigma + Gamma ^ sigma on frame pairs
-        eta = np.array([1.0, 1.0, -1.0, -1.0])
+        # independent residuals: d sigma + Gamma ^ sigma on frame pairs, and
+        # the antisymmetry of the lowered connection
         for _ in range(25):
             c = random_structure()
             g = split4.levi_civita_from_structure(c)
             scale = 1.0 + np.abs(c).max()
-            for i in range(4):
-                for k in range(4):
-                    for l in range(4):
-                        torsion = -c[i, k, l] + g[i, l, k] - g[i, k, l]
-                        assert abs(torsion) < 1e-12 * scale
-            low = eta[:, None, None] * g
-            assert np.max(np.abs(low + np.swapaxes(low, 0, 1))) < 1e-12 * scale
+            assert np.max(np.abs(first_structure_residual(c, g))) < 1e-12 * scale
+            assert np.max(np.abs(lowered_antisymmetry_residual(g))) < 1e-12 * scale
 
     def test_rejects_non_antisymmetric_input(self):
         c = np.zeros((4, 4, 4))

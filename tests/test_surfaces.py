@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from rolling_twistor import surfaces
 from rolling_twistor.errors import DomainError, SpecParseError
 from rolling_twistor.finitediff import fd_weights
 from rolling_twistor.surfaces import (
@@ -15,11 +14,9 @@ from rolling_twistor.surfaces import (
     Sphere,
     g2_family,
     gaussian_curvature_profile,
-    jet_at,
     parse_surface,
     profile_ode_residual,
     reciprocal_ode_residual,
-    scale_surface,
 )
 
 RNG = np.random.default_rng(42)
@@ -94,9 +91,6 @@ class TestJets:
     def test_alpha_zero_family_rejected(self):
         with pytest.raises(ValueError):
             RevolutionProfile(0.0, 1.0)
-
-    def test_jet_at_alias(self):
-        assert jet_at(Sphere(1.0), (1.0, 0.0)) == Sphere(1.0).jet((1.0, 0.0))
 
 
 class TestAnalyticVsFiniteDifferenceJets:
@@ -254,18 +248,18 @@ class TestReciprocalODE:
 
 class TestScaling:
     def test_sphere_scaling(self):
-        s = scale_surface(Sphere(1.0), 3.0)
+        s = Sphere(1.0).scaled(3.0)
         assert isinstance(s, Sphere)
         assert s.radius == pytest.approx(3.0)
         assert s.jet((1.0, 0.0)).kappa == pytest.approx(1.0 / 9.0)
 
     def test_identity_scale(self):
-        s = scale_surface(Sphere(2.0), 1.0)
+        s = Sphere(2.0).scaled(1.0)
         assert s == Sphere(2.0)
 
     def test_zero_scale_rejected(self):
         with pytest.raises(ValueError):
-            scale_surface(Plane(), 0.0)
+            Plane().scaled(0.0)
 
     @pytest.mark.parametrize("s0", [0.5, 2.0, 10.0])
     def test_jet_transformation_law(self, s0):
@@ -281,7 +275,7 @@ class TestScaling:
             assert np.allclose(direct, transformed, rtol=1e-12, atol=1e-15)
 
     def test_g2_scaled_is_profile(self):
-        s = scale_surface(g2_family(-1), 2.0)
+        s = g2_family(-1).scaled(2.0)
         assert isinstance(s, RevolutionProfile)
         assert s.alpha == pytest.approx(0.25)
         assert s.beta == pytest.approx(-1.0)
@@ -340,9 +334,3 @@ class TestSpecStrings:
     def test_spec_string_round_trips(self):
         for s in (Plane(), Sphere(1.0), Hyperbolic(2.0), RevolutionProfile(1.0, -5.0), G2Family(0)):
             assert parse_surface(s.spec_string()) == s
-
-
-def test_constant_curvature_surface_factory():
-    assert surfaces.constant_curvature_surface(0.0) == Plane()
-    assert surfaces.constant_curvature_surface(4.0) == Sphere(0.5)
-    assert surfaces.constant_curvature_surface(-0.25) == Hyperbolic(2.0)
