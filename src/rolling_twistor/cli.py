@@ -5,7 +5,9 @@ printed with 17 significant digits, tables are comma-separated with '#'
 header lines, and identical configurations produce byte-identical output.
 
 Exit codes: 0 success / affirmative verdict, 1 negative verdict, 2 usage or
-parse errors, 3 numeric-domain failures.
+parse errors, 3 numeric-domain failures.  A reader that closes standard
+output early (``| head``) ends the run quietly, with nothing on stderr and
+exit code 141, the shell's code for a writer stopped by SIGPIPE.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import math
+import os
 import sys
 
 import numpy as np
@@ -30,6 +33,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
+EXIT_BROKEN_PIPE = 141
 
 
 def _fmt(x):
@@ -189,7 +193,7 @@ def cmd_roll(args):
     d = roll_mod.diagnostics(traj, s1, s2)
     header = [
         "# rolling-twistor roll",
-        f"# s1={s1.spec_string()} s2={s2.spec_string()} dt={_fmt(args.dt)} T={_fmt(args.T)}",
+        f"# s1={s1.spec_string()} s2={s2.spec_string()} dt={_fmt(traj.dt)} T={_fmt(args.T)}",
         f"# no_slip_residual={_fmt(d.no_slip)} no_twist_residual={_fmt(d.no_twist)}"
         f" L1={_fmt(d.L1)} L2={_fmt(d.L2)}",
     ]
@@ -325,7 +329,15 @@ def main(argv=None):
 
 
 def entrypoint():
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout's reader is gone; point stdout at devnull so the flush at
+        # interpreter exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -6,7 +6,8 @@ restricted velocity space is spanned by two fields X1, X2; their iterated
 commutators X3 = [X1, X2], X4 = [X1, X3], X5 = [X2, X3] have closed forms in
 terms of the surface frame data (X3) and jets (X4, X5), and away from
 curvature-matching points the five fields frame the space (rank growth
-2, 3, 5).
+2, 3, 5).  `growth_vector` ranks these closed-form rows; the
+finite-difference `lie_bracket` is kept as the tests' numerical reference.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, IntegrablePointError
-from .finitediff import check_step, richardson
+from .finitediff import richardson
 
 INTEGRABLE_TOL = 1e-10
 RANK_TOL = 1e-7  # singular value threshold, relative to the largest
@@ -103,7 +104,7 @@ def frame_fields(s1, s2):
     X4 and X5 assume the rotationally adapted frames of the catalog: a1 = 0
     on both surfaces, so its derivatives vanish and a21 = kappa + a2^2 (the
     structure identity of the curvature), and the e2-derivatives of both
-    curvatures vanish.
+    curvatures vanish.  Each of X4 and X5 reads one jet per surface.
     """
     X1, X2 = velocity_fields(s1, s2)
 
@@ -116,25 +117,23 @@ def frame_fields(s1, s2):
         return out
 
     def _x45(a, which):
+        # the brackets [X1, X3] and [X2, X3] as they expand, with no division
+        # by lambda - kappa, so they stay defined where the curvatures meet
         j1 = s1.jet((a[0], a[1]))
         j2 = s2.jet((a[2], a[3]))
-        kappa, lam = j1.kappa, j2.kappa
-        dl = lam - kappa
-        _require_noninteg(kappa, lam)
+        dl = j2.kappa - j1.kappa
         f2 = s2.frame((a[2], a[3]))
         c, s = np.cos(a[4]), np.sin(a[4])
-        a2, a4, lam3 = j1.a2, j2.a2, j2.kappa1
-        a21 = kappa + a2 * a2
+        a2, a4, lam1 = j1.a2, j2.a2, j2.kappa1
         if which == 4:
-            F = j1.kappa1 / dl + (a4 - lam3 / dl) * c
-            # X3-coefficient a2 - F (not -F): expanding [X1, X3] produces an
-            # extra a2 X3 from a2 [X1, X2]; confirmed by the numerical bracket
-            out = (a21 + a2 * F) * X2(a) + (a2 - F) * X3(a)
+            # the X3-coefficient a2 comes from expanding a2 [X1, X2]
+            out = (j1.kappa + a2 * a2) * X2(a) + a2 * X3(a)
+            out[4] += c * lam1 - j1.kappa1 - dl * a4 * c
             out[2:4] += dl * (s * f2[0] - c * f2[1])
         else:
-            G = -(a4 - lam3 / dl) * s
-            out = a2 * G * X2(a) - G * X3(a)
-            out[2:4] += dl * (c * f2[0] + s * f2[1])
+            out = np.zeros(5)
+            out[4] = (dl * a4 - lam1) * s
+            out[2:4] = dl * (c * f2[0] + s * f2[1])
         return out
 
     def X4(p):
@@ -165,21 +164,22 @@ class Frame5:
         return float(np.linalg.det(self.matrix))
 
 
+def _frame_rows(s1, s2, a):
+    return np.array([f(a) for f in frame_fields(s1, s2)])
+
+
 def derived_frame(s1, s2, p):
     """Closed-form derived frame at p; requires unequal curvatures there."""
     a = _as_point5(p)
     _require_noninteg(s1.frame_data((a[0], a[1])).kappa, s2.frame_data((a[2], a[3])).kappa)
-    fields = frame_fields(s1, s2)
-    return Frame5(point=a, matrix=np.array([f(a) for f in fields]))
+    return Frame5(point=a, matrix=_frame_rows(s1, s2, a))
 
 
-def jacobian(field, p, h=None):
+def jacobian(field, p):
     """Jacobian d(field)/d(coords) by central differences with one Richardson
     extrapolation level."""
     a = _as_point5(p)
-    if h is None:
-        h = 1e-5 * (1.0 + float(np.max(np.abs(a))))
-    h = check_step(h)
+    h = 1e-5 * (1.0 + float(np.max(np.abs(a))))
 
     def jac(step):
         cols = []
@@ -192,67 +192,46 @@ def jacobian(field, p, h=None):
     return richardson(jac(h), jac(h / 2.0))
 
 
-def lie_bracket(F, G, p, h=None):
-    """Commutator [F, G](p) = (DG) F - (DF) G with finite-difference Jacobians."""
+def lie_bracket(F, G, p):
+    """Commutator [F, G](p) = (DG) F - (DF) G with finite-difference Jacobians:
+    the numerical reference for the closed forms of `frame_fields`."""
     a = _as_point5(p)
-    JF = jacobian(F, a, h)
-    JG = jacobian(G, a, h)
+    JF = jacobian(F, a)
+    JG = jacobian(G, a)
     return JG @ np.asarray(F(a)) - JF @ np.asarray(G(a))
-
-
-def bracket_field(F, G, h=None):
-    """The commutator as a field (each evaluation differentiates numerically)."""
-
-    def B(p):
-        return lie_bracket(F, G, p, h=h)
-
-    return B
 
 
 @dataclass(frozen=True)
 class GrowthResult:
     ranks: tuple
-    singular_values: tuple
     ill_conditioned: bool
-
-    def __iter__(self):
-        return iter(self.ranks)
 
 
 def growth_vector(s1, s2, p):
     """Ranks of the iterated bracket spans (2, ., .) at p.
 
-    Brackets are numerical; double brackets differentiate the (already
-    numerical) first bracket, so they use a larger outer step to keep the
-    inner noise from polluting the rank decision.  Singular values falling
-    inside a factor-5 band around the threshold are flagged ill-conditioned.
-    Brackets that are not finite, or ranks that decrease, raise DomainError:
-    the curvature is too large for the numerical brackets.
+    The spans are those of the closed-form rows X1, X2 | X3 | X4, X5 of
+    `frame_fields`, which stay defined at kappa = lambda.  Singular values
+    falling inside a factor-5 band around the threshold are flagged
+    ill-conditioned.  Brackets that are not finite, or ranks that decrease,
+    raise DomainError: the curvature is too large for the rank test.
     """
     a = _as_point5(p)
-    h_outer = 1e-3 * (1.0 + float(np.max(np.abs(a))))
-    X1, X2 = velocity_fields(s1, s2)
-    B12 = bracket_field(X1, X2)
-    v1, v2 = X1(a), X2(a)
-    v3 = B12(a)
-    v4 = lie_bracket(X1, B12, a, h=h_outer)
-    v5 = lie_bracket(X2, B12, a, h=h_outer)
-    if not np.isfinite([v1, v2, v3, v4, v5]).all():
+    rows = _frame_rows(s1, s2, a)
+    if not np.isfinite(rows).all():
         raise _growth_error(s1, s2, a, "the brackets are not finite")
 
-    sigmas = []
     ranks = []
     flagged = False
-    for vectors in ([v1, v2], [v1, v2, v3], [v1, v2, v3, v4, v5]):
-        s = np.linalg.svd(np.array(vectors), compute_uv=False)
+    for n in (2, 3, 5):
+        s = np.linalg.svd(rows[:n], compute_uv=False)
         cutoff = RANK_TOL * s[0]
         ranks.append(int(np.sum(s > cutoff)))
         if np.any((s > cutoff / 5.0) & (s < cutoff * 5.0)):
             flagged = True
-        sigmas.append(tuple(float(t) for t in s))
     if ranks != sorted(ranks):
         raise _growth_error(s1, s2, a, f"the ranks {tuple(ranks)} decrease")
-    return GrowthResult(ranks=tuple(ranks), singular_values=tuple(sigmas), ill_conditioned=flagged)
+    return GrowthResult(ranks=tuple(ranks), ill_conditioned=flagged)
 
 
 def _growth_error(s1, s2, a, what):

@@ -1,8 +1,9 @@
 """Finite differences for the whole package.
 
 Fornberg stencils let the trajectory and mesh diagnostics differentiate
-sampled data well below the integrator's own error order; the brackets and
-the oracle's metric derivatives share `check_step` and `richardson`.
+sampled data well below the integrator's own error order; the oracle's
+metric derivatives use `check_step` and `richardson`, and the reference
+brackets of `distribution5` use `richardson`.
 """
 
 from __future__ import annotations

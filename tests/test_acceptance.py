@@ -153,6 +153,26 @@ def test_criterion_5_bracket_and_growth():
     _report(5, "numerical brackets match the closed frame; growth (2,3,5) vs (2,2,2)", 10.0, body)
 
 
+def test_criterion_5_growth_at_a_curvature_crossing():
+    def body():
+        # profile:alpha=1,beta=1 has curvature 2 / (1 + rho^2)^3, which crosses
+        # lambda = 1/2 of the sphere of radius sqrt(2) at rho^2 = 4^(1/3) - 1:
+        # X3 falls into span(X1, X2) there and only X4 adds a direction
+        s1 = RevolutionProfile(1.0, 1.0)
+        s2 = Sphere(math.sqrt(2.0))
+        rho = math.sqrt(4.0 ** (1.0 / 3.0) - 1.0)
+        for phi in (0.3, 1.7, 4.0):
+            p = np.array([rho, 0.2, 1.0, -0.4, phi])
+            res = growth_vector(s1, s2, p)
+            assert res.ranks == (2, 2, 3)
+            assert not res.ill_conditioned
+            for off in (0.9, 1.1):
+                p[0] = off * rho
+                assert growth_vector(s1, s2, p).ranks == (2, 3, 5)
+
+    _report(5, "growth (2,2,3) where a profile's curvature crosses the sphere's", 5.0, body)
+
+
 def test_criterion_6_weyl_oracle_concordance():
     def body():
         sphere, plane = Sphere(1.0), Plane()

@@ -1,6 +1,7 @@
 """Smoke test of the benchmark's layer tracer (bench/spans.py) against the
 package: every name it wraps still exists, a traced run records the jet and
-g2_check spans, and `restore` puts every original back."""
+g2_check spans, `restore` puts every original back, and a traced growth job
+reads surface jets rather than numerical brackets."""
 
 import importlib.util
 import time
@@ -70,3 +71,18 @@ def test_traced_run_records_the_layers_and_restores(spans, tmp_path):
     assert calls["taylor.variable"] >= 2
     metrics = spans.layer_metrics(rec, elapsed)
     assert metrics["cartan_invariants.points_per_g2_check"] == 6.0
+
+
+def test_traced_growth_reads_jets_not_numerical_brackets(spans, tmp_path):
+    rec = spans.Recorder()
+    inst = spans.instrument(rec)
+    try:
+        rec.start_job(0)
+        assert cli.main(RUNS[-1] + ["-o", str(tmp_path / "out.txt")]) == 0
+        rec.end_job()
+    finally:
+        inst.restore()
+    calls = dict(zip(rec.names, rec.calls.tolist()))
+    assert calls["distribution5.growth_vector"] == 1
+    assert calls.get("distribution5.lie_bracket", 0) == 0
+    assert calls["surfaces.jet"] >= 1

@@ -110,6 +110,14 @@ class TestRoll:
                       "--start", "3.0,0,0,0,0", "--dt", "0.01", "--T", "1.0")
         assert code == 3
 
+    def test_header_prints_the_step_used(self, tmp_path):
+        # 1 / 0.3 rounds to 3 steps of 1/3
+        code, text = run(tmp_path, "roll", "--s1", "plane", "--s2", "plane",
+                         "--start", "0,0,0,0,0", "--dt", "0.3", "--T", "1")
+        assert code == 0
+        assert text.splitlines()[1].endswith(" dt=0.33333333333333331 T=1")
+        assert len([l for l in text.splitlines() if not l.startswith("#")]) == 4
+
 
 class TestOracle:
     def test_sphere_on_plane_proportional(self, tmp_path):
@@ -269,6 +277,25 @@ class TestModuleEntryPoints:
         assert proc.returncode == 1
         assert proc.stdout.startswith("# rolling-twistor g2check\n")
         assert "# verdict: not-G2" in proc.stdout
+
+    def test_closed_stdout_ends_quietly(self):
+        # 5001 rows, far more than a pipe buffer holds; the reader stops
+        # after the first line
+        src = str(Path(rolling_twistor.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "rolling_twistor", "roll", "--s1", "sphere:r=1", "--s2",
+             "plane", "--start", "1.5707963267948966,0,0,0,0", "--c1", "0", "--c2", "1",
+             "--dt", "0.001", "--T", "5"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.readline() == b"# rolling-twistor roll\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 141
+        assert err == b""
 
 
 class TestSerialFrontEnd:

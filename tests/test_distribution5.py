@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rolling_twistor.distribution5 import (
     ConfigPoint,
-    bracket_field,
     derived_frame,
     frame_fields,
     growth_vector,
@@ -17,7 +20,7 @@ from rolling_twistor.split4 import (
     levi_civita_from_structure,
     product_structure_functions,
 )
-from rolling_twistor.surfaces import Plane, Sphere, g2_family
+from rolling_twistor.surfaces import Hyperbolic, Plane, RevolutionProfile, Sphere, g2_family
 
 RNG = np.random.default_rng(1234)
 
@@ -178,13 +181,35 @@ class TestDerivedFrame:
             assert abs(fr.determinant) > 1e-3
 
     def test_jacobi_identity_residual(self):
-        X1, X2, X3, _, _ = frame_fields(SPHERE, PLANE)
-        h_outer = 1e-3
-        for p in random_sphere_plane_points(3):
-            t1 = lie_bracket(X1, bracket_field(X2, X3), p, h=h_outer)
-            t2 = lie_bracket(X2, bracket_field(X3, X1), p, h=h_outer)
-            t3 = lie_bracket(X3, bracket_field(X1, X2), p, h=h_outer)
-            assert np.max(np.abs(t1 + t2 + t3)) < 1e-6
+        # [X1, [X2, X3]] + [X2, [X3, X1]] + [X3, [X1, X2]] = [X1, X5] - [X2, X4]
+        # since [X3, X3] = 0; the fields are exact, so only the outer
+        # differences are numerical
+        cases = [(SPHERE, PLANE, p) for p in random_sphere_plane_points(3)] + [
+            (g2_family(0), PLANE, np.array([1.2, 0.4, 0.1, -0.2, 1.1])),
+            (g2_family(1), RevolutionProfile(2.0, 1.0), np.array([0.9, 0.1, 1.2, 0.4, 1.5])),
+        ]
+        for s1, s2, p in cases:
+            X1, X2, X3, X4, X5 = fields = frame_fields(s1, s2)
+            scale = max(np.max(np.abs(f(p))) for f in fields)
+            r = lie_bracket(X1, X5, p) - lie_bracket(X2, X4, p)
+            assert np.max(np.abs(r)) < 1e-8 * scale
+
+    @pytest.mark.parametrize(
+        "s1, s2, p",
+        [
+            (Sphere(1.0), Sphere(1.0), np.array([1.0, 0.2, 1.4, -0.3, 0.9])),
+            (Sphere(2.0), Sphere(2.0), np.array([0.7, -0.5, 2.1, 0.4, 4.0])),
+            (PLANE, PLANE, np.array([0.3, -0.2, 0.5, 0.1, 0.7])),
+        ],
+    )
+    def test_equal_curvatures_brackets_stay_in_the_velocity_plane(self, s1, s2, p):
+        # the closed forms stay defined at kappa = lambda, where the
+        # distribution is integrable: X3, X4, X5 lie in span(X1, X2)
+        rows = np.array([f(p) for f in frame_fields(s1, s2)])
+        span = rows[:2].T
+        for row in rows[2:]:
+            coef = np.linalg.lstsq(span, row, rcond=None)[0]
+            assert np.max(np.abs(row - span @ coef)) < 1e-13 * (1.0 + np.max(np.abs(row)))
 
 
 class TestGrowthVector:
@@ -206,6 +231,48 @@ class TestGrowthVector:
     def test_first_rank_always_two(self):
         for p in random_sphere_plane_points(5):
             assert growth_vector(SPHERE, PLANE, p).ranks[0] == 2
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="the rank test mixes chart units: a 1e-3 sphere on the plane gives "
+        "ranks (2, 3, 3) or (2, 3, 4)",
+    )
+    def test_small_sphere_on_plane_generic(self):
+        p = np.array([1.1, 0.2, 0.3, -0.1, 0.5])
+        assert growth_vector(Sphere(1e-3), PLANE, p).ranks == (2, 3, 5)
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def profile_on_constant(draw):
+    """A revolution profile on a sphere or hyperbolic plane at a point of the
+    benchmark's growth domain: |kappa| < 20, rho >= 0.25, |beta + alpha rho^2|
+    >= 0.2 and |kappa - lambda| > 0.3 max(|kappa|, |lambda|)."""
+    alpha = draw(st.sampled_from((-1.0, 1.0))) * draw(_floats(0.3, 2.0))
+    s1 = RevolutionProfile(alpha, draw(_floats(-3.0, 3.0)))
+    rho = draw(_floats(0.25, 6.0))
+    assume(abs(s1.beta + alpha * rho * rho) >= 0.2)
+    s2 = draw(st.sampled_from((Sphere, Hyperbolic)))(draw(_floats(0.5, 2.5)))
+    theta = draw(_floats(0.3, 2.0))
+    p = np.array([rho, draw(_floats(-3, 3)), theta, draw(_floats(-3, 3)),
+                  draw(_floats(0.0, 2 * math.pi))])
+    kappa = s1.frame_data(p[:2]).kappa
+    lam = s2.frame_data(p[2:4]).kappa
+    assume(abs(kappa) < 20.0 and abs(kappa - lam) > 0.3 * max(abs(kappa), abs(lam)))
+    return s1, s2, p
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(profile_on_constant())
+def test_growth_is_generic_away_from_equal_curvatures(case):
+    s1, s2, p = case
+    res = growth_vector(s1, s2, p)
+    assert res.ranks == (2, 3, 5)
+    assert not res.ill_conditioned
 
 
 class TestScalingInvariance:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rolling_twistor import conformal_oracle, surfaces
+from rolling_twistor import conformal_oracle, distribution5, surfaces
 from rolling_twistor.distribution5 import growth_vector
 from rolling_twistor.errors import DomainError
 from rolling_twistor.rolling import ControlCurve, integrate, no_twist_residual
@@ -119,9 +119,18 @@ S1 = G2Family(1)
 S2 = Sphere(3.0)
 
 
-def test_growth_vector_reads_no_jet(jet_calls):
+def test_growth_vector_reads_one_jet_per_surface_for_x4_and_x5(jet_calls, monkeypatch):
+    brackets = []
+    original = distribution5.lie_bracket
+
+    def spy(*args):
+        brackets.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(distribution5, "lie_bracket", spy)
     assert growth_vector(S1, S2, np.array([0.8, 0.1, 1.2, 0.2, 0.3])).ranks == (2, 3, 5)
-    assert jet_calls == []
+    assert jet_calls == [S1, S2, S1, S2]
+    assert brackets == []
 
 
 def test_rolling_reads_no_jet(jet_calls):

@@ -35,7 +35,7 @@ README_EXAMPLES = {
     "roll_sphere_equator": (
         ["roll", "--s1", "sphere:r=1", "--s2", "plane", "--start", "1.5707963267948966,0,0,0,0",
          "--c1", "0", "--c2", "1", "--dt", "0.001", "--T", PI],
-        "bbc569418813f8e9b0e5b7e7165f553a8e177f0c09c8b23c6a863a81edc3d01d",
+        "2ba26498642488250319ed7e12b811fa246a55bd7f813226e5454ddfe8b650ce",
     ),
     "oracle_sphere_plane": (
         ["oracle", "--s1", "sphere:r=1", "--s2", "plane", "--points", "5"],
