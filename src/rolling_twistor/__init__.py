@@ -52,6 +52,7 @@ from .embedding import (
 from .errors import (
     DomainError,
     IntegrablePointError,
+    QuadratureError,
     RollingTwistorError,
     SpecParseError,
     StepSizeError,

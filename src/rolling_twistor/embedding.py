@@ -5,7 +5,11 @@ revolution (X, Y, Z) = (rho cos psi, rho sin psi, Z(rho)) wherever
 h^2 = (beta + alpha rho^2)^2 >= 1, with Z' = sqrt(h^2 - 1).  For the
 normal-form families the height integral is elementary for eps = +-1,
 producing algebraic surfaces (X^2 + Y^2 + 2 eps)^3 = 9 Z^2, and an elliptic
-integral for eps = 0.
+integral for eps = 0.  The non-elementary heights (eps = 0, the general
+profiles and the negative-curvature branch) come from the tanh-sinh rule of
+`finitediff`, which takes the square-root branch point |h| = 1 at an end of
+the range without a substitution; a mesh integrates each row interval once
+and accumulates.
 """
 
 from __future__ import annotations
@@ -14,13 +18,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DomainError
-from .finitediff import fd_weights, sampled_derivative
+from .finitediff import fd_weights, sampled_derivative, tanh_sinh
 from .surfaces import G2Family, RevolutionProfile, Surface
-
-QUAD_ABS_TOL = 1e-12
 
 
 def _z_plus(rho):
@@ -31,20 +32,25 @@ def _z_minus(rho):
     return (rho * rho - 2.0) ** 1.5 / 3.0
 
 
-def _z_zero(rho):
-    # Z = integral_1^rho sqrt(x^4 - 1); the substitution x = 1 + s^2 removes
-    # the square-root branch point at the lower endpoint:
-    # integrand -> 2 s^2 sqrt(4 + 6 s^2 + 4 s^4 + s^6), smooth at s = 0
-    if rho < 1.0:
-        raise DomainError(f"the eps=0 embedding needs rho >= 1, got {rho}")
-    s_max = math.sqrt(rho - 1.0)
+def _slope(family):
+    """Z' = sqrt(h^2 - 1) of a revolution family as a `tanh_sinh` integrand.
 
-    def f(s):
-        s2 = s * s
-        return 2.0 * s2 * math.sqrt(4.0 + 6.0 * s2 + 4.0 * s2**2 + s2**3)
+    At the node x = end + offset, h = h(end) + alpha offset (2 end + offset),
+    and h -+ 1 is formed from h(end) -+ 1 before the offset term is added, so
+    a node next to a branch point |h(end)| = 1 keeps its digits.  Z' is the
+    product of the roots of |h - 1| and |h + 1|, which stays finite as long
+    as Z' does; it is 0 where h - 1 < 0 < h + 1, which happens by rounding
+    only."""
+    alpha, beta = family.alpha, family.beta
 
-    val, _ = quad(f, 0.0, s_max, epsabs=QUAD_ABS_TOL, epsrel=1e-12, limit=200)
-    return val
+    def f(end, offset):
+        h_end = beta + alpha * end * end
+        dh = alpha * offset * (2.0 * end + offset)
+        lower, upper = h_end - 1.0 + dh, h_end + 1.0 + dh
+        slope = np.sqrt(np.abs(lower)) * np.sqrt(np.abs(upper))
+        return np.where((lower < 0.0) & (upper > 0.0), 0.0, slope)
+
+    return f
 
 
 def embed_point(eps, rho, phi):
@@ -62,7 +68,9 @@ def embed_point(eps, rho, phi):
             raise DomainError(f"the eps=-1 embedding needs rho >= sqrt(2), got {rho}")
         z = _z_minus(max(rho, math.sqrt(2.0)))
     elif eps == 0:
-        z = _z_zero(rho)
+        if rho < 1.0:
+            raise DomainError(f"the eps=0 embedding needs rho >= 1, got {rho}")
+        z = tanh_sinh(_slope(G2Family(0)), 1.0, rho)  # integral_1^rho sqrt(x^4 - 1)
     else:
         raise ValueError("eps must be -1, 0 or +1")
     return rho * math.cos(phi), rho * math.sin(phi), z
@@ -81,21 +89,8 @@ def embed_negative_curvature(rho, phi):
     Z' = sqrt((rho^2 - 6)(rho^2 - 4)) is real."""
     if not (0.0 <= rho <= 2.0):
         raise DomainError(f"this branch embeds 0 <= rho <= 2 only, got {rho}")
-
-    def f(x):
-        return math.sqrt(max((x * x - 6.0) * (x * x - 4.0), 0.0))
-
-    z, _ = quad(f, 0.0, rho, epsabs=QUAD_ABS_TOL, epsrel=1e-12, limit=200)
+    z = tanh_sinh(_slope(RevolutionProfile(1.0, -5.0)), 0.0, rho)  # h = rho^2 - 5
     return rho * math.cos(phi), rho * math.sin(phi), z
-
-
-def profile_height(surface, rho, rho_start):
-    """Height Z(rho) = integral sqrt(h^2 - 1) for a general profile family."""
-    def f(x):
-        return math.sqrt(max(surface.h(x) ** 2 - 1.0, 0.0))
-
-    z, _ = quad(f, rho_start, rho, epsabs=QUAD_ABS_TOL, epsrel=1e-12, limit=200)
-    return z
 
 
 @dataclass(frozen=True)
@@ -113,34 +108,57 @@ class RevolutionMesh:
         return self.xyz.shape[0] * self.xyz.shape[1]
 
 
+def _overflow_error(family, lo, hi):
+    return DomainError(
+        f"no finite heights for {family.spec_string()} on rho range {lo!r}:{hi!r} (float overflow)"
+    )
+
+
+def _integrated_heights(family, start, rho):
+    """Z(rho_i) = integral of Z' from `start`: one `tanh_sinh` call over the
+    intervals [start, rho_0], [rho_0, rho_1], ..., accumulated.  |h| is
+    monotone on the range, so Z' is finite throughout if it is at both ends."""
+    slope = _slope(family)
+    ends = np.array([[start, rho[-1]]])
+    if not np.all(np.isfinite(slope(ends, np.zeros_like(ends)))):
+        raise _overflow_error(family, float(rho[0]), float(rho[-1]))
+    return np.cumsum(tanh_sinh(slope, np.concatenate([[start], rho[:-1]]), rho))
+
+
 def _height_profile(family, rho_values):
     """Z(rho_i) for a catalog family, validating the whole range first."""
     lo, hi = float(rho_values[0]), float(rho_values[-1])
-    if isinstance(family, G2Family):
-        if family.eps == 1:
+    with np.errstate(over="ignore"):
+        if isinstance(family, G2Family) and family.eps == 1:
             if lo < 0.0:
-                raise DomainError("eps=+1 embeds rho >= 0 only")
-            return np.array([_z_plus(r) for r in rho_values]), family.eps
-        if family.eps == -1:
+                raise DomainError(f"eps=+1 embeds rho >= 0 only (requested lo = {lo})")
+            heights = np.array([_z_plus(r) for r in rho_values])
+        elif isinstance(family, G2Family) and family.eps == -1:
             if lo < math.sqrt(2.0) - 1e-12:
                 raise DomainError(
                     f"eps=-1 embeds rho >= sqrt(2) only (requested lo = {lo})"
                 )
-            return np.array([_z_minus(r) for r in rho_values]), family.eps
-        if lo < 1.0:
-            raise DomainError(f"eps=0 embeds rho >= 1 only (requested lo = {lo})")
-        return np.array([_z_zero(r) for r in rho_values]), family.eps
-    if isinstance(family, RevolutionProfile):
-        # h is monotone in rho, so its range is the endpoint interval; the
-        # embedding needs that interval to avoid (-1, 1) entirely
-        h_lo, h_hi = sorted((family.h(lo), family.h(hi)))
-        if not (h_hi <= -1.0 or h_lo >= 1.0):
-            raise DomainError(
-                "profile embeds only where (beta + alpha rho^2)^2 >= 1 on the whole range"
-            )
-        heights = np.array([profile_height(family, r, lo) for r in rho_values])
-        return heights, None
-    raise ValueError(f"no embedding rule for family {family!r}")
+            heights = np.array([_z_minus(r) for r in np.maximum(rho_values, math.sqrt(2.0))])
+        elif isinstance(family, G2Family):
+            if lo < 1.0:
+                raise DomainError(f"eps=0 embeds rho >= 1 only (requested lo = {lo})")
+            heights = _integrated_heights(family, 1.0, rho_values)
+        elif isinstance(family, RevolutionProfile):
+            # h is monotone for rho >= 0, so its range is the endpoint interval;
+            # the embedding needs that interval to avoid (-1, 1) entirely
+            if lo < 0.0:
+                raise DomainError(f"profile embeds rho >= 0 only (requested lo = {lo})")
+            h_lo, h_hi = sorted((family.h(lo), family.h(hi)))
+            if not (h_hi <= -1.0 or h_lo >= 1.0):
+                raise DomainError(
+                    "profile embeds only where (beta + alpha rho^2)^2 >= 1 on the whole range"
+                )
+            heights = _integrated_heights(family, lo, rho_values)
+        else:
+            raise ValueError(f"no embedding rule for family {family!r}")
+    if not np.all(np.isfinite(heights)):  # eps = +-1 closed forms, or the cumsum
+        raise _overflow_error(family, lo, hi)
+    return heights, getattr(family, "eps", None)
 
 
 def build_mesh(family, rho_range, nr, nphi, z_func=None):

@@ -19,6 +19,11 @@ class StepSizeError(RollingTwistorError):
     or small enough that cancellation dominates)."""
 
 
+class QuadratureError(RollingTwistorError):
+    """A quadrature rule cannot deliver an integral to its tolerance: the
+    integrand is not finite, an end is not integrable, or the level cap is hit."""
+
+
 class SpecParseError(RollingTwistorError, ValueError):
     """A surface spec string, control file, or CLI grid spec failed to parse.
 

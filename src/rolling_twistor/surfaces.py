@@ -132,6 +132,12 @@ class Surface:
         return [self.chart_point(t) for t in np.linspace(r0, r1, n)]
 
 
+def _spec_number(x):
+    """Shortest text that parses back to the float x: its repr, less a
+    trailing '.0'."""
+    return repr(float(x)).removesuffix(".0")
+
+
 def _check_scale(s0):
     if s0 == 0.0:
         raise ValueError("scale factor must be nonzero")
@@ -189,6 +195,10 @@ class Plane(Surface):
     kind = "plane"
     is_constant_curvature = True
 
+    def __post_init__(self):
+        if not (self.scale > 0 and math.isfinite(self.scale) and math.isfinite(1.0 / self.scale)):
+            raise ValueError("plane scale must be a positive number with a finite inverse")
+
     def frame_data(self, p):
         return FrameData(0.0, 0.0, 0.0)
 
@@ -203,7 +213,7 @@ class Plane(Surface):
         return Plane(scale=self.scale * abs(s0))
 
     def spec_string(self):
-        return "plane" if self.scale == 1.0 else f"plane:scale={self.scale:g}"
+        return "plane" if self.scale == 1.0 else f"plane:scale={_spec_number(self.scale)}"
 
     def profile_range(self):
         return (-1.0, 1.0)
@@ -247,7 +257,7 @@ class Sphere(Surface):
         return Sphere(radius=self.radius * abs(s0))
 
     def spec_string(self):
-        return f"sphere:r={self.radius:g}"
+        return f"sphere:r={_spec_number(self.radius)}"
 
     def profile_range(self):
         return (0.4, math.pi - 0.4)
@@ -291,7 +301,7 @@ class Hyperbolic(Surface):
         return Hyperbolic(radius=self.radius * abs(s0))
 
     def spec_string(self):
-        return f"hyperbolic:r={self.radius:g}"
+        return f"hyperbolic:r={_spec_number(self.radius)}"
 
     def profile_range(self):
         return (0.3, 2.0)
@@ -385,7 +395,8 @@ class RevolutionProfile(_RevolutionBase):
         return RevolutionProfile(self.alpha / s0**2, self.beta, self.gamma)
 
     def spec_string(self):
-        return f"profile:alpha={self.alpha:g},beta={self.beta:g}"
+        spec = f"profile:alpha={_spec_number(self.alpha)},beta={_spec_number(self.beta)}"
+        return spec + (f",gamma={_spec_number(self.gamma)}" if self.gamma != 0.0 else "")
 
 
 @dataclass(frozen=True)
@@ -497,7 +508,7 @@ def reciprocal_ode_residual(x1, x2, x3, rho):
 _SPEC_RE = re.compile(r"^(?P<kind>[a-zA-Z0-9_]+)(?::(?P<args>.*))?$")
 
 _SPEC_KEYS = {
-    "plane": (),
+    "plane": ("scale",),
     "sphere": ("r",),
     "hyperbolic": ("r",),
     "profile": ("alpha", "beta", "gamma"),
@@ -508,8 +519,10 @@ _SPEC_KEYS = {
 def parse_surface(spec):
     """Parse a surface spec string.
 
-    Grammar: ``plane``, ``sphere:r=<v>``, ``hyperbolic:r=<v>``,
-    ``profile:alpha=<v>,beta=<v>``, ``g2:eps=<-1|0|1>``.
+    Grammar: ``plane``, ``plane:scale=<v>``, ``sphere:r=<v>``,
+    ``hyperbolic:r=<v>``, ``profile:alpha=<v>,beta=<v>[,gamma=<v>]``,
+    ``g2:eps=<-1|0|1>``.  `Surface.spec_string` prints specs in this grammar
+    that parse back to an equal surface.
     """
     m = _SPEC_RE.match(spec.strip())
     if not m:
@@ -553,7 +566,7 @@ def parse_surface(spec):
             pos += len(item) + 1
     try:
         if kind == "plane":
-            surface = Plane()
+            surface = Plane(kv.get("scale", 1.0))
         elif kind == "sphere":
             surface = Sphere(radius=kv["r"])
         elif kind == "hyperbolic":
@@ -569,7 +582,7 @@ def parse_surface(spec):
         raise SpecParseError(f"missing key {exc.args[0]!r} in {spec!r}", position=0) from None
     except ValueError as exc:
         raise SpecParseError(f"invalid parameters in {spec!r}: {exc}", position=0) from None
-    if tokens and not _curvature_representable(surface):
+    if tokens and kind != "plane" and not _curvature_representable(surface):
         # name the value of the largest binary exponent in magnitude
         item, pos, _ = max(tokens, key=lambda t: abs(math.frexp(t[2])[1]))
         msg = f"curvature overflows or underflows for {item!r} at position {pos} in {spec!r}"

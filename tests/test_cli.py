@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -168,6 +169,52 @@ class TestEmbed:
         assert code == 0
         assert "family=profile" in text
 
+    def test_negative_rho_rejected_for_profiles(self, tmp_path, capsys):
+        # both ends have |h| >= 1, but h = beta + alpha rho^2 crosses (-1, 1)
+        # near rho = 0, where no isometric height exists
+        out = tmp_path / "out.txt"
+        code = main(["embed", "--family", "profile:alpha=1,beta=-3", "--rho-range=-2.1:2.5",
+                     "-o", str(out)])
+        assert code == 3
+        assert not out.exists()
+        assert "-2.1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("family,rho_range", [
+        ("g2:eps=1", "0:1e300"),
+        ("profile:alpha=1,beta=1", "0:1e200"),
+        ("g2:eps=0", "1:1e200"),
+    ])
+    def test_overflowing_heights_rejected_before_output(self, tmp_path, capsys, family, rho_range):
+        out = tmp_path / "out.txt"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning on the way
+            code = main(["embed", "--family", family, "--rho-range", rho_range,
+                         "-o", str(out)])
+        assert code == 3
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: no finite heights for {family} on rho range")
+
+    @pytest.mark.parametrize("family,rho_range,z_last", [
+        ("g2:eps=0", "1:1e80", 1e240 / 3.0),  # Z' ~ rho^2 = 1e160: h^2 - 1 overflows
+        ("profile:alpha=1,beta=1", "0:1e100", 1e300 / 3.0),
+    ])
+    def test_large_finite_heights_are_written(self, tmp_path, family, rho_range, z_last):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, text = run(tmp_path, "embed", "--family", family, "--rho-range", rho_range,
+                             "--nr", "6", "--nphi", "3")
+        assert code == 0
+        rows = [l.split() for l in text.splitlines() if l[0].isdigit()]
+        assert float(rows[-1][4]) == pytest.approx(z_last, rel=1e-12)
+
+    def test_eps_minus_one_within_the_slack_below_sqrt2(self, tmp_path):
+        # lo may sit up to 1e-12 below sqrt(2); its height is clamped to 0, not nan
+        code, text = run(tmp_path, "embed", "--family", "g2:eps=-1",
+                         "--rho-range", "1.4142135623730:2", "--nr", "4", "--nphi", "4")
+        assert code == 0
+        assert "nan" not in text
+
 
 class TestGrowth:
     def test_sphere_on_plane(self, tmp_path):
@@ -260,6 +307,25 @@ class TestOracleStep:
         assert code == 3
         assert text == ""
         assert "step size must be a finite positive number" in capsys.readouterr().err
+
+
+class TestColdStart:
+    def test_embed_runs_without_scipy(self, tmp_path):
+        src = str(Path(rolling_twistor.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+        code = (
+            "import sys\n"
+            "import rolling_twistor.cli as cli\n"
+            "rc = cli.main(['embed', '--family', 'g2:eps=0', '--rho-range', '1:2.5',\n"
+            "              '--nr', '16', '--nphi', '8', '-o', sys.argv[1]])\n"
+            "print(rc, sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "mesh.txt")],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0 []\n"
+        assert (tmp_path / "mesh.txt").read_text().startswith("# family=g2 eps=0 nr=16 nphi=8\n")
 
 
 class TestModuleEntryPoints:

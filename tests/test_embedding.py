@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from rolling_twistor.embedding import (
     algebraic_residual,
@@ -18,6 +17,20 @@ from rolling_twistor.errors import DomainError
 from rolling_twistor.surfaces import Plane, RevolutionProfile, g2_family, gaussian_curvature_profile
 
 RNG = np.random.default_rng(2718)
+
+
+@pytest.fixture
+def quad():
+    """scipy's adaptive quadrature: an independent reference for the heights,
+    needed by the tests only."""
+    return pytest.importorskip("scipy.integrate").quad
+
+
+def quad_height(quad, h, a, b):
+    """integral_a^b sqrt(h(x)^2 - 1) dx by the reference quadrature."""
+    val, _ = quad(lambda x: math.sqrt(max(h(x) ** 2 - 1.0, 0.0)), a, b,
+                  epsabs=1e-13, epsrel=1e-13, limit=200)
+    return val
 
 
 class TestEmbedPoint:
@@ -78,7 +91,7 @@ class TestAlgebraicResidual:
 
 class TestQuadratureAgreement:
     @pytest.mark.parametrize("eps", [1, -1])
-    def test_closed_form_matches_quadrature(self, eps):
+    def test_closed_form_matches_quadrature(self, eps, quad):
         lo = 0.0 if eps == 1 else math.sqrt(2.0)
         z_lo = embed_point(eps, lo, 0.0)[2]
         for rho in (lo + 0.4, lo + 1.1, lo + 2.0):
@@ -89,11 +102,48 @@ class TestQuadratureAgreement:
             )
             assert abs((z_closed - z_lo) - z_quad) < 1e-10
 
-    def test_zero_family_against_direct_quadrature(self):
+    def test_zero_family_against_direct_quadrature(self, quad):
         for rho in (1.3, 2.1, 3.0):
             z = embed_point(0, rho, 0.0)[2]
             z_quad, _ = quad(lambda r: math.sqrt(r**4 - 1.0), 1.0, rho, epsabs=1e-13, limit=300)
             assert abs(z - z_quad) < 1e-10
+
+
+class TestHeightsMatchReference:
+    """The tanh-sinh heights agree with scipy's adaptive quadrature to 1e-12
+    on every mesh row, including rows at the branch point |h| = 1."""
+
+    # the eps = 0 ranges the benchmark's embed jobs draw from:
+    # lo in [1.0, 1.3], hi in [1.8, 2.5]
+    @pytest.mark.parametrize("lo,hi", [(1.0, 1.8), (1.0, 2.5), (1.3, 1.8), (1.3, 2.5), (1.07, 2.2)])
+    def test_zero_family_mesh(self, lo, hi, quad):
+        mesh = build_mesh(g2_family(0), (lo, hi), 48, 4)
+        for rho, z in zip(mesh.rho, mesh.xyz[:, 0, 2]):
+            assert abs(z - quad_height(quad, lambda x: x * x, 1.0, rho)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "family,rho_range",
+        [
+            (RevolutionProfile(1.0, 0.0), (1.0, 2.0)),  # h = 1 at the start
+            (RevolutionProfile(1.0, -5.0), (0.5, 2.0)),  # h = -1 at the end
+            (RevolutionProfile(-0.5, 4.0), (0.0, 2.4)),  # h decreasing towards 1.12
+        ],
+    )
+    def test_profile_mesh(self, family, rho_range, quad):
+        mesh = build_mesh(family, rho_range, 32, 4)
+        for rho, z in zip(mesh.rho, mesh.xyz[:, 0, 2]):
+            assert abs(z - quad_height(quad, family.h, rho_range[0], rho)) <= 1e-12
+
+    def test_negative_curvature_branch(self, quad):
+        for rho in np.linspace(0.0, 2.0, 17):
+            z = embed_negative_curvature(rho, 0.0)[2]
+            assert abs(z - quad_height(quad, lambda x: x * x - 5.0, 0.0, rho)) <= 1e-12
+
+    def test_tiny_range_at_the_branch_point(self):
+        # every node lies within 1e-10 of rho = 1; Z = (2/3) 2 d^1.5 (1 + O(d))
+        d = 1e-10
+        mesh = build_mesh(g2_family(0), (1.0, 1.0 + d), 3, 4)
+        assert mesh.xyz[-1, 0, 2] == pytest.approx(4.0 / 3.0 * d**1.5, rel=1e-9)
 
 
 class TestNegativeCurvatureBranch:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rolling_twistor import finitediff
-from rolling_twistor.errors import StepSizeError
+from rolling_twistor.errors import QuadratureError, StepSizeError
 from rolling_twistor.finitediff import (
     _interval_weights,
     check_step,
@@ -10,6 +10,7 @@ from rolling_twistor.finitediff import (
     fd_weights,
     richardson,
     sampled_derivative,
+    tanh_sinh,
 )
 
 
@@ -151,3 +152,73 @@ def test_check_step_rejects_non_positive_and_non_finite(h):
 
 def test_check_step_returns_float():
     assert check_step(np.float64(1e-3)) == 1e-3
+
+
+def at(g):
+    """A tanh-sinh integrand that only needs the node end + offset."""
+    return lambda end, offset: g(end + offset)
+
+
+def test_tanh_sinh_interval_arrays():
+    a = np.array([[0.0, 1.0, -2.0], [0.5, 3.0, 3.0]])
+    b = np.array([[1.0, 2.0, 1.0], [0.5, 1.0, 3.0]])  # a zero-length and a reversed interval
+    got = tanh_sinh(at(lambda x: x * x), a, b)
+    assert got.shape == (2, 3)
+    assert np.allclose(got, (b**3 - a**3) / 3.0, rtol=1e-14, atol=1e-15)
+    assert got[1, 0] == 0.0 and got[1, 2] == 0.0
+    assert isinstance(tanh_sinh(at(np.exp), 0.0, 1.0), float)
+
+
+def test_tanh_sinh_one_call_per_level_on_a_node_grid():
+    calls = []
+
+    def f(end, offset):
+        calls.append(end.shape)
+        assert offset.shape == end.shape
+        return np.cos(end + offset)
+
+    lo = np.linspace(0.0, 1.0, 47)
+    got = tanh_sinh(f, lo, lo + 0.1)
+    assert np.allclose(got, np.sin(lo + 0.1) - np.sin(lo), rtol=1e-14, atol=1e-16)
+    assert len(calls) <= finitediff.TANH_SINH_MAX_LEVEL + 1
+    assert calls[0][0] == 47 and all(len(c) == 2 for c in calls)
+
+
+@pytest.mark.parametrize(
+    "g,a,b,exact",
+    [
+        (np.sqrt, 0.0, 1.0, 2.0 / 3.0),  # square-root branch point at a
+        (lambda x: np.sqrt(1.0 - x * x), 0.0, 1.0, np.pi / 4.0),  # ... and at b
+        (lambda x: 1.0 / np.sqrt(x), 0.0, 1.0, 2.0),  # integrable singularity
+        (np.log, 0.0, 1.0, -1.0),
+    ],
+)
+def test_tanh_sinh_endpoint_branches(g, a, b, exact):
+    assert tanh_sinh(at(g), a, b) == pytest.approx(exact, rel=1e-14)
+
+
+def test_tanh_sinh_end_and_offset_keep_digits_next_to_a_branch_point():
+    # x^2 - 1 = offset (2 + offset) at end = 1: exact to rounding, where
+    # forming x = 1 + offset first would leave ~1e-6 of relative noise
+    d = 1e-10
+
+    def f(end, offset):
+        return np.sqrt(np.maximum((end * end - 1.0) + offset * (2.0 * end + offset), 0.0))
+
+    got = tanh_sinh(f, 1.0, 1.0 + d)
+    exact = 2.0 * np.sqrt(2.0) / 3.0 * d**1.5  # to O(d) relative
+    assert got == pytest.approx(exact, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "g,a,b,match",
+    [
+        (lambda x: 1.0 / x, 0.0, 1.0, "not negligible at the ends"),  # non-integrable at a
+        (lambda x: 1.0 / (1.0 - x), 0.0, 1.0, "not finite"),  # the nodes round onto b
+        (lambda x: np.where(x > 0.3, 1.0, 0.0), 0.0, 1.0, "not converged"),  # a jump
+        (lambda x: np.full_like(x, np.nan), 0.0, 1.0, "not finite"),
+    ],
+)
+def test_tanh_sinh_raises_instead_of_returning(g, a, b, match):
+    with np.errstate(divide="ignore"), pytest.raises(QuadratureError, match=match):
+        tanh_sinh(at(g), a, b)

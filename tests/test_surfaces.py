@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rolling_twistor.errors import DomainError, SpecParseError
 from rolling_twistor.finitediff import fd_weights
@@ -334,3 +336,43 @@ class TestSpecStrings:
     def test_spec_string_round_trips(self):
         for s in (Plane(), Sphere(1.0), Hyperbolic(2.0), RevolutionProfile(1.0, -5.0), G2Family(0)):
             assert parse_surface(s.spec_string()) == s
+
+    @pytest.mark.parametrize(
+        "surface,spec",
+        [
+            (Sphere(1.0 / 3.0), "sphere:r=0.3333333333333333"),
+            (Plane().scaled(2.0), "plane:scale=2"),
+            (RevolutionProfile(1.0, -5.0, 0.25), "profile:alpha=1,beta=-5,gamma=0.25"),
+            (Sphere(3.0), "sphere:r=3"),
+        ],
+    )
+    def test_spec_string_is_lossless(self, surface, spec):
+        assert surface.spec_string() == spec
+        assert parse_surface(spec) == surface
+
+    @pytest.mark.parametrize("spec", ["plane:scale=0", "plane:scale=-2", "plane:scale=1e-320"])
+    def test_unusable_plane_scale_rejected(self, spec):
+        with pytest.raises(SpecParseError):
+            parse_surface(spec)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        family=st.sampled_from(["plane", "sphere", "hyperbolic", "profile", "g2"]),
+        radius=st.floats(1e-3, 1e3),
+        alpha=st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3),
+        beta=st.floats(-10.0, 10.0),
+        gamma=st.sampled_from([0.0, 1.0 / 3.0, -2.5]),
+        eps=st.sampled_from([-1, 0, 1]),
+        scale=st.none() | st.floats(1e-4, 1e4) | st.floats(-1e4, -1e-4),
+    )
+    def test_spec_string_round_trip_property(self, family, radius, alpha, beta, gamma, eps, scale):
+        surface = {
+            "plane": lambda: Plane(),
+            "sphere": lambda: Sphere(radius),
+            "hyperbolic": lambda: Hyperbolic(radius),
+            "profile": lambda: RevolutionProfile(alpha, beta, gamma),
+            "g2": lambda: G2Family(eps),
+        }[family]()
+        if scale is not None:
+            surface = surface.scaled(scale)
+        assert parse_surface(surface.spec_string()) == surface
