@@ -53,8 +53,6 @@ class CartanQuartic(NamedTuple):
 def quartic_killing_case(jet, lam):
     """Closed-form (A1..A5) for a rotationally symmetric surface with jet
     `jet` rolling on constant curvature `lam`."""
-    if not jet.killing or jet.a1 != 0.0:
-        raise ValueError("the closed-form quartic requires a rotationally adapted jet (a1 = 0)")
     k = jet.kappa
     _require_noninteg(k, lam)  # the quartic is undefined where the distribution is integrable
     try:

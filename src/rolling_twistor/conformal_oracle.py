@@ -38,18 +38,20 @@ def _require_constant(s2):
         raise ValueError("the oracle requires a constant-curvature second surface")
 
 
-def _sigma_rows(s1, s2, a):
-    """Rows sigma^1..sigma^4 in the cobasis (dx, dy, du, dv, dphi)."""
+def _sigma_rows(d1, d2):
+    """Rows sigma^1..sigma^4 in the cobasis (dx, dy, du, dv, dphi): the duals
+    dx/f1, dy/f2, du/f3, dv/f4 of the surfaces' frames, given their frame
+    data d1, d2."""
     rows = np.zeros((4, 5))
-    rows[0:2, 0:2] = s1.coframe((a[0], a[1]))
-    rows[2:4, 2:4] = s2.coframe((a[2], a[3]))
+    rows[0, 0], rows[1, 1] = 1.0 / d1.f1, 1.0 / d1.f2
+    rows[2, 2], rows[3, 3] = 1.0 / d2.f1, 1.0 / d2.f2
     return rows
 
 
 def omega_coframe(s1, s2, p):
     """Rows omega_1..omega_5 of the adapted coframe at p.
 
-    These dualize the frame (X1, X2, X3, X4 - a2 X3, X5 + a1 X3): same
+    These dualize the frame (X1, X2, X3, X4 - a2 X3, X5): same
     filtration spans as the commutator frame, with the fourth slot shifted
     by a multiple of X3.  Any such adapted choice represents the same
     conformal class; this one admits the compact closed form used here.
@@ -57,20 +59,25 @@ def omega_coframe(s1, s2, p):
     """
     _require_constant(s2)
     a = _as_point5(p)
-    return _omega_rows(s1, s2, a, s1.jet((a[0], a[1])), s2.frame_data((a[2], a[3])))
+    return _omega_rows(a, *_surface_data(s1, s2, a))
 
 
-def _omega_rows(s1, s2, a, j1, d2):
-    """omega_coframe at the chart point a, given the jet j1 of the first
-    surface and the frame data d2 of the second there."""
-    if not j1.killing:
-        raise ValueError("the explicit coframe requires a rotationally adapted first surface")
+def _surface_data(s1, s2, a):
+    """(j1, d1, d2) at the chart point a: the jet and frame data of the first
+    surface and the frame data of the second."""
+    q1 = (a[0], a[1])
+    return s1.jet(q1), s1.frame_data(q1), s2.frame_data((a[2], a[3]))
+
+
+def _omega_rows(a, j1, d1, d2):
+    """omega_coframe at the chart point a, given the jet j1 and frame data d1
+    of the first surface and the frame data d2 of the second there."""
     k, lam = j1.kappa, d2.kappa
     _require_noninteg(k, lam)
     a2, a4, k1 = j1.a2, d2.a2, j1.kappa1
     d = k - lam
     c, s = np.cos(a[4]), np.sin(a[4])
-    sig = _sigma_rows(s1, s2, a)
+    sig = _sigma_rows(d1, d2)
     dphi = np.zeros(5)
     dphi[4] = 1.0
 
@@ -118,9 +125,8 @@ def theta_coframe(s1, s2, p):
     coefficient functions."""
     _require_constant(s2)
     a = _as_point5(p)
-    j1 = s1.jet((a[0], a[1]))
-    d2 = s2.frame_data((a[2], a[3]))
-    w = _omega_rows(s1, s2, a, j1, d2)
+    j1, d1, d2 = _surface_data(s1, s2, a)
+    w = _omega_rows(a, j1, d1, d2)
     lam = d2.kappa
     k, a2, k1, k11 = j1.kappa, j1.a2, j1.kappa1, j1.kappa11
     d = k - lam

@@ -4,10 +4,13 @@ The configuration chart is (x, y, u, v, phi): surface-1 chart coordinates,
 surface-2 chart coordinates, and the contact-frame rotation angle.  The
 restricted velocity space is spanned by two fields X1, X2; their iterated
 commutators X3 = [X1, X2], X4 = [X1, X3], X5 = [X2, X3] have closed forms in
-terms of the surface frame data (X3) and jets (X4, X5), and away from
-curvature-matching points the five fields frame the space (rank growth
-2, 3, 5).  `growth_vector` ranks these closed-form rows; the
-finite-difference `lie_bracket` is kept as the tests' numerical reference.
+terms of the surface frame data (X1, X2, X3) and jets (X4, X5), and away
+from curvature-matching points the five fields frame the space (rank growth
+2, 3, 5).  `field_rows` writes the rows X1..Xn at a point from one frame
+read per surface; rolling integrates its first two rows and
+`growth_vector` ranks all five.  `velocity_fields` and `frame_fields` view
+the rows as callables, and the finite-difference `lie_bracket` is kept as
+the tests' numerical reference.
 """
 
 from __future__ import annotations
@@ -60,89 +63,61 @@ def validate_point(s1, s2, p):
     s2.validate((a[2], a[3]))
 
 
-def velocity_fields(s1, s2):
-    """The two admissible-velocity fields X1, X2 as coordinate-basis callables.
+def field_rows(s1, s2, p, n=5):
+    """Rows X1..Xn (n = 2, 3 or 5) of the derived frame at p.
 
-    These are simultaneously the no-slip/no-twist velocity fields of the
-    rolling system and the horizontal lifts of the null-plane spanning
-    vectors; the fiber coefficients are z1 = -a1 + a3 cos phi + a4 sin phi
-    and z2 = -a2 - a3 sin phi + a4 cos phi.
+    The surfaces' frame data give the orthonormal frames e1 = f1 d/dx,
+    e2 = f2 d/dy with [e1, e2] = a2 e2 and curvature kappa, and e3 = f3 d/du,
+    e4 = f4 d/dv with [e3, e4] = a4 e4 and curvature lambda.  X1, X2 are the
+    no-slip/no-twist velocity fields of the rolling system and the
+    horizontal lifts of the null-plane spanning vectors, with fiber
+    coefficients a4 sin phi and -a2 + a4 cos phi.  X3 = [X1, X2] =
+    a2 X2 + (lambda - kappa) d/dphi.  X4 = [X1, X3] and X5 = [X2, X3] are
+    expanded with no division by lambda - kappa, so they stay defined where
+    the curvatures meet; they use that the e2-derivatives of both curvatures
+    vanish and that e1(a2) = kappa + a2^2 (the structure identity of the
+    curvature).  The rows read one `frame_data` per surface, and one jet per
+    surface for n = 5.
     """
+    if n not in (2, 3, 5):
+        raise ValueError(f"field_rows writes 2, 3 or 5 rows, not {n}")
+    a = _as_point5(p)
+    q1, q2 = (a[0], a[1]), (a[2], a[3])
+    f1, f2, a2, kappa = s1.frame_data(q1)
+    f3, f4, a4, lam = s2.frame_data(q2)
+    c, s = np.cos(a[4]), np.sin(a[4])
+    rows = np.zeros((n, 5))
+    rows[0] = f1, 0.0, c * f3, s * f4, a4 * s
+    rows[1] = 0.0, f2, -s * f3, c * f4, -a2 + a4 * c
+    if n > 2:
+        rows[2] = a2 * rows[1]
+        rows[2, 4] += lam - kappa
+    if n == 5:
+        k1 = s1.jet(q1).kappa1
+        lam1 = s2.jet(q2).kappa1
+        dl = lam - kappa
+        # the X3-coefficient a2 comes from expanding a2 [X1, X2]
+        rows[3] = (kappa + a2 * a2) * rows[1] + a2 * rows[2]
+        rows[3, 2:] += dl * (s * f3), dl * (-c * f4), c * lam1 - k1 - dl * a4 * c
+        rows[4, 2:] = dl * (c * f3), dl * (s * f4), (dl * a4 - lam1) * s
+    return rows
 
-    def X1(p):
-        a = _as_point5(p)
-        d1 = s1.frame_data((a[0], a[1]))
-        d2 = s2.frame_data((a[2], a[3]))
-        f1 = s1.frame((a[0], a[1]))
-        f2 = s2.frame((a[2], a[3]))
-        c, s = np.cos(a[4]), np.sin(a[4])
-        out = np.empty(5)
-        out[0:2] = f1[0]
-        out[2:4] = c * f2[0] + s * f2[1]
-        out[4] = -d1.a1 + d2.a1 * c + d2.a2 * s
-        return out
 
-    def X2(p):
-        a = _as_point5(p)
-        d1 = s1.frame_data((a[0], a[1]))
-        d2 = s2.frame_data((a[2], a[3]))
-        f1 = s1.frame((a[0], a[1]))
-        f2 = s2.frame((a[2], a[3]))
-        c, s = np.cos(a[4]), np.sin(a[4])
-        out = np.empty(5)
-        out[0:2] = f1[1]
-        out[2:4] = -s * f2[0] + c * f2[1]
-        out[4] = -d1.a2 - d2.a1 * s + d2.a2 * c
-        return out
+def _row_field(s1, s2, n, i):
+    def X(p):
+        return field_rows(s1, s2, p, n)[i]
 
-    return X1, X2
+    return X
+
+
+def velocity_fields(s1, s2):
+    """The velocity fields (X1, X2) of `field_rows` as callables."""
+    return _row_field(s1, s2, 2, 0), _row_field(s1, s2, 2, 1)
 
 
 def frame_fields(s1, s2):
-    """Closed-form fields (X1, X2, X3, X4, X5) of the derived frame.
-
-    X4 and X5 assume the rotationally adapted frames of the catalog: a1 = 0
-    on both surfaces, so its derivatives vanish and a21 = kappa + a2^2 (the
-    structure identity of the curvature), and the e2-derivatives of both
-    curvatures vanish.  Each of X4 and X5 reads one jet per surface.
-    """
-    X1, X2 = velocity_fields(s1, s2)
-
-    def X3(p):
-        a = _as_point5(p)
-        d1 = s1.frame_data((a[0], a[1]))
-        d2 = s2.frame_data((a[2], a[3]))
-        out = d1.a1 * X1(a) + d1.a2 * X2(a)
-        out[4] += d2.kappa - d1.kappa
-        return out
-
-    def _x45(a, which):
-        # the brackets [X1, X3] and [X2, X3] as they expand, with no division
-        # by lambda - kappa, so they stay defined where the curvatures meet
-        j1 = s1.jet((a[0], a[1]))
-        j2 = s2.jet((a[2], a[3]))
-        dl = j2.kappa - j1.kappa
-        f2 = s2.frame((a[2], a[3]))
-        c, s = np.cos(a[4]), np.sin(a[4])
-        a2, a4, lam1 = j1.a2, j2.a2, j2.kappa1
-        if which == 4:
-            # the X3-coefficient a2 comes from expanding a2 [X1, X2]
-            out = (j1.kappa + a2 * a2) * X2(a) + a2 * X3(a)
-            out[4] += c * lam1 - j1.kappa1 - dl * a4 * c
-            out[2:4] += dl * (s * f2[0] - c * f2[1])
-        else:
-            out = np.zeros(5)
-            out[4] = (dl * a4 - lam1) * s
-            out[2:4] = dl * (c * f2[0] + s * f2[1])
-        return out
-
-    def X4(p):
-        return _x45(_as_point5(p), 4)
-
-    def X5(p):
-        return _x45(_as_point5(p), 5)
-
-    return X1, X2, X3, X4, X5
+    """The fields (X1, ..., X5) of `field_rows` as callables."""
+    return tuple(_row_field(s1, s2, 5, i) for i in range(5))
 
 
 def _require_noninteg(kappa, lam):
@@ -164,15 +139,11 @@ class Frame5:
         return float(np.linalg.det(self.matrix))
 
 
-def _frame_rows(s1, s2, a):
-    return np.array([f(a) for f in frame_fields(s1, s2)])
-
-
 def derived_frame(s1, s2, p):
     """Closed-form derived frame at p; requires unequal curvatures there."""
     a = _as_point5(p)
     _require_noninteg(s1.frame_data((a[0], a[1])).kappa, s2.frame_data((a[2], a[3])).kappa)
-    return Frame5(point=a, matrix=_frame_rows(s1, s2, a))
+    return Frame5(point=a, matrix=field_rows(s1, s2, a))
 
 
 def jacobian(field, p):
@@ -194,7 +165,7 @@ def jacobian(field, p):
 
 def lie_bracket(F, G, p):
     """Commutator [F, G](p) = (DG) F - (DF) G with finite-difference Jacobians:
-    the numerical reference for the closed forms of `frame_fields`."""
+    the numerical reference for the closed forms of `field_rows`."""
     a = _as_point5(p)
     JF = jacobian(F, a)
     JG = jacobian(G, a)
@@ -211,13 +182,13 @@ def growth_vector(s1, s2, p):
     """Ranks of the iterated bracket spans (2, ., .) at p.
 
     The spans are those of the closed-form rows X1, X2 | X3 | X4, X5 of
-    `frame_fields`, which stay defined at kappa = lambda.  Singular values
+    `field_rows`, which stay defined at kappa = lambda.  Singular values
     falling inside a factor-5 band around the threshold are flagged
     ill-conditioned.  Brackets that are not finite, or ranks that decrease,
     raise DomainError: the curvature is too large for the rank test.
     """
     a = _as_point5(p)
-    rows = _frame_rows(s1, s2, a)
+    rows = field_rows(s1, s2, a)
     if not np.isfinite(rows).all():
         raise _growth_error(s1, s2, a, "the brackets are not finite")
 

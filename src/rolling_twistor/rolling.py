@@ -2,20 +2,23 @@
 
 An admissible motion is a curve tangent to the velocity distribution:
 ydot = c1 X1 + c2 X2 with time-dependent controls.  Integration is a fixed
-step classical 4th-order scheme; the no-slip and no-twist diagnostics then
-measure the constraint residuals of the sampled curve with high-order
-finite differences, so the observed residuals converge at the integrator's
-order instead of being swamped by measurement error.
+step classical 4th-order scheme over the rows (X1, X2) of `field_rows`, one
+frame read per surface per stage; the no-slip and no-twist diagnostics then
+read the frame data once per sample and measure the constraint residuals of
+the sampled curve with high-order finite differences, so the observed
+residuals converge at the integrator's order instead of being swamped by
+measurement error.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .distribution5 import _as_point5, validate_point, velocity_fields
+from .distribution5 import _as_point5, field_rows, validate_point
 from .errors import DomainError, SpecParseError
 from .finitediff import check_step, cumulative_integral, sampled_derivative
 
@@ -43,7 +46,8 @@ class ControlCurve:
 
     @classmethod
     def from_file(cls, path):
-        """Rows `t, c1, c2`; comma or whitespace delimited, '#' comments."""
+        """Rows `t, c1, c2`; comma or whitespace delimited, '#' comments.
+        Every entry must be a finite number and the times must increase."""
         times = []
         values = []
         with open(path, "r", encoding="utf-8") as fh:
@@ -53,17 +57,16 @@ class ControlCurve:
                     continue
                 parts = [s for s in line.replace(",", " ").split() if s]
                 if len(parts) != 3:
-                    raise SpecParseError(
-                        f"control file {path}: line {lineno}: expected 't, c1, c2', got {raw!r}",
-                        position=lineno,
-                    )
+                    raise _control_error(path, lineno, f"expected 't, c1, c2', got {raw!r}")
                 try:
                     t, c1, c2 = (float(s) for s in parts)
                 except ValueError:
-                    raise SpecParseError(
-                        f"control file {path}: line {lineno}: non-numeric entry in {raw!r}",
-                        position=lineno,
-                    ) from None
+                    raise _control_error(path, lineno, f"non-numeric entry in {raw!r}") from None
+                if not all(map(math.isfinite, (t, c1, c2))):
+                    raise _control_error(path, lineno, f"non-finite entry in {raw!r}")
+                if times and t <= times[-1]:
+                    raise _control_error(path, lineno, f"time {t!r} does not increase on"
+                                                       f" the previous row's {times[-1]!r}")
                 times.append(t)
                 values.append((c1, c2))
         if not times:
@@ -77,6 +80,10 @@ class ControlCurve:
                 np.interp(t, self.times, self.values[:, 1]),
             ]
         )
+
+
+def _control_error(path, lineno, what):
+    return SpecParseError(f"control file {path}: line {lineno}: {what}", position=lineno)
 
 
 @dataclass(frozen=True)
@@ -97,8 +104,9 @@ class Trajectory:
         return float(self.points[-1, 4] - self.points[0, 4])
 
 
-def integrate_fields(f1, f2, start, ctrl, dt, t_end, validate=None):
-    """Fixed-step RK4 for ydot = c1(t) f1(y) + c2(t) f2(y).
+def integrate_fields(fields, start, ctrl, dt, t_end, validate=None):
+    """Fixed-step RK4 for ydot = c1(t) X1(y) + c2(t) X2(y), where
+    `fields(y)` returns the rows (X1(y), X2(y)).
 
     `validate`, when given, is called on each accepted sample; a DomainError
     aborts with the partial trajectory attached to the exception.
@@ -112,7 +120,8 @@ def integrate_fields(f1, f2, start, ctrl, dt, t_end, validate=None):
 
     def f(t, state):
         c = ctrl(t)
-        return c[0] * np.asarray(f1(state)) + c[1] * np.asarray(f2(state))
+        rows = fields(state)
+        return c[0] * rows[0] + c[1] * rows[1]
 
     t = 0.0
     for k in range(n_steps):
@@ -136,26 +145,10 @@ def integrate_fields(f1, f2, start, ctrl, dt, t_end, validate=None):
     return Trajectory(times=np.array(times), points=np.array(points), control=ctrl, dt=dt)
 
 
-def integrate(s1, s2, start, ctrl, dt, t_end, normalize_speed=False):
-    """Integrate an admissible rolling motion of s1 on s2.
-
-    With `normalize_speed`, the controls are rescaled pointwise to unit
-    norm so time is arclength on the first surface.
-    """
-    f1, f2 = velocity_fields(s1, s2)
-    if normalize_speed:
-        base = ctrl
-
-        def scaled(t):
-            c = base(t)
-            n = float(np.hypot(c[0], c[1]))
-            return c / n if n > 0 else c
-
-        control = scaled
-    else:
-        control = ctrl
-
-    return integrate_fields(f1, f2, start, control, dt, t_end,
+def integrate(s1, s2, start, ctrl, dt, t_end):
+    """Integrate an admissible rolling motion of s1 on s2: one `field_rows`
+    evaluation, one frame read per surface, per RK4 stage."""
+    return integrate_fields(lambda y: field_rows(s1, s2, y, 2), start, ctrl, dt, t_end,
                             validate=lambda y: validate_point(s1, s2, y))
 
 
@@ -176,15 +169,19 @@ class Diagnostics(NamedTuple):
 
 
 def diagnostics(traj, s1, s2):
-    """`Diagnostics` of the trajectory, from one measurement of the sampled
-    contact-curve velocities."""
-    v1, v2 = _frame_velocities(traj, s1, s2)
+    """`Diagnostics` of the trajectory, from one frame read per surface and
+    sample and one measurement of the sampled contact-curve velocities."""
+    d1 = np.array([s1.frame_data((x, y)) for x, y in traj.points[:, 0:2]])
+    d2 = np.array([s2.frame_data((u, v)) for u, v in traj.points[:, 2:4]])
+    v1, v2 = _frame_velocities(traj, d1, d2)
     no_slip = 0.0
     for k in range(len(traj)):
         rotated = _rotation(traj.points[k, 4]) @ v1[k]
         no_slip = max(no_slip, float(np.linalg.norm(rotated - v2[k])))
     L1, L2 = (float(cumulative_integral(np.linalg.norm(v, axis=1), traj.dt)[-1]) for v in (v1, v2))
-    return Diagnostics(no_slip, _no_twist(traj, s1, s2, v1, v2), L1, L2)
+    # the connection form a2 v^2 along each contact curve
+    gamma1, gamma2 = d1[:, 2] * v1[:, 1], d2[:, 2] * v2[:, 1]
+    return Diagnostics(no_slip, _no_twist(traj, gamma1, gamma2), L1, L2)
 
 
 def no_slip_residual(traj, s1, s2):
@@ -199,23 +196,16 @@ def contact_arclengths(traj, s1, s2):
     return diagnostics(traj, s1, s2)[2:]
 
 
-def _frame_velocities(traj, s1, s2):
+def _frame_velocities(traj, d1, d2):
     """Frame components of the sampled contact-curve velocities.
 
-    Returns (v1, v2): arrays (n, 2) with the orthonormal-frame components of
-    the chart velocities on each surface, measured by sixth-order finite
-    differences of the samples.
+    `d1`, `d2` hold the frame data (f1, f2, a2, kappa) of each surface at
+    each sample.  Returns (v1, v2): arrays (n, 2) with the orthonormal-frame
+    components of the chart velocities on each surface, measured by
+    sixth-order finite differences of the samples.
     """
     vel = sampled_derivative(traj.points, traj.dt)
-    n = len(traj)
-    v1 = np.empty((n, 2))
-    v2 = np.empty((n, 2))
-    for k, (p, dp) in enumerate(zip(traj.points, vel)):
-        F1 = s1.frame((p[0], p[1]))
-        F2 = s2.frame((p[2], p[3]))
-        v1[k] = np.linalg.solve(F1.T, dp[0:2])
-        v2[k] = np.linalg.solve(F2.T, dp[2:4])
-    return v1, v2
+    return vel[:, 0:2] / d1[:, 0:2], vel[:, 2:4] / d2[:, 0:2]
 
 
 def _rotation(phi):
@@ -223,18 +213,10 @@ def _rotation(phi):
     return np.array([[c, -s], [s, c]])
 
 
-def _no_twist(traj, s1, s2, v1, v2):
+def _no_twist(traj, gamma1, gamma2):
     """The transport equation vdot = gamma1(t) J v (J the rotation generator)
     integrates in closed form to a rotation by the time integral of gamma1,
     which is evaluated with high-order quadrature of the sampled data."""
-    n = len(traj)
-    gamma1 = np.empty(n)
-    gamma2 = np.empty(n)
-    for k, p in enumerate(traj.points):
-        d1 = s1.frame_data((p[0], p[1]))
-        d2 = s2.frame_data((p[2], p[3]))
-        gamma1[k] = d1.a1 * v1[k, 0] + d1.a2 * v1[k, 1]
-        gamma2[k] = d2.a1 * v2[k, 0] + d2.a2 * v2[k, 1]
     theta = cumulative_integral(gamma1, traj.dt)
     v = np.einsum("kij,j->ki", np.array([_rotation(t) for t in theta]), np.array([1.0, 0.0]))
     w = np.einsum("kij,kj->ki", np.array([_rotation(p[4]) for p in traj.points]), v)

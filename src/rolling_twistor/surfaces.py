@@ -1,14 +1,17 @@
-"""Surface catalog: orthonormal frames, Gaussian curvature, and pointwise jets.
+"""Surface catalog: orthogonal frames, Gaussian curvature, and pointwise jets.
 
-Every family carries a rotationally adapted orthonormal frame (e1, e2) with
-[e1, e2] = a1 e1 + a2 e2 and a1 = 0, so the curvature depends on one profile
-coordinate only and the derivative of the curvature along e2 vanishes.  The
-frame data of a surface at a point is (a1, a2, kappa), in closed form; it is
-all the velocity fields, their first bracket and the rolling diagnostics
-read.  The jet adds the e1-derivatives of kappa up to fourth order; this is
-exactly the data the quartic invariant formulas consume.  `jet` also takes a
-stack of chart points, a pair of 1-D coordinate arrays, and evaluates the
-whole stack in one pass; each point rounds as it does on its own.
+Every family has an orthogonal chart (t, psi) whose orthonormal frame is
+e1 = f1 d/dt, e2 = f2 d/dpsi, with [e1, e2] = a2 e2: the frame is adapted to
+the family's symmetry (the rotation, or the translation in y for the plane's
+Cartesian chart), so the curvature depends on t only and its derivative
+along e2 vanishes.  The frame data of a
+surface at a point is (f1, f2, a2, kappa), in closed form; it is all the
+velocity fields, their first bracket, the rolling diagnostics and the
+oracle's coframe read.  The jet holds (a2, kappa) and the e1-derivatives of
+kappa up to fourth order; this is exactly the data the quartic invariant
+formulas consume.  `jet` also takes a stack of chart points, a pair of 1-D
+coordinate arrays, and evaluates the whole stack in one pass; each point
+rounds as it does on its own.
 
 Revolution-type families use coordinates (rho, psi) with metric
 (beta + alpha rho^2)^2 drho^2 + rho^2 dpsi^2 and frame
@@ -31,32 +34,28 @@ REVOLUTION_MARGIN = 1e-6  # keep |beta + alpha rho^2| away from the frame degene
 
 
 class FrameData(NamedTuple):
-    """Connection coefficients (a1, a2) of the frame and the Gaussian
-    curvature kappa at a point: the first three fields of the jet."""
+    """The surface at a chart point: the orthonormal frame e1 = f1 d/dt,
+    e2 = f2 d/dpsi, its connection coefficient a2 ([e1, e2] = a2 e2) and the
+    Gaussian curvature kappa."""
 
-    a1: float
+    f1: float
+    f2: float
     a2: float
     kappa: float
 
 
 @dataclass(frozen=True)
 class SurfaceJet:
-    """Pointwise jet: the frame data (a1, a2, kappa) and the e1-derivatives
-    of kappa up to fourth order.
+    """Pointwise jet: a2 and kappa, as in the frame data, and the
+    e1-derivatives of kappa up to fourth order.  The jet of a stack of points
+    has a 1-D array in every field."""
 
-    `killing` asserts the frame is adapted to a rotational symmetry (a1 = 0
-    and the e2-derivative of kappa vanishes); every catalog family is.  The
-    jet of a stack of points has a 1-D array in every numeric field.
-    """
-
-    a1: float
     a2: float
     kappa: float
     kappa1: float = 0.0
     kappa11: float = 0.0
     kappa111: float = 0.0
     kappa1111: float = 0.0
-    killing: bool = True
 
     def scaled(self, s0):
         """Jet of the same point after multiplying the metric by s0^2."""
@@ -64,47 +63,37 @@ class SurfaceJet:
         if s == 0.0:
             raise ValueError("scale factor must be nonzero")
         return SurfaceJet(
-            a1=self.a1 / s,
             a2=self.a2 / s,
             kappa=self.kappa / s**2,
             kappa1=self.kappa1 / s**3,
             kappa11=self.kappa11 / s**4,
             kappa111=self.kappa111 / s**5,
             kappa1111=self.kappa1111 / s**6,
-            killing=self.killing,
         )
 
     def as_array(self):
         return np.array(
-            [self.a1, self.a2, self.kappa, self.kappa1, self.kappa11, self.kappa111, self.kappa1111]
+            [self.a2, self.kappa, self.kappa1, self.kappa11, self.kappa111, self.kappa1111]
         )
 
     def points(self):
         """The single-point jets, with float fields, of the jet of a stack."""
-        return [SurfaceJet(*row, killing=self.killing) for row in self.as_array().T.tolist()]
+        return [SurfaceJet(*row) for row in self.as_array().T.tolist()]
 
 
 class Surface:
-    """Base class; concrete families implement jets, frames and domains."""
+    """Base class; concrete families implement frame data, jets and domains."""
 
     kind = "surface"
     is_constant_curvature = False
 
     def frame_data(self, p) -> FrameData:
-        """(a1, a2, kappa) at p, equal to the first three fields of `jet`."""
+        """(f1, f2, a2, kappa) at p; a2 and kappa equal those of `jet`."""
         raise NotImplementedError
 
     def jet(self, p) -> SurfaceJet:
         """Jet at a chart point, or at each point of a stack (see module doc)."""
         raise NotImplementedError
-
-    def frame(self, p):
-        """2x2 matrix, rows = chart components of (e1, e2)."""
-        raise NotImplementedError
-
-    def coframe(self, p):
-        """2x2 matrix, rows = chart components of (sigma^1, sigma^2)."""
-        return np.linalg.inv(self.frame(p).T).T
 
     def validate(self, p):
         """Raise DomainError if p lies outside the chart domain."""
@@ -172,18 +161,14 @@ def _each_point(p, fn):
     return out
 
 
-def _zeros_like(x):
-    return np.zeros_like(x) if isinstance(x, np.ndarray) else 0.0
-
-
 def _constant_jet(surface, p):
     """Jet of a constant-curvature family: its frame data, with vanishing
     curvature derivatives."""
     if not _is_stack(p):
-        return SurfaceJet(*surface.frame_data(p))
-    a1, a2, kappa = np.array(_each_point(p, surface.frame_data)).T
-    zero = _zeros_like(kappa)
-    return SurfaceJet(a1, a2, kappa, zero, zero, zero, zero)
+        return SurfaceJet(*surface.frame_data(p)[2:])
+    _, _, a2, kappa = np.array(_each_point(p, surface.frame_data)).T
+    zero = np.zeros_like(kappa)
+    return SurfaceJet(a2, kappa, zero, zero, zero, zero)
 
 
 @dataclass(frozen=True)
@@ -200,13 +185,11 @@ class Plane(Surface):
             raise ValueError("plane scale must be a positive number with a finite inverse")
 
     def frame_data(self, p):
-        return FrameData(0.0, 0.0, 0.0)
+        f = 1.0 / self.scale
+        return FrameData(f, f, 0.0, 0.0)
 
     def jet(self, p):
         return _constant_jet(self, p)
-
-    def frame(self, p):
-        return np.eye(2) / self.scale
 
     def scaled(self, s0):
         _check_scale(s0)
@@ -241,16 +224,11 @@ class Sphere(Surface):
         self.validate(p)
         theta = p[0]
         r = self.radius
-        return FrameData(0.0, -math.cos(theta) / (r * math.sin(theta)), 1.0 / r**2)
+        rs = r * math.sin(theta)
+        return FrameData(1.0 / r, 1.0 / rs, -math.cos(theta) / rs, 1.0 / r**2)
 
     def jet(self, p):
         return _constant_jet(self, p)
-
-    def frame(self, p):
-        self.validate(p)
-        theta = p[0]
-        r = self.radius
-        return np.array([[1.0 / r, 0.0], [0.0, 1.0 / (r * math.sin(theta))]])
 
     def scaled(self, s0):
         _check_scale(s0)
@@ -285,16 +263,11 @@ class Hyperbolic(Surface):
         self.validate(p)
         theta = p[0]
         r = self.radius
-        return FrameData(0.0, -math.cosh(theta) / (r * math.sinh(theta)), -1.0 / r**2)
+        rs = r * math.sinh(theta)
+        return FrameData(1.0 / r, 1.0 / rs, -math.cosh(theta) / rs, -1.0 / r**2)
 
     def jet(self, p):
         return _constant_jet(self, p)
-
-    def frame(self, p):
-        self.validate(p)
-        theta = p[0]
-        r = self.radius
-        return np.array([[1.0 / r, 0.0], [0.0, 1.0 / (r * math.sinh(theta))]])
 
     def scaled(self, s0):
         _check_scale(s0)
@@ -338,7 +311,7 @@ class _RevolutionBase(Surface):
         rho = _profile_coordinate(p)
         h = self.h(rho)
         # h*h*h rounds as TaylorJet's h**3 does, so kappa equals the jet's bit for bit
-        return FrameData(0.0, -1.0 / (rho * h), 2.0 * self.alpha / (h * h * h))
+        return FrameData(1.0 / h, 1.0 / rho, -1.0 / (rho * h), 2.0 * self.alpha / (h * h * h))
 
     def jet(self, p):
         rho = self._rho(p)
@@ -348,11 +321,6 @@ class _RevolutionBase(Surface):
         h = self.beta + self.alpha * r * r
         kappa = 2.0 * self.alpha / h**3
         return _jet_from_series(kappa, h, a2=-1.0 / (rho * self.h(rho)))
-
-    def frame(self, p):
-        self.validate(p)
-        rho = p[0]
-        return np.array([[1.0 / self.h(rho), 0.0], [0.0, 1.0 / rho]])
 
     def profile_range(self):
         return (0.5, 2.0)
@@ -365,7 +333,6 @@ def _jet_from_series(kappa_series, h_series, a2):
         f = f.derivative() / h_series.truncate(f.order - 1)
         derivs.append(f.value)
     return SurfaceJet(
-        a1=_zeros_like(a2),
         a2=a2,
         kappa=derivs[0],
         kappa1=derivs[1],
@@ -463,7 +430,8 @@ class CustomRevolution(_RevolutionBase):
 
     def frame_data(self, p):
         j = self.jet(p)
-        return FrameData(j.a1, j.a2, j.kappa)
+        rho = _profile_coordinate(p)
+        return FrameData(1.0 / self.h(rho), 1.0 / rho, j.a2, j.kappa)
 
     def jet(self, p):
         rho = self._rho(p)

@@ -59,7 +59,7 @@ def test_criterion_1_constant_curvature_factorization():
             count += 1
             P = (k - lam) ** 4 * (k - 9.0 * lam) * (9.0 * k - lam)
             expected = P * pattern
-            got = np.array(quartic_killing_case(SurfaceJet(a1=0.0, a2=RNG.uniform(-2, 2), kappa=k), lam))
+            got = np.array(quartic_killing_case(SurfaceJet(a2=RNG.uniform(-2, 2), kappa=k), lam))
             assert np.allclose(got, expected, rtol=1e-12, atol=1e-12 * max(abs(P), 1.0))
 
     _report(1, "constant-curvature quartic factorization (50 random pairs, rel 1e-12)", 1.0, body)

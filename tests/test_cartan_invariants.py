@@ -22,7 +22,7 @@ RNG = np.random.default_rng(99)
 
 
 def const_jet(kappa, a2=0.0):
-    return SurfaceJet(a1=0.0, a2=a2, kappa=kappa)
+    return SurfaceJet(a2=a2, kappa=kappa)
 
 
 class TestQuarticKillingCase:
@@ -57,11 +57,6 @@ class TestQuarticKillingCase:
     def test_integrable_point_rejected(self):
         with pytest.raises(IntegrablePointError):
             quartic_killing_case(const_jet(1.0), 1.0)
-
-    def test_non_killing_jet_rejected(self):
-        jet = SurfaceJet(a1=0.5, a2=0.0, kappa=1.0, killing=False)
-        with pytest.raises(ValueError):
-            quartic_killing_case(jet, 0.0)
 
     def test_matches_constant_specialization_randomly(self):
         for _ in range(50):

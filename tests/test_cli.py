@@ -555,6 +555,37 @@ class TestRollInputs:
                       "--control", str(ctrl), "--dt", "0.01", f"--T={T!r}")
         assert code == 0
 
+    def _roll_with_rows(self, tmp_path, capsys, rows):
+        ctrl = tmp_path / "ctrl.csv"
+        ctrl.write_text("# t, c1, c2\n" + "\n".join(rows) + "\n")
+        code, text = run(tmp_path, "roll", "--s1", "sphere:r=1", "--s2", "plane",
+                         "--start", "1.2,0,0,0,0", "--control", str(ctrl), "--dt", "0.01")
+        return code, text, capsys.readouterr().err, ctrl
+
+    @pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
+    def test_control_file_non_finite_time_names_the_line(self, tmp_path, capsys, t):
+        rows = ["0.0, 1.0, 0.0", f"{t}, 1.0, 0.0", "1.0, 1.0, 0.0"]
+        code, text, err, ctrl = self._roll_with_rows(tmp_path, capsys, rows)
+        assert code == 2
+        assert text == ""
+        assert err == f"error: control file {ctrl}: line 3: non-finite entry in '{t}, 1.0, 0.0\\n'\n"
+
+    @pytest.mark.parametrize("c", ["nan", "inf"])
+    def test_control_file_non_finite_control_names_the_line(self, tmp_path, capsys, c):
+        rows = ["0.0, 1.0, 0.0", f"0.5, {c}, 0.0", "1.0, 1.0, 0.0"]
+        code, text, err, ctrl = self._roll_with_rows(tmp_path, capsys, rows)
+        assert code == 2
+        assert text == ""
+        assert err == f"error: control file {ctrl}: line 3: non-finite entry in '0.5, {c}, 0.0\\n'\n"
+
+    def test_control_file_repeated_time_names_the_line(self, tmp_path, capsys):
+        rows = ["0.0, 1.0, 0.0", "0.5, 1.0, 0.0", "0.5, 0.0, 1.0", "1.0, 1.0, 0.0"]
+        code, text, err, ctrl = self._roll_with_rows(tmp_path, capsys, rows)
+        assert code == 2
+        assert text == ""
+        assert err == (f"error: control file {ctrl}: line 4: time 0.5 does not increase"
+                       " on the previous row's 0.5\n")
+
     def test_chart_exit_names_last_valid_time(self, tmp_path, capsys):
         code, text = run(tmp_path, "roll", "--s1", "sphere:r=1", "--s2", "plane",
                          "--start", "3.0,0,0,0,0", "--dt", "0.01", "--T", "1.0")

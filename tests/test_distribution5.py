@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from rolling_twistor.distribution5 import (
     ConfigPoint,
     derived_frame,
+    field_rows,
     frame_fields,
     growth_vector,
     jacobian,
@@ -72,7 +73,7 @@ class TestVelocityFields:
         assert np.allclose(X2(p), [0, 1, -np.sin(phi), np.cos(phi), 0])
 
     def test_sphere_on_plane_fiber_coefficient(self):
-        # z1 = -a1 = 0 in the rotationally adapted frame; z2 = -a2
+        # z1 = a4 sin phi = 0 on the plane; z2 = -a2 + a4 cos phi = -a2
         X1, X2 = velocity_fields(SPHERE, PLANE)
         p = np.array([np.pi / 2, 0.3, 0.0, 0.0, 0.4])
         assert X1(p)[4] == pytest.approx(0.0)
@@ -82,16 +83,36 @@ class TestVelocityFields:
     def test_matches_connection_lift_composition(self):
         # the fiber coefficients must equal the horizontal corrections built
         # from the product-frame connection coefficients
+        # (the frames are rotationally adapted, so a1 = a3 = 0)
         for p in random_sphere_plane_points(100):
-            j1 = SPHERE.jet((p[0], p[1]))
-            j2 = PLANE.jet((p[2], p[3]))
-            gamma = levi_civita_from_structure(
-                product_structure_functions(j1.a1, j1.a2, j2.a1, j2.a2)
-            )
+            a2 = SPHERE.frame_data((p[0], p[1])).a2
+            a4 = PLANE.frame_data((p[2], p[3])).a2
+            gamma = levi_civita_from_structure(product_structure_functions(0.0, a2, 0.0, a4))
             z1, z2 = horizontal_corrections(gamma, p[4])
             X1, X2 = velocity_fields(SPHERE, PLANE)
             assert abs(X1(p)[4] - z1) < 1e-12
             assert abs(X2(p)[4] - z2) < 1e-12
+
+
+class TestFieldRows:
+    @pytest.mark.parametrize(
+        "s1, s2, p",
+        [
+            (SPHERE, PLANE, np.array([1.1, 0.2, 0.3, -0.1, 0.5])),
+            (g2_family(1), RevolutionProfile(2.0, 1.0), np.array([0.9, 0.1, 1.2, 0.4, 1.5])),
+            (g2_family(-1), Hyperbolic(2.0), np.array([1.5, 0.0, 0.7, 0.0, -0.0])),
+        ],
+    )
+    def test_fewer_rows_are_the_leading_rows(self, s1, s2, p):
+        rows = field_rows(s1, s2, p)
+        assert rows.shape == (5, 5)
+        for n in (2, 3):
+            assert field_rows(s1, s2, p, n).tobytes() == rows[:n].tobytes()
+
+    @pytest.mark.parametrize("n", [0, 1, 4, 6])
+    def test_other_row_counts_rejected(self, n):
+        with pytest.raises(ValueError, match="2, 3 or 5 rows"):
+            field_rows(SPHERE, PLANE, np.array([1.1, 0.2, 0.3, -0.1, 0.5]), n)
 
 
 class TestLieBracket:
@@ -102,7 +123,7 @@ class TestLieBracket:
 
     def test_sphere_on_plane_first_bracket(self):
         # fiber component of [X1, X2] equals lambda - kappa = -1 everywhere;
-        # the rest is a1 X1 + a2 X2 (a1 = 0 here)
+        # the rest is a2 X2
         X1, X2 = velocity_fields(SPHERE, PLANE)
         for p in random_sphere_plane_points(5):
             b = lie_bracket(X1, X2, p)

@@ -1,5 +1,5 @@
-"""Closed-form frame data (a1, a2, kappa) against the full jet, and which
-callers read which."""
+"""Closed-form frame data (f1, f2, a2, kappa) against the full jet and the
+metric, and which callers read which."""
 
 import math
 
@@ -20,6 +20,7 @@ from rolling_twistor.surfaces import (
     RevolutionProfile,
     Sphere,
 )
+from rolling_twistor.taylor import TaylorJet
 
 PROPERTY = settings(derandomize=True, max_examples=300, deadline=None)
 
@@ -74,7 +75,36 @@ def test_frame_data_equals_leading_jet_fields(case):
     jet = surface.jet(p)
     fd = surface.frame_data(p)
     assert isinstance(fd, FrameData)
-    assert fd == (jet.a1, jet.a2, jet.kappa)
+    assert (fd.a2, fd.kappa) == (jet.a2, jet.kappa)
+
+
+def _metric(surface, t):
+    """(E, G) of the family's metric E dt^2 + G dpsi^2 at profile coordinate
+    t, as order-1 jets in t built from the family's parameters."""
+    x = TaylorJet.variable(float(t), 1)
+    if isinstance(surface, Plane):
+        c = TaylorJet.constant(surface.scale**2, 1)
+        return c, c
+    if isinstance(surface, (Sphere, Hyperbolic)):
+        r = surface.radius
+        w = x.sin() if isinstance(surface, Sphere) else x.sinh()
+        return TaylorJet.constant(r * r, 1), (r * w) ** 2
+    h = surface.beta + surface.alpha * x * x
+    return h * h, x * x
+
+
+@PROPERTY
+@given(surface_points())
+def test_frame_data_is_the_orthonormal_frame_of_the_metric(case):
+    # (1/f1)^2 dt^2 + (1/f2)^2 dpsi^2 is the metric, and [e1, e2] = a2 e2
+    # with a2 = f1 (d f2/dt) / f2, where f2 = 1/sqrt(G)
+    surface, p = case
+    f1, f2, a2, _ = surface.frame_data(p)
+    E, G = _metric(surface, p[0])
+    assert (1.0 / f1) ** 2 == pytest.approx(E.value, rel=1e-12)
+    assert (1.0 / f2) ** 2 == pytest.approx(G.value, rel=1e-12)
+    df2 = (1.0 / G.sqrt()).derivative().value
+    assert a2 == pytest.approx(f1 * df2 / f2, rel=1e-9, abs=1e-12 * abs(f1))
 
 
 @pytest.mark.parametrize(
@@ -100,19 +130,28 @@ def test_frame_data_raises_the_jets_domain_error(surface, p):
     assert str(from_frame_data.value) == str(from_jet.value)
 
 
-@pytest.fixture
-def jet_calls(monkeypatch):
-    """Surfaces whose `jet` is called, one entry per call."""
+def _surface_calls(monkeypatch, method):
+    """Surfaces whose `method` is called, one entry per call."""
     calls = []
     for cls in (Plane, Sphere, Hyperbolic, surfaces._RevolutionBase):
-        original = cls.__dict__["jet"]
+        original = cls.__dict__[method]
 
         def spy(self, p, _original=original):
             calls.append(self)
             return _original(self, p)
 
-        monkeypatch.setattr(cls, "jet", spy)
+        monkeypatch.setattr(cls, method, spy)
     return calls
+
+
+@pytest.fixture
+def jet_calls(monkeypatch):
+    return _surface_calls(monkeypatch, "jet")
+
+
+@pytest.fixture
+def frame_data_calls(monkeypatch):
+    return _surface_calls(monkeypatch, "frame_data")
 
 
 S1 = G2Family(1)
@@ -129,8 +168,25 @@ def test_growth_vector_reads_one_jet_per_surface_for_x4_and_x5(jet_calls, monkey
 
     monkeypatch.setattr(distribution5, "lie_bracket", spy)
     assert growth_vector(S1, S2, np.array([0.8, 0.1, 1.2, 0.2, 0.3])).ranks == (2, 3, 5)
-    assert jet_calls == [S1, S2, S1, S2]
+    assert jet_calls == [S1, S2]
     assert brackets == []
+
+
+def test_growth_point_reads_one_frame_and_one_jet_per_surface(jet_calls, frame_data_calls):
+    # two revolution surfaces: the jet of a constant-curvature surface is
+    # itself built from its frame data
+    s2 = RevolutionProfile(2.0, 1.0)
+    assert growth_vector(S1, s2, np.array([0.8, 0.1, 1.2, 0.2, 0.3])).ranks == (2, 3, 5)
+    assert frame_data_calls == [S1, s2]
+    assert jet_calls == [S1, s2]
+
+
+def test_rk4_step_reads_one_frame_per_surface_and_stage(jet_calls, frame_data_calls):
+    start = np.array([0.8, 0.1, 1.2, 0.2, 0.3])
+    traj = integrate(S1, S2, start, ControlCurve.constant(0.7, 0.4, t_end=0.01), 0.01, 0.01)
+    assert len(traj) == 2  # one step
+    assert frame_data_calls == [S1, S2] * 4
+    assert jet_calls == []
 
 
 def test_rolling_reads_no_jet(jet_calls):

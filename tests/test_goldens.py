@@ -1,5 +1,6 @@
-"""Golden outputs of the README command-line examples, plus the growth
-sweep and a roll driven by a control file.
+"""Golden outputs of the README command-line examples, plus growth sweeps,
+rolls (one driven by a control file) and an oracle run on revolution and
+hyperbolic surfaces.
 
 Each example runs through `cli.main` with `-o` into a temporary file; the
 sha256 of the exit code and the file bytes must match the recorded value.
@@ -59,6 +60,22 @@ MORE_EXAMPLES = {
         ["roll", "--s1", "sphere:r=1", "--s2", "plane", "--start", "1.2,0.1,0,0,0",
          "--control", "{control}", "--dt", "0.01", "--T", "0.5"],
         "36a1debdbaf44c33a098c3929230611ecc70e80c9cf25f8b66031dae41e3131d",
+    ),
+    # revolution and hyperbolic frames in roll, the oracle and growth, away
+    # from the sphere/plane pair above
+    "roll_g2_minus_on_hyperbolic": (
+        ["roll", "--s1", "g2:eps=-1", "--s2", "hyperbolic:r=2", "--start", "1.5,0,0.7,0,1",
+         "--c1", "0.6", "--c2", "-0.8", "--dt", "0.01", "--T", "0.5"],
+        "89cc3add7f81d841af7a4cf1fba814a7432447d1dc51e34a9045b75ae3ae4c59",
+    ),
+    "oracle_profile_on_hyperbolic": (
+        ["oracle", "--s1", "profile:alpha=1,beta=-5", "--s2", "hyperbolic:r=1",
+         "--rho=0.5:1.9:3", "--points", "3", "--phi", "2"],
+        "79ed41e1c5b5f9140e7ef8da402ede9b5621ccaffd305d74db6ad8e61e2200ec",
+    ),
+    "growth_g2_zero_on_sphere": (
+        ["growth", "--s1", "g2:eps=0", "--s2", "sphere:r=2", "--rho=0.6:2.5:6", "--phi", "4"],
+        "13a51628f8bf3e9ed6bce5b0e8117baab58fce4d65ed3e7432953c272dded3ff",
     ),
 }
 

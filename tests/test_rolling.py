@@ -140,23 +140,16 @@ class TestNoTwist:
     def test_fiber_violating_curve_has_large_residual(self):
         # drop the fiber correction from the velocity fields: the motion
         # slides the contact frames against parallel transport
-        from rolling_twistor.distribution5 import velocity_fields
+        from rolling_twistor.distribution5 import field_rows
 
-        f1, f2 = velocity_fields(SPHERE, PLANE)
-
-        def bad1(p):
-            v = f1(p)
-            v[4] = 0.0
-            return v
-
-        def bad2(p):
-            v = f2(p)
-            v[4] = 0.0
-            return v
+        def bad(p):
+            rows = field_rows(SPHERE, PLANE, p, 2)
+            rows[:, 4] = 0.0
+            return rows
 
         ctrl = ControlCurve.constant(0.0, 1.0)
         start = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
-        traj = integrate_fields(bad1, bad2, start, ctrl, 1e-2, 1.0)
+        traj = integrate_fields(bad, start, ctrl, 1e-2, 1.0)
         # a2 = -cot(1) so the twist defect is order |a2| ~ 0.64
         assert no_twist_residual(traj, SPHERE, PLANE) > 0.1
 
@@ -189,15 +182,6 @@ class TestArclengths:
         L1, L2 = contact_arclengths(traj, SPHERE, PLANE)
         assert L1 == pytest.approx(0.0, abs=1e-12)
         assert L2 == pytest.approx(0.0, abs=1e-12)
-
-
-class TestNormalizedControls:
-    def test_time_becomes_arclength(self):
-        # controls (2, 0) rescaled to unit speed: length equals duration
-        traj = integrate(SPHERE, PLANE, np.array([0.8, 0, 0, 0, 0]),
-                         ControlCurve.constant(2.0, 0.0), 1e-3, 0.5, normalize_speed=True)
-        L1, _ = contact_arclengths(traj, SPHERE, PLANE)
-        assert L1 == pytest.approx(0.5, abs=1e-9)
 
 
 class TestHolonomy:
