@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import math
 import os
 import sys
@@ -306,10 +307,17 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser of `main`, built on its first call, not at import: argparse
+    keeps no state between `parse_args` calls, and the build costs more than
+    a parse."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

@@ -9,18 +9,27 @@ coframe duals recovers the quartic coefficients up to a common nonvanishing
 factor.  Agreement with the closed forms is therefore a genuine two-route
 consistency check, and the vanishing of the full Weyl tensor (conformal
 flatness) is an independent maximal-symmetry detector.
+
+The coframes and the metric take one chart point or an (m, 5) stack of
+points through one code path (a point is a stack of one), and each row
+rounds as it does on its own: squares go through the C library's pow, as
+a float's ** does.  The curvature calls the metric once per point, on the
+whole finite-difference stencil of both steps.  A stack that fails raises
+the error of its first failing row, as that row raises on its own.
 """
 
 from __future__ import annotations
 
+import errno
+import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .cartan_invariants import CartanQuartic
-from .distribution5 import _as_point5, _require_noninteg
-from .errors import DomainError
+from .distribution5 import ConfigPoint, _as_point5, _require_noninteg
+from .errors import DomainError, RollingTwistorError
 from .finitediff import check_step, richardson
 
 # constant coefficient matrix of the metric in the theta basis:
@@ -38,18 +47,61 @@ def _require_constant(s2):
         raise ValueError("the oracle requires a constant-curvature second surface")
 
 
+def _as_stack5(p):
+    """The chart points of p as an (m, 5) array, and whether p was one point
+    (a point is a stack of one)."""
+    if isinstance(p, ConfigPoint) or np.ndim(p) == 1:
+        return _as_point5(p)[None], True
+    a = np.asarray(p, dtype=float)
+    if a.ndim != 2 or a.shape[1] != 5:
+        raise ValueError("configuration points have 5 coordinates")
+    return a, False
+
+
+def _stacked(fn, p):
+    """(a, fn(a)) for the (m, 5) stack a of the chart points p, or their
+    first rows if p is one point.  numpy's floating-point warnings are off:
+    fn checks for non-finite values itself.  If fn raises, each row is
+    evaluated on its own, in order, so the error raised is that of the first
+    row that fails."""
+    a, single = _as_stack5(p)
+    with np.errstate(all="ignore"):
+        try:
+            out = fn(a)
+        except (RollingTwistorError, ArithmeticError, ValueError):
+            if len(a) > 1:
+                for i in range(len(a)):
+                    fn(a[i : i + 1])
+            raise
+    return (a[0], out[0]) if single else (a, out)
+
+
+def _square(x):
+    """x**2 of each entry, rounded as a float's ** rounds it (the C library's
+    pow, where numpy's x**2 is x*x; the two differ in the last bit for a
+    small share of x)."""
+    return np.float_power(x, 2.0)
+
+
+def _overflows(x, x2):
+    """Where the square x2 of a finite x is infinite: there a float's **
+    raises OverflowError."""
+    return np.isfinite(x) & np.isinf(x2)
+
+
 def _sigma_rows(d1, d2):
-    """Rows sigma^1..sigma^4 in the cobasis (dx, dy, du, dv, dphi): the duals
-    dx/f1, dy/f2, du/f3, dv/f4 of the surfaces' frames, given their frame
-    data d1, d2."""
-    rows = np.zeros((4, 5))
-    rows[0, 0], rows[1, 1] = 1.0 / d1.f1, 1.0 / d1.f2
-    rows[2, 2], rows[3, 3] = 1.0 / d2.f1, 1.0 / d2.f2
+    """Rows sigma^1..sigma^4 in the cobasis (dx, dy, du, dv, dphi), as an
+    (m, 4, 5) stack: the duals dx/f1, dy/f2, du/f3, dv/f4 of the surfaces'
+    frames, given their frame data d1, d2 at m points."""
+    rows = np.zeros((len(d1.f1), 4, 5))
+    rows[:, 0, 0], rows[:, 1, 1] = 1.0 / d1.f1, 1.0 / d1.f2
+    rows[:, 2, 2], rows[:, 3, 3] = 1.0 / d2.f1, 1.0 / d2.f2
     return rows
 
 
 def omega_coframe(s1, s2, p):
-    """Rows omega_1..omega_5 of the adapted coframe at p.
+    """Rows omega_1..omega_5 of the adapted coframe at p, or at each point of
+    an (m, 5) stack.
 
     These dualize the frame (X1, X2, X3, X4 - a2 X3, X5): same
     filtration spans as the commutator frame, with the fourth slot shifted
@@ -58,55 +110,63 @@ def omega_coframe(s1, s2, p):
     The second surface must have constant curvature.
     """
     _require_constant(s2)
-    a = _as_point5(p)
-    return _omega_rows(a, *_surface_data(s1, s2, a))
+    return _stacked(lambda a: _omega_rows(a, *_surface_data(s1, s2, a)), p)[1]
 
 
 def _surface_data(s1, s2, a):
-    """(j1, d1, d2) at the chart point a: the jet and frame data of the first
-    surface and the frame data of the second."""
-    q1 = (a[0], a[1])
-    return s1.jet(q1), s1.frame_data(q1), s2.frame_data((a[2], a[3]))
+    """(j1, d1, d2) at the chart points a, an (m, 5) stack: the jet and frame
+    data of the first surface and the frame data of the second, with a 1-D
+    array in every field."""
+    q1 = (a[:, 0], a[:, 1])
+    return s1.jet(q1), s1.frame_data(q1), s2.frame_data((a[:, 2], a[:, 3]))
+
+
+def _column(x):
+    return np.asarray(x, dtype=float)[:, None]
 
 
 def _omega_rows(a, j1, d1, d2):
-    """omega_coframe at the chart point a, given the jet j1 and frame data d1
-    of the first surface and the frame data d2 of the second there."""
-    k, lam = j1.kappa, d2.kappa
-    _require_noninteg(k, lam)
-    a2, a4, k1 = j1.a2, d2.a2, j1.kappa1
+    """omega_coframe at the chart points a, an (m, 5) stack, as (m, 5, 5)
+    rows, given the jet j1 and frame data d1 of the first surface and the
+    frame data d2 of the second there."""
+    _require_noninteg(j1.kappa, d2.kappa)
+    k, lam, a2, a4, k1 = map(_column, (j1.kappa, d2.kappa, j1.a2, d2.a2, j1.kappa1))
     d = k - lam
-    c, s = np.cos(a[4]), np.sin(a[4])
+    c, s = _column(np.cos(a[:, 4])), _column(np.sin(a[:, 4]))
     sig = _sigma_rows(d1, d2)
+    sig0, sig1, sig2, sig3 = (sig[:, i] for i in range(4))
     dphi = np.zeros(5)
     dphi[4] = 1.0
 
-    w = np.zeros((5, 5))
-    w[0] = sig[0]
-    try:
-        c2 = 2.0 * a2**2 * k + 2.0 * k**2 - a2 * k1 - 2.0 * a2**2 * lam - 3.0 * k * lam + lam**2
-        c3 = a2**2 * k + k**2 - a2 * k1 - a2**2 * lam - k * lam
-        w[1] = (
-            c2 * sig[1] + c3 * s * sig[2] - (a2 * a4 * d + c3 * c) * sig[3]
-        ) / d**2 + a2 * dphi / d
-        w[2] = (
-            (-a2 * d + k1) * sig[1] + k1 * s * sig[2] + (a4 * d - k1 * c) * sig[3]
-        ) / d**2 - dphi / d
-        w[3] = (-sig[1] - s * sig[2] + c * sig[3]) / d
-        w[4] = (sig[0] - c * sig[2] - s * sig[3]) / d
-        finite = np.isfinite(w).all()
-    except OverflowError:
-        finite = False
-    if not finite:
+    a2sq, ksq, lamsq, dsq = (_square(x) for x in (a2, k, lam, d))
+    w = np.zeros((len(a), 5, 5))
+    w[:, 0] = sig0
+    c2 = 2.0 * a2sq * k + 2.0 * ksq - a2 * k1 - 2.0 * a2sq * lam - 3.0 * k * lam + lamsq
+    c3 = a2sq * k + ksq - a2 * k1 - a2sq * lam - k * lam
+    w[:, 1] = (
+        c2 * sig1 + c3 * s * sig2 - (a2 * a4 * d + c3 * c) * sig3
+    ) / dsq + a2 * dphi / d
+    w[:, 2] = (
+        (-a2 * d + k1) * sig1 + k1 * s * sig2 + (a4 * d - k1 * c) * sig3
+    ) / dsq - dphi / d
+    w[:, 3] = (-sig1 - s * sig2 + c * sig3) / d
+    w[:, 4] = (sig0 - c * sig2 - s * sig3) / d
+    bad = ~np.isfinite(w).all(axis=(1, 2))
+    for x, x2 in ((a2, a2sq), (k, ksq), (lam, lamsq), (d, dsq)):
+        bad |= _overflows(x, x2)[:, 0]
+    if bad.any():
+        i = int(np.argmax(bad))
         raise DomainError(
-            f"the oracle coframe overflows at kappa = {float(k)!r}, lambda = {float(lam)!r}"
+            f"the oracle coframe overflows at kappa = {float(k[i, 0])!r},"
+            f" lambda = {float(lam[i, 0])!r}"
         )
     return w
 
 
 @dataclass(frozen=True)
 class Coframe5:
-    """Invariant coframe rows theta^1..theta^5 in the coordinate cobasis."""
+    """Invariant coframe rows theta^1..theta^5 in the coordinate cobasis; at
+    a stack of points, one 5x5 matrix per point."""
 
     point: np.ndarray
     matrix: np.ndarray
@@ -122,50 +182,58 @@ class Coframe5:
 
 def theta_coframe(s1, s2, p):
     """Invariant coframe assembled from the omega rows with the jet-dependent
-    coefficient functions."""
+    coefficient functions, at p or at each point of an (m, 5) stack."""
     _require_constant(s2)
-    a = _as_point5(p)
-    j1, d1, d2 = _surface_data(s1, s2, a)
-    w = _omega_rows(a, j1, d1, d2)
-    lam = d2.kappa
-    k, a2, k1, k11 = j1.kappa, j1.a2, j1.kappa1, j1.kappa11
-    d = k - lam
-
-    q = a2 + k1 / (lam - k)
-    r = (
-        a2**2
-        + (8.0 / 5.0) * k
-        - (7.0 / 5.0) * lam
-        + (k11 - a2 * k1) / (10.0 * d)
-        - 0.5 * k1**2 / d**2
-    )
-    t = -(
-        a2**2
-        + (13.0 / 10.0) * k
-        - (7.0 / 10.0) * lam
-        + k11 / (10.0 * d)
-        - 0.5 * k1**2 / d**2
-    )
-    u = (3.0 / 10.0) * k - (7.0 / 10.0) * lam + a2 * k1 / (10.0 * (lam - k))
-
-    th = np.zeros((5, 5))
-    th[0] = w[3] - w[4]
-    th[1] = w[4]
-    th[2] = -w[2]
-    th[3] = -w[0] + w[1] + q * w[2] + r * w[3]
-    th[4] = -w[1] - q * w[2] + t * w[3] + u * w[4]
+    a, th = _stacked(lambda a: _theta_rows(a, *_surface_data(s1, s2, a)), p)
     return Coframe5(point=a, matrix=th)
 
 
+def _theta_rows(a, j1, d1, d2):
+    """theta_coframe at the chart points a, an (m, 5) stack, as (m, 5, 5)
+    rows, given the data of `_surface_data` there."""
+    w = _omega_rows(a, j1, d1, d2)
+    k, lam, a2, k1, k11 = map(_column, (j1.kappa, d2.kappa, j1.a2, j1.kappa1, j1.kappa11))
+    d = k - lam
+
+    a2sq, k1sq, dsq = (_square(x) for x in (a2, k1, d))
+    q = a2 + k1 / (lam - k)
+    r = (
+        a2sq
+        + (8.0 / 5.0) * k
+        - (7.0 / 5.0) * lam
+        + (k11 - a2 * k1) / (10.0 * d)
+        - 0.5 * k1sq / dsq
+    )
+    t = -(
+        a2sq
+        + (13.0 / 10.0) * k
+        - (7.0 / 10.0) * lam
+        + k11 / (10.0 * d)
+        - 0.5 * k1sq / dsq
+    )
+    u = (3.0 / 10.0) * k - (7.0 / 10.0) * lam + a2 * k1 / (10.0 * (lam - k))
+    if _overflows(k1, k1sq).any():  # where a float's k1**2 raised
+        raise OverflowError(errno.ERANGE, os.strerror(errno.ERANGE))
+
+    th = np.zeros((len(a), 5, 5))
+    th[:, 0] = w[:, 3] - w[:, 4]
+    th[:, 1] = w[:, 4]
+    th[:, 2] = -w[:, 2]
+    th[:, 3] = -w[:, 0] + w[:, 1] + q * w[:, 2] + r * w[:, 3]
+    th[:, 4] = -w[:, 1] - q * w[:, 2] + t * w[:, 3] + u * w[:, 4]
+    return th
+
+
 def metric_components(s1, s2, p):
-    """Symmetric 5x5 components of the (3,2)-signature metric at p."""
+    """Symmetric 5x5 components of the (3,2)-signature metric at p, or one
+    such matrix per point of an (m, 5) stack."""
     T = theta_coframe(s1, s2, p).matrix
-    G = T.T @ ETA5 @ T
-    return 0.5 * (G + G.T)  # exact symmetry despite rounding asymmetries
+    G = np.swapaxes(T, -1, -2) @ ETA5 @ T
+    return 0.5 * (G + np.swapaxes(G, -1, -2))  # exact symmetry despite rounding asymmetries
 
 
 def metric_field(s1, s2):
-    """The metric as a callable over configuration points."""
+    """The metric as a callable over stacks of configuration points."""
     _require_constant(s2)
 
     def g(p):
@@ -180,31 +248,34 @@ class _Derivs(NamedTuple):
     ddg: np.ndarray  # ddg[k, l] = d^2 g / d x^k d x^l
 
 
-def _metric_derivatives(metric, p, h):
-    g0 = np.asarray(metric(p), dtype=float)
+def _stencil(p, h):
+    """The 1 + 2n + 2n(n - 1) rows of the step-h stencil around p, in order:
+    p; p + h e_k, p - h e_k for each k; then p + e, p - e, p + f, p - f with
+    e = h (e_k + e_l), f = h (e_k - e_l) for each k < l.  A step -s holds
+    -0.0 where s holds 0.0, so p + h (-s) rounds as p - h s in every
+    coordinate, signed zeros included."""
     n = len(p)
-    dg = np.empty((n, n, n))
+    unit = np.eye(n)
+    k, l = np.triu_indices(n, 1)
+    e, f = unit[k] + unit[l], unit[k] - unit[l]
+    steps = np.vstack([
+        np.stack([unit, -unit], axis=1).reshape(-1, n),
+        np.stack([e, -e, f, -f], axis=1).reshape(-1, n),
+    ])
+    return np.vstack([p, p + steps * h])
+
+
+def _metric_derivatives(g, h):
+    """Central differences of the metric values g on `_stencil`'s rows."""
+    n = g.shape[-1]
+    g0 = g[0]
+    gp, gm = g[1 : 2 * n + 1 : 2], g[2 : 2 * n + 1 : 2]
+    dg = (gp - gm) / (2.0 * h)
     ddg = np.empty((n, n, n, n))
-    for k in range(n):
-        e = np.zeros(n)
-        e[k] = h
-        gp = np.asarray(metric(p + e), dtype=float)
-        gm = np.asarray(metric(p - e), dtype=float)
-        dg[k] = (gp - gm) / (2.0 * h)
-        ddg[k, k] = (gp - 2.0 * g0 + gm) / h**2
-    for k in range(n):
-        for l in range(k + 1, n):
-            e = np.zeros(n)
-            e[k] = h
-            e[l] = h
-            f = np.zeros(n)
-            f[k] = h
-            f[l] = -h
-            gpp = np.asarray(metric(p + e), dtype=float)
-            gmm = np.asarray(metric(p - e), dtype=float)
-            gpm = np.asarray(metric(p + f), dtype=float)
-            gmp = np.asarray(metric(p - f), dtype=float)
-            ddg[k, l] = ddg[l, k] = (gpp + gmm - gpm - gmp) / (4.0 * h**2)
+    ddg[range(n), range(n)] = (gp - 2.0 * g0 + gm) / h**2
+    gpp, gmm, gpm, gmp = (g[2 * n + 1 + i :: 4] for i in range(4))
+    k, l = np.triu_indices(n, 1)
+    ddg[k, l] = ddg[l, k] = (gpp + gmm - gpm - gmp) / (4.0 * h**2)
     return _Derivs(g0=g0, dg=dg, ddg=ddg)
 
 
@@ -279,10 +350,14 @@ def _assemble_curvature(d):
 
 def _curvature_tiers(metric, p, h):
     """`_assemble_curvature` of the metric derivatives at step h, at step h/2
-    and of their Richardson extrapolation, in that order."""
+    and of their Richardson extrapolation, in that order.  The metric is
+    called once, on the stencil rows of step h followed by those of step
+    h/2."""
     h = check_step(h)
-    d1 = _metric_derivatives(metric, p, h)
-    d2 = _metric_derivatives(metric, p, h / 2.0)
+    rows = np.vstack([_stencil(p, h), _stencil(p, h / 2.0)])
+    g = np.asarray(metric(rows), dtype=float)
+    d1 = _metric_derivatives(g[: len(rows) // 2], h)
+    d2 = _metric_derivatives(g[len(rows) // 2 :], h / 2.0)
     extrap = _Derivs(g0=d1.g0, dg=richardson(d1.dg, d2.dg), ddg=richardson(d1.ddg, d2.ddg))
     return _assemble_curvature(d1), _assemble_curvature(d2), _assemble_curvature(extrap)
 
@@ -290,9 +365,10 @@ def _curvature_tiers(metric, p, h):
 def curvature(metric, p, h=DEFAULT_FD_STEP):
     """Curvature bundle of a metric field at p by central differences.
 
-    The metric derivatives are computed at steps h and h/2 and Richardson
-    extrapolated; the h-vs-h/2 discrepancy of each assembled tensor is
-    reported as its noise floor.
+    `metric` maps an (m, n) stack of points to the (m, n, n) stack of its
+    components there.  The metric derivatives are computed at steps h and
+    h/2 and Richardson extrapolated; the h-vs-h/2 discrepancy of each
+    assembled tensor is reported as its noise floor.
     """
     raw1, raw2, extrap = _curvature_tiers(metric, np.asarray(p, dtype=float), h)
     names = ("christoffel", "riemann", "ricci", "scalar", "weyl")

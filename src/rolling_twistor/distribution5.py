@@ -121,7 +121,12 @@ def frame_fields(s1, s2):
 
 
 def _require_noninteg(kappa, lam):
-    if abs(kappa - lam) <= INTEGRABLE_TOL * max(abs(kappa), abs(lam), 1.0):
+    """Raise IntegrablePointError if the curvatures are equal; for 1-D arrays
+    of curvatures, at the first point of the stack where they are."""
+    if isinstance(kappa, np.ndarray):
+        for k, lm in zip(kappa.tolist(), np.broadcast_to(lam, kappa.shape).tolist()):
+            _require_noninteg(k, lm)
+    elif abs(kappa - lam) <= INTEGRABLE_TOL * max(abs(kappa), abs(lam), 1.0):
         raise IntegrablePointError(
             f"equal curvatures (kappa = {kappa}, lambda = {lam}): distribution is integrable"
         )

@@ -286,17 +286,19 @@ def emit_mesh(family, rho_range, nr, nphi, destination):
     try:
         eps = mesh.eps if mesh.eps is not None else "none"
         fh.write(f"# family={mesh.family_tag} eps={eps} nr={nr} nphi={nphi}\n")
+        # one write per profile row, formatted by one % over a repeated template
+        vertex_row = "%d %d %.17g %.17g %.17g\n" * nphi
         for i in range(nr):
-            for j in range(nphi):
-                x, y, z = mesh.xyz[i, j]
-                fh.write(f"{i} {j} {x:.17g} {y:.17g} {z:.17g}\n")
+            fh.write(vertex_row % tuple(
+                v for j, xyz in enumerate(mesh.xyz[i].tolist()) for v in (i, j, *xyz)
+            ))
+        quad_row = "q %d %d %d %d\n" * (nphi - 1)
         for i in range(nr - 1):
-            for j in range(nphi - 1):
-                v00 = i * nphi + j
-                v10 = (i + 1) * nphi + j
-                v11 = (i + 1) * nphi + j + 1
-                v01 = i * nphi + j + 1
-                fh.write(f"q {v00} {v10} {v11} {v01}\n")
+            v00 = i * nphi
+            v10 = v00 + nphi
+            fh.write(quad_row % tuple(
+                v for j in range(nphi - 1) for v in (v00 + j, v10 + j, v10 + j + 1, v00 + j + 1)
+            ))
     finally:
         if close:
             fh.close()

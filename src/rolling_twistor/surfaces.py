@@ -9,9 +9,12 @@ surface at a point is (f1, f2, a2, kappa), in closed form; it is all the
 velocity fields, their first bracket, the rolling diagnostics and the
 oracle's coframe read.  The jet holds (a2, kappa) and the e1-derivatives of
 kappa up to fourth order; this is exactly the data the quartic invariant
-formulas consume.  `jet` also takes a stack of chart points, a pair of 1-D
-coordinate arrays, and evaluates the whole stack in one pass; each point
-rounds as it does on its own.
+formulas consume.  `jet` and `frame_data` also take a stack of chart
+points, a pair of 1-D coordinate arrays, and return fields that are 1-D
+arrays; each point rounds as it does on its own.  Arithmetic-only
+families evaluate a stack in one pass; the sphere, the hyperbolic plane and
+`CustomRevolution` give frame data point by point, through the math module
+(numpy's vectorised sinh and cosh can round differently).
 
 Revolution-type families use coordinates (rho, psi) with metric
 (beta + alpha rho^2)^2 drho^2 + rho^2 dpsi^2 and frame
@@ -88,7 +91,8 @@ class Surface:
     is_constant_curvature = False
 
     def frame_data(self, p) -> FrameData:
-        """(f1, f2, a2, kappa) at p; a2 and kappa equal those of `jet`."""
+        """(f1, f2, a2, kappa) at p, or at each point of a stack (see module
+        doc); a2 and kappa equal those of `jet`."""
         raise NotImplementedError
 
     def jet(self, p) -> SurfaceJet:
@@ -161,13 +165,17 @@ def _each_point(p, fn):
     return out
 
 
+def _frames_of_each_point(surface, p):
+    """Frame data of the stack p, one `frame_data` call per point, so each
+    point rounds through the math module as it does on its own."""
+    return FrameData(*np.array(_each_point(p, surface.frame_data)).reshape(-1, 4).T)
+
+
 def _constant_jet(surface, p):
     """Jet of a constant-curvature family: its frame data, with vanishing
     curvature derivatives."""
-    if not _is_stack(p):
-        return SurfaceJet(*surface.frame_data(p)[2:])
-    _, _, a2, kappa = np.array(_each_point(p, surface.frame_data)).T
-    zero = np.zeros_like(kappa)
+    _, _, a2, kappa = surface.frame_data(p)
+    zero = np.zeros_like(kappa) if _is_stack(p) else 0.0
     return SurfaceJet(a2, kappa, zero, zero, zero, zero)
 
 
@@ -186,6 +194,9 @@ class Plane(Surface):
 
     def frame_data(self, p):
         f = 1.0 / self.scale
+        if _is_stack(p):
+            m = len(p[0])
+            return FrameData(np.full(m, f), np.full(m, f), np.zeros(m), np.zeros(m))
         return FrameData(f, f, 0.0, 0.0)
 
     def jet(self, p):
@@ -221,6 +232,8 @@ class Sphere(Surface):
             raise DomainError(f"sphere polar chart requires 0 < theta < pi, got {theta}")
 
     def frame_data(self, p):
+        if _is_stack(p):
+            return _frames_of_each_point(self, p)
         self.validate(p)
         theta = p[0]
         r = self.radius
@@ -260,6 +273,8 @@ class Hyperbolic(Surface):
             raise DomainError(f"hyperbolic polar chart requires theta > 0, got {theta}")
 
     def frame_data(self, p):
+        if _is_stack(p):
+            return _frames_of_each_point(self, p)
         self.validate(p)
         theta = p[0]
         r = self.radius
@@ -297,18 +312,26 @@ class _RevolutionBase(Surface):
         if abs(self.h(rho)) < REVOLUTION_MARGIN:
             raise DomainError(f"frame degenerates where {self._h_formula} = 0 (rho = {rho})")
 
+    def _inside(self, rho):
+        """Where the profile coordinates rho may lie in the chart, elementwise;
+        False at least wherever `validate` raises."""
+        return (rho > 0) & (np.abs(self.h(rho)) >= REVOLUTION_MARGIN)
+
     def _rho(self, p):
         """Profile coordinate of a valid chart point (a float), or of each
         point of a valid stack (an array)."""
         if _is_stack(p):
-            _each_point(p, self.validate)
-            return np.asarray(p[0], dtype=float)
+            rho = np.asarray(p[0], dtype=float)
+            with np.errstate(all="ignore"):
+                inside = self._inside(rho).all()
+            if not inside:
+                _each_point(p, self.validate)  # the first point outside raises
+            return rho
         self.validate(p)
         return _profile_coordinate(p)
 
     def frame_data(self, p):
-        self.validate(p)
-        rho = _profile_coordinate(p)
+        rho = self._rho(p)
         h = self.h(rho)
         # h*h*h rounds as TaylorJet's h**3 does, so kappa equals the jet's bit for bit
         return FrameData(1.0 / h, 1.0 / rho, -1.0 / (rho * h), 2.0 * self.alpha / (h * h * h))
@@ -386,6 +409,9 @@ class G2Family(_RevolutionBase):
     def beta(self):
         return float(self.eps)
 
+    def _inside(self, rho):
+        return super()._inside(rho) & ((self.eps != -1) | (rho > 1.0))
+
     def validate(self, p):
         rho = _profile_coordinate(p)
         if self.eps == -1 and rho <= 1.0:
@@ -428,7 +454,12 @@ class CustomRevolution(_RevolutionBase):
         out = self._h(TaylorJet.constant(float(rho), 0))
         return out.value if isinstance(out, TaylorJet) else float(out)
 
+    def _inside(self, rho):
+        return np.zeros(np.shape(rho), dtype=bool)  # h takes one point: validate each
+
     def frame_data(self, p):
+        if _is_stack(p):
+            return _frames_of_each_point(self, p)
         j = self.jet(p)
         rho = _profile_coordinate(p)
         return FrameData(1.0 / self.h(rho), 1.0 / rho, j.a2, j.kappa)

@@ -414,6 +414,26 @@ class TestSerialFrontEnd:
         assert capsys.readouterr().out.encode() == out.read_bytes()
 
 
+class TestParserReuse:
+    def test_options_do_not_leak_between_calls(self, tmp_path, capsys):
+        # one parser serves every `main` call of a process
+        argv = ["oracle", "--s1", "sphere:r=1", "--s2", "plane", "--points", "1"]
+        out = tmp_path / "out.txt"
+        assert main(argv + ["--phi", "1.0", "--fd-step", "0.002", "-o", str(out)]) == 0
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        assert "fd_step=0.001\n" in printed
+        row = [line for line in printed.splitlines() if not line.startswith("#")]
+        assert float(row[0].split(",")[4]) == 0.3
+        assert float(out.read_text().splitlines()[-1].split(",")[4]) == 1.0
+
+    def test_a_usage_error_leaves_the_parser_usable(self, tmp_path, capsys):
+        assert main(["growth", "--s1", "sphere:r=1"]) == 2
+        code, text = run(tmp_path, "growth", "--s1", "sphere:r=1", "--s2", "plane", "--grid", "2")
+        assert code == 0
+        assert "points=2" in text
+
+
 class TestRollDiagnostics:
     def test_roll_measures_the_velocities_once(self, tmp_path, monkeypatch):
         import rolling_twistor.rolling as rolling

@@ -4,8 +4,16 @@ import pytest
 from rolling_twistor import conformal_oracle as co
 from rolling_twistor.cartan_invariants import CartanQuartic, quartic_killing_case
 from rolling_twistor.distribution5 import frame_fields
-from rolling_twistor.errors import IntegrablePointError, StepSizeError
-from rolling_twistor.surfaces import Hyperbolic, Plane, RevolutionProfile, Sphere, g2_family
+from rolling_twistor.errors import DomainError, IntegrablePointError, StepSizeError
+from rolling_twistor.surfaces import (
+    CustomRevolution,
+    G2Family,
+    Hyperbolic,
+    Plane,
+    RevolutionProfile,
+    Sphere,
+    g2_family,
+)
 
 RNG = np.random.default_rng(321)
 
@@ -143,16 +151,16 @@ class TestMetric:
 class TestCurvature:
     def test_flat_metric_zero_curvature(self):
         const = np.diag([1.0, 2.0, -1.0, 3.0, -2.0])
-        bundle = co.curvature(lambda p: const, np.zeros(5))
+        bundle = co.curvature(lambda rows: np.broadcast_to(const, (len(rows), 5, 5)), np.zeros(5))
         assert np.max(np.abs(bundle.riemann)) < 1e-12
         assert np.max(np.abs(bundle.weyl)) < 1e-12
         assert bundle.scalar == pytest.approx(0.0, abs=1e-12)
 
     def test_round_sphere_block_sectional_curvature(self):
         # unit 2-sphere block + flat 3d block: R_{0101}/(g00 g11) = 1
-        def metric(p):
-            g = np.eye(5)
-            g[1, 1] = np.sin(p[0]) ** 2
+        def metric(rows):
+            g = np.tile(np.eye(5), (len(rows), 1, 1))
+            g[:, 1, 1] = np.sin(rows[:, 0]) ** 2
             return g
 
         p = np.array([1.1, 0.4, 0.0, 0.0, 0.0])
@@ -177,7 +185,7 @@ class TestCurvature:
 
     def test_step_must_be_positive(self):
         with pytest.raises(Exception):
-            co.curvature(lambda p: np.eye(5), np.zeros(5), h=0.0)
+            co.curvature(lambda rows: np.tile(np.eye(5), (len(rows), 1, 1)), np.zeros(5), h=0.0)
 
 
 class TestCartanFromWeyl:
@@ -194,16 +202,24 @@ class TestCartanFromWeyl:
             co.cartan_from_weyl(SPHERE, PLANE, p, h=h)
 
     def test_one_hundred_two_metric_evaluations(self, monkeypatch):
-        calls = []
-        original = co.metric_components
+        # one metric call per oracle point, on the 102-row stencil stack of
+        # both steps; the duals Y come from one coframe at the base point
+        metric_calls, theta_calls = [], []
+        metric, theta = co.metric_components, co.theta_coframe
 
-        def counting(*args):
-            calls.append(1)
-            return original(*args)
+        def counting_metric(s1, s2, p):
+            metric_calls.append(np.shape(p))
+            return metric(s1, s2, p)
 
-        monkeypatch.setattr(co, "metric_components", counting)
+        def counting_theta(s1, s2, p):
+            theta_calls.append(np.shape(p))
+            return theta(s1, s2, p)
+
+        monkeypatch.setattr(co, "metric_components", counting_metric)
+        monkeypatch.setattr(co, "theta_coframe", counting_theta)
         co.cartan_from_weyl(SPHERE, PLANE, np.array([1.1, 0.0, 0.0, 0.0, 0.3]))
-        assert len(calls) == 102
+        assert metric_calls == [(102, 5)]
+        assert theta_calls == [(5,), (102, 5)]
 
     def test_nine_to_one_below_noise_floor(self):
         p = np.array([1.0, 0.1, 1.3, 0.2, 0.5])
@@ -294,3 +310,150 @@ class TestCompareProjective:
         ocl = co.cartan_from_weyl(SPHERE, PLANE, p)
         closed = quartic_killing_case(SPHERE.jet((1.3, 0.0)), 0.0)
         assert co.compare_projective(ocl.quartic, closed, 1e-3)
+
+
+STACK_PAIRS = [
+    (Sphere(1.0), PLANE),
+    (Sphere(0.7), Plane(2.5)),
+    (Plane(0.5), Sphere(1.0)),
+    (Hyperbolic(0.8), Sphere(3.0)),
+    (G2Family(-1), PLANE),
+    (G2Family(0), Sphere(2.0)),
+    (G2Family(1), Hyperbolic(1.5)),
+    (RevolutionProfile(1.0, -5.0), Hyperbolic(1.0)),
+    (RevolutionProfile(1.0, 0.0).scaled(0.7), Plane(3.0)),
+    (CustomRevolution(lambda r: 1.0 + 0.3 * r * r * r, "cubic"), Sphere(1.5)),
+]
+
+
+def _rows_in_charts(s1, s2, n, seed):
+    """n configuration points inside both charts, with the fiber angles
+    0, -0 and pi among them."""
+    rng = np.random.default_rng(seed)
+    (x0, x1), (u0, u1) = (0.5, 2.0) if s1.kind == "custom" else s1.profile_range(), s2.profile_range()
+    phi = rng.uniform(-7.0, 7.0, n)
+    phi[:3] = 0.0, -0.0, np.pi
+    return np.column_stack([rng.uniform(x0, x1, n), rng.uniform(-3, 3, n),
+                            rng.uniform(u0, u1, n), rng.uniform(-3, 3, n), phi])
+
+
+def _same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+class TestStackedMetric:
+    """A stack of points is evaluated in one pass; each row must round as it
+    does on its own."""
+
+    @pytest.mark.parametrize("s1, s2", STACK_PAIRS, ids=lambda s: s.spec_string())
+    def test_stacked_metric_equals_each_row_on_its_own(self, s1, s2):
+        rows = _rows_in_charts(s1, s2, 24, seed=11)
+        stencil = co._stencil(rows[3], 1e-3)
+        for stack in (rows, stencil):
+            G = co.metric_components(s1, s2, stack)
+            assert G.shape == (len(stack), 5, 5)
+            each = np.array([co.metric_components(s1, s2, row) for row in stack])
+            assert _same_bits(G, each)
+
+    @pytest.mark.parametrize("s1, s2", STACK_PAIRS[:4], ids=lambda s: s.spec_string())
+    def test_stacked_coframes_equal_each_row_on_its_own(self, s1, s2):
+        rows = _rows_in_charts(s1, s2, 12, seed=5)
+        W = co.omega_coframe(s1, s2, rows)
+        T = co.theta_coframe(s1, s2, rows)
+        assert _same_bits(W, np.array([co.omega_coframe(s1, s2, r) for r in rows]))
+        assert _same_bits(T.matrix, np.array([co.theta_coframe(s1, s2, r).matrix for r in rows]))
+        assert np.array_equal(T.point, rows)
+
+    def test_stencil_order(self):
+        p = np.array([1.0, -0.0, 0.5, 0.25, -0.0])
+        h = 0.125
+        rows = co._stencil(p, h)
+        assert rows.shape == (51, 5)
+        assert _same_bits(rows[0], p)
+        e0 = np.array([h, 0.0, 0.0, 0.0, 0.0])
+        assert _same_bits(rows[1], p + e0) and _same_bits(rows[2], p - e0)
+        e01 = np.array([h, h, 0.0, 0.0, 0.0])
+        f01 = np.array([h, -h, 0.0, 0.0, 0.0])
+        for row, expected in zip(rows[11:15], (p + e01, p - e01, p + f01, p - f01)):
+            assert _same_bits(row, expected)
+        e34 = np.array([0.0, 0.0, 0.0, h, h])
+        assert _same_bits(rows[47], p + e34)
+
+
+class TestStencilErrors:
+    """A stencil that leaves the chart or meets kappa = lambda raises the
+    error of its first failing row, in the order the rows are differenced:
+    step h before step h/2; the centre, then p +- h e_k, then the mixed rows."""
+
+    def _first_failure(self, s1, s2, p, h=1e-3):
+        rows = np.vstack([co._stencil(p, h), co._stencil(p, h / 2.0)])
+        for row in rows:
+            try:
+                co.metric_components(s1, s2, row)
+            except DomainError as exc:
+                return type(exc), str(exc)
+        raise AssertionError("no stencil row fails")
+
+    def _oracle_failure(self, s1, s2, p):
+        with pytest.raises(DomainError) as info:
+            co.cartan_from_weyl(s1, s2, p)
+        return type(info.value), str(info.value)
+
+    def test_chart_edge_inside_the_stencil(self):
+        s1 = G2Family(-1)
+        p = np.array([1.0008, 0.1, 0.2, -0.3, 0.3])
+        expected = (
+            DomainError,
+            f"the eps=-1 family is restricted to rho > 1 (frame degenerates at 1), got {1.0008 - 1e-3}",
+        )
+        assert self._first_failure(s1, PLANE, p) == expected
+        assert self._oracle_failure(s1, PLANE, p) == expected
+
+    def test_integrable_row_inside_the_stencil(self):
+        # lambda equals kappa at rho = 1 + h only: the row p + h e_0 fails
+        s1 = G2Family(1)
+        rho = 1.0 + 1e-3
+        s2 = Sphere(1.0 / np.sqrt(s1.frame_data((rho, 0.0)).kappa))
+        p = np.array([1.0, 0.1, 1.2, -0.3, 0.3])
+        kappa, lam = s1.frame_data((rho, 0.1)).kappa, s2.frame_data((1.2, -0.3)).kappa
+        expected = (
+            IntegrablePointError,
+            f"equal curvatures (kappa = {kappa}, lambda = {lam}): distribution is integrable",
+        )
+        assert self._first_failure(s1, s2, p) == expected
+        assert self._oracle_failure(s1, s2, p) == expected
+
+    @pytest.mark.parametrize("integrable_rho, first", [(1.0 - 1e-3, IntegrablePointError),
+                                                       (1.0 + 5e-4, DomainError)])
+    def test_the_earlier_of_two_failing_rows_wins(self, integrable_rho, first):
+        # the second surface's chart ends inside the stencil (row p - h e_2,
+        # the sixth), and kappa = lambda at one profile row: the second row
+        # of step h, or the second of step h/2
+        s1 = G2Family(1)
+        s2 = Sphere(1.0 / np.sqrt(s1.frame_data((integrable_rho, 0.0)).kappa))
+        p = np.array([1.0, 0.1, 0.0008, -0.3, 0.3])
+        failure = self._oracle_failure(s1, s2, p)
+        assert failure == self._first_failure(s1, s2, p)
+        assert failure[0] is first
+
+    def test_overflow_names_the_curvatures(self):
+        with pytest.raises(DomainError, match=r"overflows at kappa = 1e\+200, lambda = 0.0"):
+            co.cartan_from_weyl(Sphere(1e-100), PLANE, np.array([1.0, 0.0, 0.0, 0.0, 0.3]))
+
+    def test_infinite_frame_entry_is_the_overflow_error(self):
+        # r sinh(theta) overflows, so 1/f2 does: a clean DomainError, where
+        # the point-by-point coframe divided a float by zero
+        with pytest.raises(DomainError, match="overflows at kappa = -0.01, lambda = 0.0"):
+            co.cartan_from_weyl(Hyperbolic(10.0), PLANE, np.array([709.0, 0.0, 0.0, 0.0, 0.3]))
+
+    def test_kappa1_squared_overflow_raises_as_a_float_power(self):
+        # omega is finite here, but kappa1**2 in theta overflows: the error a
+        # float's ** raises, as when the coframe was built from floats
+        s1 = CustomRevolution(lambda r: 1.0 + 1e155 * (r - 1.0) ** 2, "steep")
+        p = np.array([1.0, 0.0, 1.0, 0.0, 0.3])
+        assert np.isfinite(co.omega_coframe(s1, Sphere(1.0), p)).all()
+        with pytest.raises(OverflowError) as info:
+            co.cartan_from_weyl(s1, Sphere(1.0), p)
+        with pytest.raises(OverflowError) as from_float:
+            s1.jet((1.0, 0.0)).kappa1 ** 2
+        assert str(info.value) == str(from_float.value)

@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -277,6 +278,27 @@ class TestEmitMesh:
         for i, rho in enumerate(mesh.rho):
             z_origin = embed_negative_curvature(rho, 0.0)[2]
             assert mesh.xyz[i, 0, 2] == pytest.approx(z_origin - z0, abs=1e-10)
+
+    @pytest.mark.parametrize("family, rho_range, nr, nphi", [
+        (g2_family(1), (0.0, 2.0), 9, 7),
+        (g2_family(-1), (1.5, 2.5), 5, 2),
+        (RevolutionProfile(1.0, -5.0), (0.5, 2.0), 6, 16),
+    ])
+    def test_rows_equal_one_line_per_vertex_and_quad(self, family, rho_range, nr, nphi):
+        # reference: every vertex and quad line formatted on its own
+        out = io.StringIO()
+        mesh = emit_mesh(family, rho_range, nr, nphi, out)
+        eps = "none" if mesh.eps is None else mesh.eps
+        lines = [f"# family={mesh.family_tag} eps={eps} nr={nr} nphi={nphi}"]
+        for i in range(nr):
+            for j in range(nphi):
+                x, y, z = mesh.xyz[i, j]
+                lines.append(f"{i} {j} {x:.17g} {y:.17g} {z:.17g}")
+        for i in range(nr - 1):
+            for j in range(nphi - 1):
+                v00, v10 = i * nphi + j, (i + 1) * nphi + j
+                lines.append(f"q {v00} {v10} {v10 + 1} {v00 + 1}")
+        assert out.getvalue() == "\n".join(lines) + "\n"
 
     def test_byte_determinism(self, tmp_path):
         a = tmp_path / "a.txt"

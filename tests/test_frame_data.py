@@ -13,6 +13,7 @@ from rolling_twistor.distribution5 import growth_vector
 from rolling_twistor.errors import DomainError
 from rolling_twistor.rolling import ControlCurve, integrate, no_twist_residual
 from rolling_twistor.surfaces import (
+    CustomRevolution,
     FrameData,
     G2Family,
     Hyperbolic,
@@ -130,6 +131,75 @@ def test_frame_data_raises_the_jets_domain_error(surface, p):
     assert str(from_frame_data.value) == str(from_jet.value)
 
 
+STACK_SURFACES = [
+    (Plane(), (-3.0, 3.0)),
+    (Plane(2.5), (-3.0, 3.0)),
+    (Sphere(0.7), (1e-3, math.pi - 1e-3)),
+    (Hyperbolic(1.3), (1e-3, 5.0)),
+    (G2Family(-1), (1.0 + 1e-6, 4.0)),
+    (G2Family(0), (1e-3, 4.0)),
+    (G2Family(1), (1e-3, 4.0)),
+    (RevolutionProfile(-0.7, 4.0, 0.5), (1e-2, 2.0)),
+    (RevolutionProfile(1.0, -5.0).scaled(0.3), (0.1, 3.0)),
+    (CustomRevolution(lambda r: 1.0 + 0.3 * r * r * r, "cubic"), (1e-2, 3.0)),
+]
+
+
+@pytest.mark.parametrize("surface, span", STACK_SURFACES, ids=lambda s: getattr(s, "kind", ""))
+def test_stacked_frame_data_equals_each_point(surface, span):
+    rng = np.random.default_rng(17)
+    t = rng.uniform(*span, 64)
+    psi = rng.uniform(-5.0, 5.0, 64)
+    psi[:2] = 0.0, -0.0
+    stacked = surface.frame_data((t, psi))
+    each = np.array([tuple(surface.frame_data((a, b))) for a, b in zip(t.tolist(), psi.tolist())])
+    assert isinstance(stacked, FrameData)
+    got = np.array(stacked)
+    assert got.shape == (4, 64)
+    assert np.array_equal(got, each.T)
+    assert np.array_equal(np.signbit(got), np.signbit(each.T))
+
+
+@pytest.mark.parametrize(
+    "surface, t",
+    [
+        (Sphere(1.0), [0.5, math.pi, 0.0]),
+        (Hyperbolic(1.0), [0.5, 0.0, -1.0]),
+        (G2Family(-1), [1.5, 0.9, 0.5]),
+        (RevolutionProfile(1.0, -1.0), [1.5, 1.0, -0.5]),
+        (RevolutionProfile(1.0, -1.0), [1.5, -0.5, 1.0]),
+        (CustomRevolution(lambda r: r - 1.0, "shifted"), [1.5, 1.0, -1.0]),
+    ],
+)
+def test_stacked_frame_data_raises_the_first_failing_points_error(surface, t):
+    first_bad = next(x for x in t if _raises(surface, x))
+    with pytest.raises(DomainError) as on_its_own:
+        surface.frame_data((first_bad, 0.0))
+    with pytest.raises(DomainError) as stacked:
+        surface.frame_data((np.array(t), np.zeros(len(t))))
+    assert type(stacked.value) is type(on_its_own.value)
+    assert str(stacked.value) == str(on_its_own.value)
+
+
+@PROPERTY
+@given(st.one_of(_profile(), _g2()), _floats(-3.0, 3.0))
+def test_revolution_inside_test_never_admits_a_point_validate_rejects(case, rho):
+    # the stacked pre-check may send a valid point to `validate`, never the
+    # reverse; rho near the zeros of h comes from the drawn points
+    surface, p = case
+    for t in (rho, p[0], -p[0], math.sqrt(abs(surface.beta / surface.alpha))):
+        if _raises(surface, t):
+            assert not surface._inside(np.array([t]))[0]
+
+
+def _raises(surface, t):
+    try:
+        surface.frame_data((t, 0.0))
+    except DomainError:
+        return True
+    return False
+
+
 def _surface_calls(monkeypatch, method):
     """Surfaces whose `method` is called, one entry per call."""
     calls = []
@@ -206,6 +276,6 @@ def test_oracle_builds_one_jet_per_theta_coframe(jet_calls, monkeypatch):
 
     monkeypatch.setattr(conformal_oracle, "theta_coframe", spy)
     conformal_oracle.cartan_from_weyl(S1, Plane(), np.array([0.8, 0.1, 0.2, -0.3, 0.3]))
-    assert len(thetas) > 100  # the base point plus every metric evaluation
-    assert len(jet_calls) == len(thetas)
-    assert all(s is S1 for s in jet_calls)
+    # the base point, then the whole stencil in one stacked call
+    assert [np.shape(args[2]) for args in thetas] == [(5,), (102, 5)]
+    assert jet_calls == [S1, S1]
