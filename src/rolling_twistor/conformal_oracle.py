@@ -31,6 +31,7 @@ from .cartan_invariants import CartanQuartic
 from .distribution5 import ConfigPoint, _as_point5, _require_noninteg
 from .errors import DomainError, RollingTwistorError
 from .finitediff import check_step, richardson
+from .surfaces import constant_jet
 
 # constant coefficient matrix of the metric in the theta basis:
 # th1*th5 + th5*th1 - th2*th4 - th4*th2 + 4/3 th3*th3
@@ -116,9 +117,12 @@ def omega_coframe(s1, s2, p):
 def _surface_data(s1, s2, a):
     """(j1, d1, d2) at the chart points a, an (m, 5) stack: the jet and frame
     data of the first surface and the frame data of the second, with a 1-D
-    array in every field."""
+    array in every field.  A constant-curvature first surface reads its frame
+    data once: its jet is made from them."""
     q1 = (a[:, 0], a[:, 1])
-    return s1.jet(q1), s1.frame_data(q1), s2.frame_data((a[:, 2], a[:, 3]))
+    d1 = s1.frame_data(q1)
+    j1 = constant_jet(d1) if s1.is_constant_curvature else s1.jet(q1)
+    return j1, d1, s2.frame_data((a[:, 2], a[:, 3]))
 
 
 def _column(x):

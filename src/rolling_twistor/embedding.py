@@ -286,19 +286,20 @@ def emit_mesh(family, rho_range, nr, nphi, destination):
     try:
         eps = mesh.eps if mesh.eps is not None else "none"
         fh.write(f"# family={mesh.family_tag} eps={eps} nr={nr} nphi={nphi}\n")
-        # one write per profile row, formatted by one % over a repeated template
-        vertex_row = "%d %d %.17g %.17g %.17g\n" * nphi
-        for i in range(nr):
-            fh.write(vertex_row % tuple(
-                v for j, xyz in enumerate(mesh.xyz[i].tolist()) for v in (i, j, *xyz)
-            ))
+        # one write per profile row.  Z is constant along a row and i, j come
+        # from the grid, so they are written into the row template and only X
+        # and Y go through %.17g
+        cells = [f" {j} %.17g %.17g" for j in range(nphi)]
+        for i, z in enumerate(mesh.xyz[:, 0, 2].tolist()):
+            tail = f" {z:.17g}\n"
+            row = f"{i}" + f"{tail}{i}".join(cells) + tail
+            fh.write(row % tuple(mesh.xyz[i, :, :2].ravel().tolist()))
+        # quad (i, j) is [v, v + nphi, v + nphi + 1, v + 1] with v = i * nphi + j
+        j = np.arange(nphi - 1)
+        stencil = np.stack([j, j + nphi, j + nphi + 1, j + 1], axis=1).ravel()
         quad_row = "q %d %d %d %d\n" * (nphi - 1)
         for i in range(nr - 1):
-            v00 = i * nphi
-            v10 = v00 + nphi
-            fh.write(quad_row % tuple(
-                v for j in range(nphi - 1) for v in (v00 + j, v10 + j, v10 + j + 1, v00 + j + 1)
-            ))
+            fh.write(quad_row % tuple((stencil + i * nphi).tolist()))
     finally:
         if close:
             fh.close()

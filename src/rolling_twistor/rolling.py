@@ -4,10 +4,10 @@ An admissible motion is a curve tangent to the velocity distribution:
 ydot = c1 X1 + c2 X2 with time-dependent controls.  Integration is a fixed
 step classical 4th-order scheme over the rows (X1, X2) of `field_rows`, one
 frame read per surface per stage; the no-slip and no-twist diagnostics then
-read the frame data once per sample and measure the constraint residuals of
-the sampled curve with high-order finite differences, so the observed
-residuals converge at the integrator's order instead of being swamped by
-measurement error.
+read the frame data of all samples in one stacked call per surface and
+measure the constraint residuals of the sampled curve with high-order finite
+differences, so the observed residuals converge at the integrator's order
+instead of being swamped by measurement error.
 """
 
 from __future__ import annotations
@@ -169,10 +169,10 @@ class Diagnostics(NamedTuple):
 
 
 def diagnostics(traj, s1, s2):
-    """`Diagnostics` of the trajectory, from one frame read per surface and
-    sample and one measurement of the sampled contact-curve velocities."""
-    d1 = np.array([s1.frame_data((x, y)) for x, y in traj.points[:, 0:2]])
-    d2 = np.array([s2.frame_data((u, v)) for u, v in traj.points[:, 2:4]])
+    """`Diagnostics` of the trajectory, from one stacked frame read per
+    surface and one measurement of the sampled contact-curve velocities."""
+    d1 = s1.frame_data((traj.points[:, 0], traj.points[:, 1]))
+    d2 = s2.frame_data((traj.points[:, 2], traj.points[:, 3]))
     v1, v2 = _frame_velocities(traj, d1, d2)
     no_slip = 0.0
     for k in range(len(traj)):
@@ -180,7 +180,7 @@ def diagnostics(traj, s1, s2):
         no_slip = max(no_slip, float(np.linalg.norm(rotated - v2[k])))
     L1, L2 = (float(cumulative_integral(np.linalg.norm(v, axis=1), traj.dt)[-1]) for v in (v1, v2))
     # the connection form a2 v^2 along each contact curve
-    gamma1, gamma2 = d1[:, 2] * v1[:, 1], d2[:, 2] * v2[:, 1]
+    gamma1, gamma2 = d1.a2 * v1[:, 1], d2.a2 * v2[:, 1]
     return Diagnostics(no_slip, _no_twist(traj, gamma1, gamma2), L1, L2)
 
 
@@ -199,13 +199,14 @@ def contact_arclengths(traj, s1, s2):
 def _frame_velocities(traj, d1, d2):
     """Frame components of the sampled contact-curve velocities.
 
-    `d1`, `d2` hold the frame data (f1, f2, a2, kappa) of each surface at
-    each sample.  Returns (v1, v2): arrays (n, 2) with the orthonormal-frame
-    components of the chart velocities on each surface, measured by
-    sixth-order finite differences of the samples.
+    `d1`, `d2` are the stacked frame data of each surface at the samples.
+    Returns (v1, v2): arrays (n, 2) with the orthonormal-frame components of
+    the chart velocities on each surface, measured by sixth-order finite
+    differences of the samples.
     """
     vel = sampled_derivative(traj.points, traj.dt)
-    return vel[:, 0:2] / d1[:, 0:2], vel[:, 2:4] / d2[:, 0:2]
+    return (vel[:, 0:2] / np.column_stack((d1.f1, d1.f2)),
+            vel[:, 2:4] / np.column_stack((d2.f1, d2.f2)))
 
 
 def _rotation(phi):

@@ -171,12 +171,11 @@ def _frames_of_each_point(surface, p):
     return FrameData(*np.array(_each_point(p, surface.frame_data)).reshape(-1, 4).T)
 
 
-def _constant_jet(surface, p):
-    """Jet of a constant-curvature family: its frame data, with vanishing
-    curvature derivatives."""
-    _, _, a2, kappa = surface.frame_data(p)
-    zero = np.zeros_like(kappa) if _is_stack(p) else 0.0
-    return SurfaceJet(a2, kappa, zero, zero, zero, zero)
+def constant_jet(d):
+    """Jet of a constant-curvature family from its frame data `d` at a point
+    or a stack: (a2, kappa), with vanishing curvature derivatives."""
+    zero = np.zeros_like(d.kappa) if isinstance(d.kappa, np.ndarray) else 0.0
+    return SurfaceJet(d.a2, d.kappa, zero, zero, zero, zero)
 
 
 @dataclass(frozen=True)
@@ -200,7 +199,7 @@ class Plane(Surface):
         return FrameData(f, f, 0.0, 0.0)
 
     def jet(self, p):
-        return _constant_jet(self, p)
+        return constant_jet(self.frame_data(p))
 
     def scaled(self, s0):
         _check_scale(s0)
@@ -241,7 +240,7 @@ class Sphere(Surface):
         return FrameData(1.0 / r, 1.0 / rs, -math.cos(theta) / rs, 1.0 / r**2)
 
     def jet(self, p):
-        return _constant_jet(self, p)
+        return constant_jet(self.frame_data(p))
 
     def scaled(self, s0):
         _check_scale(s0)
@@ -282,7 +281,7 @@ class Hyperbolic(Surface):
         return FrameData(1.0 / r, 1.0 / rs, -math.cosh(theta) / rs, -1.0 / r**2)
 
     def jet(self, p):
-        return _constant_jet(self, p)
+        return constant_jet(self.frame_data(p))
 
     def scaled(self, s0):
         _check_scale(s0)
@@ -306,16 +305,20 @@ class _RevolutionBase(Surface):
         return self.beta + self.alpha * rho * rho
 
     def validate(self, p):
-        rho = _profile_coordinate(p)
+        rho = float(_profile_coordinate(p))  # a float overflows to inf without a warning
         if rho <= 0:
             raise DomainError(f"revolution chart requires rho > 0, got {rho}")
-        if abs(self.h(rho)) < REVOLUTION_MARGIN:
+        h = self.h(rho)
+        if not math.isfinite(h):
+            raise DomainError(f"{self._h_formula} is not finite at rho = {rho} (float overflow)")
+        if abs(h) < REVOLUTION_MARGIN:
             raise DomainError(f"frame degenerates where {self._h_formula} = 0 (rho = {rho})")
 
     def _inside(self, rho):
         """Where the profile coordinates rho may lie in the chart, elementwise;
         False at least wherever `validate` raises."""
-        return (rho > 0) & (np.abs(self.h(rho)) >= REVOLUTION_MARGIN)
+        h = self.h(rho)
+        return (rho > 0) & np.isfinite(h) & (np.abs(h) >= REVOLUTION_MARGIN)
 
     def _rho(self, p):
         """Profile coordinate of a valid chart point (a float), or of each

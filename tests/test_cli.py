@@ -540,6 +540,20 @@ class TestQuarticOverflow:
         assert err.startswith("error: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["g2check", "quartic", "oracle", "growth"])
+    def test_overflowing_profile_coordinate_is_named(self, tmp_path, capsys, command):
+        # h = 1 + rho^2 overflows at rho = 1e200: the chart ends there, and
+        # the failure is not the integrable locus kappa = lambda = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning on the way
+            code, text = run(tmp_path, command, "--s1", "g2:eps=1", "--s2", "plane",
+                             "--rho", "1e200:1e201:3")
+        assert code == 3
+        assert text == ""
+        assert capsys.readouterr().err == (
+            "error: beta + alpha rho^2 is not finite at rho = 1e+200 (float overflow)\n"
+        )
+
 
 class TestRollInputs:
     @pytest.mark.parametrize("T", ["-1", "0", "nan", "inf"])

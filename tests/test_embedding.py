@@ -283,6 +283,11 @@ class TestEmitMesh:
         (g2_family(1), (0.0, 2.0), 9, 7),
         (g2_family(-1), (1.5, 2.5), 5, 2),
         (RevolutionProfile(1.0, -5.0), (0.5, 2.0), 6, 16),
+        (g2_family(1), (0.5, 1.5), 2, 2),
+        (RevolutionProfile(1.0, -5.0), (0.5, 2.0), 2, 11),
+        # eps = 0: heights from the integrator, none of them a short decimal
+        (g2_family(0), (1.0, 3.0), 10, 13),
+        (g2_family(0), (1.2, 40.0), 4, 3),
     ])
     def test_rows_equal_one_line_per_vertex_and_quad(self, family, rho_range, nr, nphi):
         # reference: every vertex and quad line formatted on its own

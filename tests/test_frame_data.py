@@ -259,6 +259,16 @@ def test_rk4_step_reads_one_frame_per_surface_and_stage(jet_calls, frame_data_ca
     assert jet_calls == []
 
 
+def test_diagnostics_read_one_stacked_frame_per_surface(frame_data_calls):
+    # two revolution surfaces, whose stacked frame data is one arithmetic pass
+    s2 = RevolutionProfile(2.0, 1.0)
+    start = np.array([0.8, 0.1, 1.2, 0.2, 0.3])
+    traj = integrate(S1, s2, start, ControlCurve.constant(0.7, 0.4, t_end=0.05), 1e-2, 0.05)
+    frame_data_calls.clear()
+    assert no_twist_residual(traj, S1, s2) < 1e-6
+    assert frame_data_calls == [S1, s2]
+
+
 def test_rolling_reads_no_jet(jet_calls):
     start = np.array([0.8, 0.1, 1.2, 0.2, 0.3])
     traj = integrate(S1, S2, start, ControlCurve.constant(0.7, 0.4, t_end=0.05), 1e-3, 0.05)
@@ -279,3 +289,11 @@ def test_oracle_builds_one_jet_per_theta_coframe(jet_calls, monkeypatch):
     # the base point, then the whole stencil in one stacked call
     assert [np.shape(args[2]) for args in thetas] == [(5,), (102, 5)]
     assert jet_calls == [S1, S1]
+
+
+def test_oracle_reads_a_constant_curvature_first_surface_once(jet_calls, frame_data_calls):
+    # its jet is made from the frame data already read, not by a second pass
+    s1 = Plane()
+    conformal_oracle.cartan_from_weyl(s1, Sphere(1.0), np.array([0.8, 0.1, 0.7, -0.3, 0.3]))
+    assert [s for s in frame_data_calls if s is s1] == [s1, s1]  # base point, then stencil
+    assert [s for s in jet_calls if s is s1] == []

@@ -77,6 +77,12 @@ MORE_EXAMPLES = {
         ["growth", "--s1", "g2:eps=0", "--s2", "sphere:r=2", "--rho=0.6:2.5:6", "--phi", "4"],
         "13a51628f8bf3e9ed6bce5b0e8117baab58fce4d65ed3e7432953c272dded3ff",
     ),
+    # a mesh of the size the benchmark's embed jobs write
+    "embed_g2_minus_128x128": (
+        ["embed", "--family", "g2:eps=-1", "--rho-range", "1.5:2.8", "--nr", "128",
+         "--nphi", "128"],
+        "e4d4619026cc0b50ecb96c8d0228c8a48ec17ad5e89db44ffab2d3917ac55035",
+    ),
 }
 
 

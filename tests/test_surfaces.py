@@ -88,6 +88,17 @@ class TestJets:
         with pytest.raises(DomainError):
             RevolutionProfile(1.0, -1.0).jet((1.0, 0.0))  # h = 0 there
 
+    @pytest.mark.parametrize("fam", [g2_family(1), g2_family(-1), RevolutionProfile(-1.0, 2.0)])
+    def test_overflowing_h_is_outside_the_chart(self, fam):
+        # h = beta + alpha rho^2 overflows: no frame, whatever kappa rounds to
+        with pytest.raises(DomainError, match=r"not finite at rho = 1e\+200"):
+            fam.validate((1e200, 0.0))
+        with pytest.raises(DomainError, match=r"not finite at rho = 1e\+200") as stacked:
+            fam.jet((np.array([1.5, 1e200]), np.zeros(2)))
+        assert stacked.value.point_index == 1
+        with np.errstate(over="ignore"):  # as in the stacked pre-check
+            assert not fam._inside(np.array([1e200]))[0]
+
     def test_alpha_zero_family_rejected(self):
         with pytest.raises(ValueError):
             RevolutionProfile(0.0, 1.0)
