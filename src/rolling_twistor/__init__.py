@@ -13,8 +13,6 @@ from .cartan_invariants import (
     G2Report,
     RootType,
     g2_check,
-    necessary_condition_residual,
-    quartic_constant,
     quartic_killing_case,
     root_type,
     root_types,
@@ -23,7 +21,6 @@ from .cartan_invariants import (
 from .conformal_oracle import (
     CurvatureBundle,
     cartan_from_weyl,
-    compare_projective,
     curvature,
     metric_components,
     metric_field,
@@ -33,8 +30,6 @@ from .conformal_oracle import (
 )
 from .distribution5 import (
     ConfigPoint,
-    Frame5,
-    derived_frame,
     frame_fields,
     growth_vector,
     lie_bracket,
@@ -42,12 +37,8 @@ from .distribution5 import (
 )
 from .embedding import (
     RevolutionMesh,
-    algebraic_residual,
     build_mesh,
-    embed_negative_curvature,
-    embed_point,
     emit_mesh,
-    induced_metric_residual,
 )
 from .errors import (
     DomainError,
@@ -65,15 +56,6 @@ from .rolling import (
     no_slip_residual,
     no_twist_residual,
 )
-from .split4 import (
-    NullPlane,
-    hodge_star,
-    horizontal_corrections,
-    levi_civita_from_structure,
-    null_plane_span,
-    selfdual_split,
-    twistor_lift_coefficient,
-)
 from .surfaces import (
     CustomRevolution,
     FrameData,
@@ -83,11 +65,7 @@ from .surfaces import (
     RevolutionProfile,
     Sphere,
     SurfaceJet,
-    g2_family,
-    gaussian_curvature_profile,
     parse_surface,
-    profile_ode_residual,
-    reciprocal_ode_residual,
 )
 
 __version__ = "0.1.0"

@@ -108,23 +108,6 @@ def _killing_coefficients(jet, lam):
     return CartanQuartic(A1, A2, A3, A4, A5)
 
 
-class ConstantQuartic(NamedTuple):
-    """Constant-curvature quartic and its factored form
-    factor * (1 + 2 z + 2 z^2)^2."""
-
-    quartic: CartanQuartic
-    factor: float
-    base: tuple = (1.0, 2.0, 2.0)
-
-
-def quartic_constant(kappa, lam):
-    """Quartic of two constant-curvature surfaces:
-    (kappa - 9 lambda)(9 kappa - lambda)(kappa - lambda)^4 (1 + 2 z + 2 z^2)^2."""
-    P = (kappa - lam) ** 4 * (kappa - 9.0 * lam) * (9.0 * kappa - lam)
-    quartic = CartanQuartic(P, P, 4.0 * P / 3.0, 2.0 * P, 4.0 * P)
-    return ConstantQuartic(quartic=quartic, factor=P)
-
-
 @dataclass(frozen=True)
 class RootType:
     """Multiplicity partition of the quartic's complex roots.
@@ -203,13 +186,6 @@ def _classify(roots, inf_mult, cluster_radius):
     reps = tuple(reps[i] for i in order)
     tag = "[" + ",".join(str(m) for m in mults) + "]"
     return RootType(tag=tag, roots=reps, multiplicities=mults)
-
-
-def necessary_condition_residual(kappa, lam):
-    """(9 kappa - lambda)(kappa - 9 lambda) lambda; a necessary condition for
-    maximal symmetry in the rotational-on-constant-curvature case is that
-    this vanishes."""
-    return (9.0 * kappa - lam) * (kappa - 9.0 * lam) * lam
 
 
 def vanishing_scale(kappa, lam):

@@ -175,10 +175,6 @@ class Coframe5:
     point: np.ndarray
     matrix: np.ndarray
 
-    @property
-    def determinant(self):
-        return float(np.linalg.det(self.matrix))
-
     def duals(self):
         """Columns Y_1..Y_5 with <theta^j, Y_i> = delta^j_i."""
         return np.linalg.inv(self.matrix)
@@ -383,24 +379,6 @@ def curvature(metric, p, h=DEFAULT_FD_STEP):
     return CurvatureBundle(*extrap, noise=noise)
 
 
-def riemann_symmetry_residual(bundle):
-    """Largest violation of the pair symmetries of the lowered Riemann tensor."""
-    r = bundle.riemann
-    return float(
-        max(
-            np.max(np.abs(r + np.einsum("jikl->ijkl", r))),
-            np.max(np.abs(r + np.einsum("ijlk->ijkl", r))),
-            np.max(np.abs(r - np.einsum("klij->ijkl", r))),
-        )
-    )
-
-
-def weyl_trace_residual(bundle):
-    """Largest trace of the Weyl tensor (zero for the exact tensor)."""
-    tr = np.einsum("ik,ijkl->jl", bundle.ginv, bundle.weyl)
-    return float(np.max(np.abs(tr)))
-
-
 class OracleQuartic(NamedTuple):
     """Quartic coefficients extracted from the numerical Weyl tensor.
 
@@ -428,15 +406,19 @@ def cartan_from_weyl(s1, s2, p, h=DEFAULT_FD_STEP):
     """Quartic coefficients from the Weyl tensor of the explicit metric.
 
     The five contractions pair the null directions spanning the distribution
-    with their orthogonal partners in the transverse null plane.
+    with their orthogonal partners in the transverse null plane.  A Weyl
+    tensor or quartic that is not finite (a step so small that h^2
+    underflows, say) raises DomainError naming the step.
     """
     a = _as_point5(p)
     Y = theta_coframe(s1, s2, a).duals()
-    w1, w2, w = (c[6] for c in _curvature_tiers(metric_field(s1, s2), a, h))
-
-    A = _contract_quartic(w, Y)
-    A1 = _contract_quartic(w1, Y)
-    A2 = _contract_quartic(w2, Y)
+    with np.errstate(all="ignore"):  # checked for non-finite values below
+        w1, w2, w = (c[6] for c in _curvature_tiers(metric_field(s1, s2), a, h))
+        A = _contract_quartic(w, Y)
+        A1 = _contract_quartic(w1, Y)
+        A2 = _contract_quartic(w2, Y)
+    if not (np.isfinite(w).all() and np.isfinite(A).all()):
+        raise DomainError(f"the Weyl tensor is not finite at fd step h = {float(h)!r}")
     return OracleQuartic(
         quartic=CartanQuartic(*A),
         noise=np.abs(A1 - A2),
@@ -455,8 +437,3 @@ def proportionality_residual(qa, qb):
     m = np.outer(A, B)  # m[i, j] = A_i B_j
     return float(np.max(np.abs(m - m.T)) / (sa * sb))
 
-
-def compare_projective(qa, qb, tol):
-    """True iff the two coefficient vectors are proportional within tol
-    (projective equality), or both vanish."""
-    return proportionality_residual(qa, qb) <= tol

@@ -7,10 +7,11 @@ commutators X3 = [X1, X2], X4 = [X1, X3], X5 = [X2, X3] have closed forms in
 terms of the surface frame data (X1, X2, X3) and jets (X4, X5), and away
 from curvature-matching points the five fields frame the space (rank growth
 2, 3, 5).  `field_rows` writes the rows X1..Xn at a point from one frame
-read per surface; rolling integrates its first two rows and
-`growth_vector` ranks all five.  `velocity_fields` and `frame_fields` view
-the rows as callables, and the finite-difference `lie_bracket` is kept as
-the tests' numerical reference.
+read per surface, and is defined at equal curvatures too; rolling
+integrates its first two rows and `growth_vector` ranks all five.
+`velocity_fields` and `frame_fields` view the rows as callables, and the
+finite-difference `lie_bracket` is the tests' numerical reference for the
+closed forms.
 """
 
 from __future__ import annotations
@@ -130,25 +131,6 @@ def _require_noninteg(kappa, lam):
         raise IntegrablePointError(
             f"equal curvatures (kappa = {kappa}, lambda = {lam}): distribution is integrable"
         )
-
-
-@dataclass(frozen=True)
-class Frame5:
-    """Derived frame evaluated at a point: rows of `matrix` are X1..X5."""
-
-    point: np.ndarray
-    matrix: np.ndarray
-
-    @property
-    def determinant(self):
-        return float(np.linalg.det(self.matrix))
-
-
-def derived_frame(s1, s2, p):
-    """Closed-form derived frame at p; requires unequal curvatures there."""
-    a = _as_point5(p)
-    _require_noninteg(s1.frame_data((a[0], a[1])).kappa, s2.frame_data((a[2], a[3])).kappa)
-    return Frame5(point=a, matrix=field_rows(s1, s2, a))
 
 
 def jacobian(field, p):

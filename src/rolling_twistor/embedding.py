@@ -10,6 +10,12 @@ profiles and the negative-curvature branch) come from the tanh-sinh rule of
 `finitediff`, which takes the square-root branch point |h| = 1 at an end of
 the range without a substitution; a mesh integrates each row interval once
 and accumulates.
+
+`build_mesh` samples the embedded surface on a grid, one height per profile
+row, and `emit_mesh` writes it as text; these are what the `embed` command
+runs.  The checks of a mesh (the algebraic identity, the induced metric and
+the Gauss curvature by finite differences) are test references and live
+with the tests.
 """
 
 from __future__ import annotations
@@ -20,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .finitediff import fd_weights, sampled_derivative, tanh_sinh
-from .surfaces import G2Family, RevolutionProfile, Surface
+from .finitediff import tanh_sinh
+from .surfaces import G2Family, RevolutionProfile
 
 
 def _z_plus(rho):
@@ -51,46 +57,6 @@ def _slope(family):
         return np.where((lower < 0.0) & (upper > 0.0), 0.0, slope)
 
     return f
-
-
-def embed_point(eps, rho, phi):
-    """Embedded point of the eps-family at (rho, phi).
-
-    Domains: eps=+1 needs rho >= 0; eps=-1 needs rho >= sqrt(2);
-    eps=0 needs rho >= 1 (heights measured from rho = 1).
-    """
-    if eps == 1:
-        if rho < 0.0:
-            raise DomainError(f"the eps=+1 embedding needs rho >= 0, got {rho}")
-        z = _z_plus(rho)
-    elif eps == -1:
-        if rho < math.sqrt(2.0) - 1e-12:
-            raise DomainError(f"the eps=-1 embedding needs rho >= sqrt(2), got {rho}")
-        z = _z_minus(max(rho, math.sqrt(2.0)))
-    elif eps == 0:
-        if rho < 1.0:
-            raise DomainError(f"the eps=0 embedding needs rho >= 1, got {rho}")
-        z = tanh_sinh(_slope(G2Family(0)), 1.0, rho)  # integral_1^rho sqrt(x^4 - 1)
-    else:
-        raise ValueError("eps must be -1, 0 or +1")
-    return rho * math.cos(phi), rho * math.sin(phi), z
-
-
-def algebraic_residual(eps, x, y, z):
-    """(X^2 + Y^2 + 2 eps)^3 - 9 Z^2; zero on the eps=+-1 embedded surfaces."""
-    if eps not in (-1, 1):
-        raise ValueError("the algebraic identity holds for eps = -1 or +1")
-    return (x * x + y * y + 2.0 * eps) ** 3 - 9.0 * z * z
-
-
-def embed_negative_curvature(rho, phi):
-    """Embedding of the negative-curvature portion of the metric
-    (rho^2 - 5)^2 drho^2 + rho^2 dpsi^2; valid on 0 <= rho <= 2 where
-    Z' = sqrt((rho^2 - 6)(rho^2 - 4)) is real."""
-    if not (0.0 <= rho <= 2.0):
-        raise DomainError(f"this branch embeds 0 <= rho <= 2 only, got {rho}")
-    z = tanh_sinh(_slope(RevolutionProfile(1.0, -5.0)), 0.0, rho)  # h = rho^2 - 5
-    return rho * math.cos(phi), rho * math.sin(phi), z
 
 
 @dataclass(frozen=True)
@@ -161,11 +127,8 @@ def _height_profile(family, rho_values):
     return heights, getattr(family, "eps", None)
 
 
-def build_mesh(family, rho_range, nr, nphi, z_func=None):
-    """Sample the embedded surface on an (nr x nphi) grid.
-
-    `z_func`, when given, overrides the family height profile (used for
-    synthetic meshes such as the flat disk)."""
+def build_mesh(family, rho_range, nr, nphi):
+    """Sample the embedded surface on an (nr x nphi) grid."""
     lo, hi = (float(rho_range[0]), float(rho_range[1]))
     if not (hi > lo):
         raise ValueError("empty rho range")
@@ -173,100 +136,12 @@ def build_mesh(family, rho_range, nr, nphi, z_func=None):
         raise ValueError("mesh needs at least 2 samples per direction")
     rho = np.linspace(lo, hi, nr)
     phi = np.linspace(0.0, 2.0 * math.pi, nphi)
-    if z_func is not None:
-        heights = np.array([float(z_func(r)) for r in rho])
-        eps = getattr(family, "eps", None)
-        tag = family.kind if isinstance(family, Surface) else str(family)
-    else:
-        heights, eps = _height_profile(family, rho)
-        tag = family.kind
+    heights, eps = _height_profile(family, rho)
     xyz = np.empty((nr, nphi, 3))
     xyz[:, :, 0] = rho[:, None] * np.cos(phi)[None, :]
     xyz[:, :, 1] = rho[:, None] * np.sin(phi)[None, :]
     xyz[:, :, 2] = heights[:, None]
-    return RevolutionMesh(family_tag=tag, eps=eps, rho=rho, phi=phi, xyz=xyz)
-
-
-RHO_ORDER = 6  # centered 7-point stencil along the profile direction
-RHO_MARGIN = RHO_ORDER // 2
-PHI_STENCIL = 13  # periodic stencil along the angle, exact to high order
-
-
-def _phi_derivative(values, dphi):
-    """Periodic centered stencil derivative along axis 1.
-
-    The grid duplicates the seam column (phi = 0 and 2 pi), so the unique
-    columns are values[:, :-1]; the duplicate column is rebuilt at the end.
-    """
-    m = values.shape[1] - 1
-    width = min(PHI_STENCIL, m if m % 2 == 1 else m - 1)
-    half = width // 2
-    w = fd_weights(np.arange(width, dtype=float), float(half), 1)[:, 1] / dphi
-    unique = values[:, :-1]
-    out = np.zeros_like(unique)
-    for s in range(width):
-        out += w[s] * np.roll(unique, half - s, axis=1)
-    return np.concatenate([out, out[:, :1]], axis=1)
-
-
-def _mesh_phi_derivative(mesh, values):
-    """Derivative along axis 1 of values on the mesh grid: periodic on a full
-    circle, else the shifted stencils of `sampled_derivative`."""
-    dphi = float(mesh.phi[1] - mesh.phi[0])
-    if abs((mesh.phi[-1] - mesh.phi[0]) - 2.0 * math.pi) < 1e-12:  # full circle
-        return _phi_derivative(values, dphi)
-    return np.swapaxes(sampled_derivative(np.swapaxes(values, 0, 1), dphi, order=RHO_ORDER), 0, 1)
-
-
-def _grid_partials(mesh):
-    """FD tangents X_rho, X_phi over the grid."""
-    drho = float(mesh.rho[1] - mesh.rho[0])
-    return sampled_derivative(mesh.xyz, drho, order=RHO_ORDER), _mesh_phi_derivative(mesh, mesh.xyz)
-
-
-def induced_metric_residual(mesh, h_of_rho):
-    """Max deviation of the FD first fundamental form from the target metric
-    h(rho)^2 drho^2 + rho^2 dphi^2, over interior rows (where the profile
-    stencils are fully centered).
-
-    `h_of_rho` may be a callable or a catalog revolution family."""
-    h = h_of_rho.h if isinstance(h_of_rho, Surface) else h_of_rho
-    x_r, x_p = _grid_partials(mesh)
-    E = np.einsum("ijk,ijk->ij", x_r, x_r)
-    F = np.einsum("ijk,ijk->ij", x_r, x_p)
-    G = np.einsum("ijk,ijk->ij", x_p, x_p)
-    E_target = np.array([float(h(r)) ** 2 for r in mesh.rho])[:, None]
-    G_target = (mesh.rho**2)[:, None]
-    sl = slice(RHO_MARGIN, len(mesh.rho) - RHO_MARGIN)
-    return float(
-        max(
-            np.max(np.abs((E - E_target)[sl])),
-            np.max(np.abs(F[sl])),
-            np.max(np.abs((G - G_target)[sl])),
-        )
-    )
-
-
-def mesh_gauss_curvature(mesh, margin=2 * RHO_MARGIN):
-    """Gauss curvature on interior rows from FD first and second fundamental
-    forms; returns (rho values, curvature array) for rows with fully
-    centered nested stencils."""
-    drho = float(mesh.rho[1] - mesh.rho[0])
-    x_r, x_p = _grid_partials(mesh)
-    x_rr = sampled_derivative(x_r, drho, order=RHO_ORDER)
-    x_rp = sampled_derivative(x_p, drho, order=RHO_ORDER)
-    x_pp = _mesh_phi_derivative(mesh, x_p)
-    normal = np.cross(x_r, x_p)
-    normal = normal / np.linalg.norm(normal, axis=2, keepdims=True)
-    E = np.einsum("ijk,ijk->ij", x_r, x_r)
-    F = np.einsum("ijk,ijk->ij", x_r, x_p)
-    G = np.einsum("ijk,ijk->ij", x_p, x_p)
-    L = np.einsum("ijk,ijk->ij", x_rr, normal)
-    M = np.einsum("ijk,ijk->ij", x_rp, normal)
-    N = np.einsum("ijk,ijk->ij", x_pp, normal)
-    K = (L * N - M * M) / (E * G - F * F)
-    sl = slice(margin, len(mesh.rho) - margin)
-    return mesh.rho[sl], K[sl]
+    return RevolutionMesh(family_tag=family.kind, eps=eps, rho=rho, phi=phi, xyz=xyz)
 
 
 def emit_mesh(family, rho_range, nr, nphi, destination):
@@ -305,22 +180,3 @@ def emit_mesh(family, rho_range, nr, nphi, destination):
             fh.close()
     return mesh
 
-
-def load_mesh(path):
-    """Parse a mesh file back into vertices and quads (testing helper)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if not header.startswith("# family="):
-            raise ValueError(f"not a mesh file: {path}")
-        fields = dict(part.split("=") for part in header[2:].split())
-        nr, nphi = int(fields["nr"]), int(fields["nphi"])
-        verts = np.empty((nr, nphi, 3))
-        quads = []
-        for line in fh:
-            parts = line.split()
-            if parts[0] == "q":
-                quads.append(tuple(int(t) for t in parts[1:]))
-            else:
-                i, j = int(parts[0]), int(parts[1])
-                verts[i, j] = [float(parts[2]), float(parts[3]), float(parts[4])]
-    return fields, verts, quads

@@ -14,6 +14,10 @@ class IntegrablePointError(DomainError):
     distribution closes up and the (2,3,5) invariants are undefined."""
 
 
+class ChartOverflowError(DomainError, OverflowError):
+    """The frame data overflow a float: the point lies outside the chart."""
+
+
 class StepSizeError(RollingTwistorError):
     """A finite-difference or integration step is unusable (zero, negative,
     or small enough that cancellation dominates)."""

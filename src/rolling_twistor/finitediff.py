@@ -1,9 +1,10 @@
 """Finite differences and quadrature for the whole package.
 
-Fornberg stencils let the trajectory and mesh diagnostics differentiate
-sampled data well below the integrator's own error order; the oracle's
-metric derivatives use `check_step` and `richardson`, and the reference
-brackets of `distribution5` use `richardson`.  `tanh_sinh` integrates
+Fornberg stencils let the trajectory diagnostics differentiate sampled data
+well below the integrator's own error order (the tests' mesh checks use
+them too); the oracle's metric derivatives use `check_step` and
+`richardson`, and the reference brackets of `distribution5` use
+`richardson`.  `tanh_sinh` integrates
 functions given in closed form, such as the embedding heights, to near
 machine precision, including square-root branch points at an endpoint.
 """

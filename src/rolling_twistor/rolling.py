@@ -98,11 +98,6 @@ class Trajectory:
     def __len__(self):
         return len(self.times)
 
-    @property
-    def phi_winding(self):
-        """Total change of the unwrapped fiber angle along the motion."""
-        return float(self.points[-1, 4] - self.points[0, 4])
-
 
 def integrate_fields(fields, start, ctrl, dt, t_end, validate=None):
     """Fixed-step RK4 for ydot = c1(t) X1(y) + c2(t) X2(y), where

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, SpecParseError
+from .errors import ChartOverflowError, DomainError, SpecParseError
 from .taylor import TaylorJet
 
 REVOLUTION_MARGIN = 1e-6  # keep |beta + alpha rho^2| away from the frame degeneracy
@@ -310,7 +310,15 @@ class _RevolutionBase(Surface):
             raise DomainError(f"revolution chart requires rho > 0, got {rho}")
         h = self.h(rho)
         if not math.isfinite(h):
-            raise DomainError(f"{self._h_formula} is not finite at rho = {rho} (float overflow)")
+            raise ChartOverflowError(
+                f"{self._h_formula} is not finite at rho = {rho} (float overflow)"
+            )
+        if not (math.isfinite(h * h * h) and math.isfinite(rho * h)):
+            # kappa = 2 alpha / h^3 and a2 = -1 / (rho h) would round to 0
+            raise ChartOverflowError(
+                f"the cube of {self._h_formula} or its product with rho overflows at rho = {rho}"
+                " (float overflow)"
+            )
         if abs(h) < REVOLUTION_MARGIN:
             raise DomainError(f"frame degenerates where {self._h_formula} = 0 (rho = {rho})")
 
@@ -318,7 +326,8 @@ class _RevolutionBase(Surface):
         """Where the profile coordinates rho may lie in the chart, elementwise;
         False at least wherever `validate` raises."""
         h = self.h(rho)
-        return (rho > 0) & np.isfinite(h) & (np.abs(h) >= REVOLUTION_MARGIN)
+        finite = np.isfinite(h * h * h) & np.isfinite(rho * h)
+        return (rho > 0) & finite & (np.abs(h) >= REVOLUTION_MARGIN)
 
     def _rho(self, p):
         """Profile coordinate of a valid chart point (a float), or of each
@@ -480,33 +489,6 @@ class CustomRevolution(_RevolutionBase):
         return f"custom:{self.label}"
 
 
-def g2_family(eps):
-    return G2Family(int(eps))
-
-
-def gaussian_curvature_profile(alpha, beta, rho):
-    """Gaussian curvature 2 alpha / (beta + alpha rho^2)^3 of the profile metric."""
-    h = beta + alpha * rho * rho
-    if h == 0.0:
-        raise DomainError("curvature is singular where beta + alpha rho^2 = 0")
-    return 2.0 * alpha / h**3
-
-
-def profile_ode_residual(rho, d1, d2, d3):
-    """Residual of the third-order profile equation characterizing the
-    surfaces whose rolling on the plane has maximal symmetry; arguments are
-    rho and its first three derivatives with respect to the chart
-    coordinate x in which the metric is rho(x)^2 (dx^2 + dpsi^2)."""
-    return d3 * d1 * rho**2 - 3.0 * d2**2 * rho**2 + d2 * d1**2 * rho + d1**4
-
-
-def reciprocal_ode_residual(x1, x2, x3, rho):
-    """Residual of the linear reciprocal form x''' rho^2 + x'' rho - x' = 0,
-    obtained from the profile equation by swapping dependent and independent
-    variables; its general solution is x = alpha rho^2/2 + beta log rho + gamma."""
-    return x3 * rho**2 + x2 * rho - x1
-
-
 _SPEC_RE = re.compile(r"^(?P<kind>[a-zA-Z0-9_]+)(?::(?P<args>.*))?$")
 
 _SPEC_KEYS = {
@@ -598,10 +580,10 @@ def _curvature_representable(surface):
     for t in surface.profile_range():
         try:
             kappa = surface.frame_data(surface.chart_point(t)).kappa
+        except ArithmeticError:  # OverflowError in 1 / r**2, ChartOverflowError, ZeroDivisionError
+            return False
         except DomainError:
             continue
-        except ArithmeticError:  # OverflowError in 1 / r**2, ZeroDivisionError
-            return False
         if not (math.isfinite(kappa) and kappa != 0.0):
             return False
     return True

@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 import pytest
+from references import algebraic_residual, induced_metric_residual, profile_ode_residual
 
 from rolling_twistor import conformal_oracle as co
 from rolling_twistor.cartan_invariants import (
@@ -19,15 +20,14 @@ from rolling_twistor.cartan_invariants import (
 )
 from rolling_twistor.distribution5 import frame_fields, growth_vector, lie_bracket
 from rolling_twistor.rolling import ControlCurve, contact_arclengths, integrate, no_slip_residual, no_twist_residual
-from rolling_twistor.embedding import algebraic_residual, build_mesh, embed_point, induced_metric_residual
+from rolling_twistor.embedding import build_mesh
 from rolling_twistor.surfaces import (
+    G2Family,
     Hyperbolic,
     Plane,
     RevolutionProfile,
     Sphere,
     SurfaceJet,
-    g2_family,
-    profile_ode_residual,
 )
 
 RNG = np.random.default_rng(20240612)
@@ -85,7 +85,7 @@ def test_criterion_3_three_revolution_families():
     def body():
         domains = {0: (0.5, 3.0), 1: (0.1, 2.0), -1: (1.2, 3.0)}
         for eps, (lo, hi) in domains.items():
-            fam = g2_family(eps)
+            fam = G2Family(eps)
             rep = g2_check(fam, 0.0, fam.profile_grid(100, lo, hi), tol=1e-8)
             assert rep.is_g2, f"eps={eps}: max scaled {rep.max_scaled}"
             assert rep.max_scaled < 1e-8
@@ -188,7 +188,7 @@ def test_criterion_6_weyl_oracle_concordance():
             ocl = co.cartan_from_weyl(sphere, plane, p)
             closed = quartic_killing_case(sphere.jet((p[0], p[1])), 0.0)
             assert co.proportionality_residual(ocl.quartic, closed) < 1e-3
-        for s1, s2 in ((Sphere(1.0), Sphere(3.0)), (g2_family(1), plane)):
+        for s1, s2 in ((Sphere(1.0), Sphere(3.0)), (G2Family(1), plane)):
             for p in pts:
                 q = p.copy()
                 if s2.kind == "sphere":
@@ -203,15 +203,13 @@ def test_criterion_6_weyl_oracle_concordance():
 def test_criterion_7_embedding_identities():
     def body():
         for eps, lo in ((1, 0.0), (-1, math.sqrt(2.0))):
-            rho = RNG.uniform(lo, lo + 2.5, 10_000)
-            phi = RNG.uniform(0.0, 2 * math.pi, 10_000)
-            for r, f in zip(rho, phi):
-                x, y, z = embed_point(eps, r, f)
-                scale = (r * r + 2.0) ** 3
-                assert abs(algebraic_residual(eps, x, y, z)) < 1e-9 * scale
+            mesh = build_mesh(G2Family(eps), (lo, lo + 2.5), 100, 100)
+            x, y, z = np.moveaxis(mesh.xyz, 2, 0)
+            scale = (mesh.rho * mesh.rho + 2.0)[:, None] ** 3
+            assert np.all(np.abs(algebraic_residual(eps, x, y, z)) < 1e-9 * scale)
         ranges = {1: (0.1, 2.0), 0: (1.1, 3.0), -1: (1.5, 3.0)}
         for eps, rng_ in ranges.items():
-            fam = g2_family(eps)
+            fam = G2Family(eps)
             mesh = build_mesh(fam, rng_, 64, 64)
             assert induced_metric_residual(mesh, fam) < 1e-5
 
@@ -247,7 +245,7 @@ def test_criterion_9_homothety_invariance():
         # non-vanishing pair, under simultaneous scaling
         for s0 in (0.5, 2.0, 10.0):
             for eps, (lo, hi) in {0: (0.5, 3.0), 1: (0.1, 2.0), -1: (1.2, 3.0)}.items():
-                fam = g2_family(eps)
+                fam = G2Family(eps)
                 scaled = fam.scaled(s0)
                 grid = [(r * s0, a) for (r, a) in fam.profile_grid(40, lo, hi)]
                 assert g2_check(scaled, 0.0, grid, tol=1e-8).is_g2

@@ -1,21 +1,24 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from references import necessary_condition_residual, quartic_constant
 
 from rolling_twistor.cartan_invariants import (
     CartanQuartic,
     g2_check,
-    necessary_condition_residual,
-    quartic_constant,
     quartic_killing_case,
     root_type,
     vanishing_scale,
 )
 from rolling_twistor.errors import DomainError, IntegrablePointError
 from rolling_twistor.surfaces import (
+    G2Family,
+    Hyperbolic,
+    Plane,
     RevolutionProfile,
     Sphere,
     SurfaceJet,
-    g2_family,
 )
 
 RNG = np.random.default_rng(99)
@@ -50,7 +53,7 @@ class TestQuarticKillingCase:
             quartic_killing_case(const_jet(kappa), lam)
 
     def test_g2_family_vanishes_at_sample_point(self):
-        jet = g2_family(1).jet((1.0, 0.0))
+        jet = G2Family(1).jet((1.0, 0.0))
         q = quartic_killing_case(jet, 0.0)
         assert q.max_abs < 1e-8 * vanishing_scale(jet.kappa, 0.0)
 
@@ -92,6 +95,44 @@ class TestQuarticConstant:
         for s in (0.5, 1.0, 7.0):
             q = quartic_constant(s / 9.0, s).quartic
             assert q.max_abs < 1e-12 * max(s**6, 1.0)
+
+
+SIZES = st.floats(0.1, 10.0)  # a radius, or a plane's scale
+CONSTANT = st.one_of(*(st.builds(cls, SIZES) for cls in (Sphere, Hyperbolic, Plane)))
+
+
+def _at(surface, t):
+    """Chart point a share t along the surface's default profile range."""
+    lo, hi = surface.profile_range()
+    return surface.chart_point(lo + t * (hi - lo))
+
+
+class TestNineToOneProperty:
+    """The constant-curvature quartic and the 9:1 ratio over generated
+    sphere, hyperbolic and plane pairs."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(CONSTANT, CONSTANT, st.floats(0.0, 1.0))
+    def test_quartic_is_the_constant_factorisation(self, s1, s2, t):
+        jet = s1.jet(_at(s1, t))
+        lam = s2.frame_data(_at(s2, 0.5)).kappa
+        try:
+            q = quartic_killing_case(jet, lam)
+        except IntegrablePointError:
+            assume(False)
+        expected = quartic_constant(jet.kappa, lam).quartic
+        scale = vanishing_scale(jet.kappa, lam)
+        assert np.max(np.abs(np.subtract(q, expected))) <= 1e-12 * scale
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(st.sampled_from((Sphere, Hyperbolic)), SIZES)
+    def test_g2_exactly_at_ratio_nine(self, family, radius):
+        # a second surface three times the size: kappa / lambda = 9
+        s1 = family(radius)
+        lam = family(3.0 * radius).frame_data(_at(s1, 0.5)).kappa
+        grid = s1.profile_grid(5)
+        assert g2_check(s1, lam, grid).is_g2
+        assert not g2_check(s1, lam / (1.0 + 1e-3), grid).is_g2
 
 
 class TestRootType:
@@ -163,7 +204,7 @@ class TestG2Check:
         assert all(row.root_tag == "zero" for row in rep.rows)
 
     def test_g2_family_on_plane(self):
-        fam = g2_family(0)
+        fam = G2Family(0)
         rep = g2_check(fam, 0.0, fam.profile_grid(50, 0.5, 3.0))
         assert rep.is_g2
 
@@ -205,7 +246,7 @@ class TestHomothety:
             assert np.allclose(np.array(qs), np.array(q) / s0**12, rtol=1e-10)
 
     def test_verdicts_invariant_under_scaling(self):
-        fam = g2_family(0)
+        fam = G2Family(0)
         grid = fam.profile_grid(20, 0.5, 2.5)
         for s0 in (0.5, 2.0, 10.0):
             scaled = fam.scaled(s0)

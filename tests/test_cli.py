@@ -11,6 +11,13 @@ import rolling_twistor
 from rolling_twistor.cli import main
 
 
+def subprocess_env():
+    """The environment of a child Python that imports this package."""
+    src = str(Path(rolling_twistor.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+
+
 def run(tmp_path, *argv):
     out = tmp_path / "out.txt"
     code = main(list(argv) + ["-o", str(out)])
@@ -300,20 +307,24 @@ class TestNonFiniteSpecs:
 
 
 class TestOracleStep:
-    @pytest.mark.parametrize("step", ["0", "-1e-3", "nan", "inf"])
+    # 1e-300 is a finite positive step, but h^2 underflows to 0
+    SHOWN = {"1e-300": "error: the Weyl tensor is not finite at fd step h = 1e-300\n"}
+
+    @pytest.mark.parametrize("step", ["0", "-1e-3", "nan", "inf", "1e-300"])
     def test_unusable_fd_step_exits_3(self, tmp_path, capsys, step):
-        code, text = run(tmp_path, "oracle", "--s1", "sphere:r=1", "--s2", "plane",
-                         "--points", "1", f"--fd-step={step}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, text = run(tmp_path, "oracle", "--s1", "sphere:r=1", "--s2", "plane",
+                             "--points", "1", f"--fd-step={step}")
         assert code == 3
         assert text == ""
-        assert "step size must be a finite positive number" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert self.SHOWN.get(step, "step size must be a finite positive number") in err
 
 
 class TestColdStart:
     def test_embed_runs_without_scipy(self, tmp_path):
-        src = str(Path(rolling_twistor.__file__).resolve().parents[1])
-        path = os.environ.get("PYTHONPATH")
-        env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+        env = subprocess_env()
         code = (
             "import sys\n"
             "import rolling_twistor.cli as cli\n"
@@ -327,13 +338,20 @@ class TestColdStart:
         assert proc.stdout == "0 []\n"
         assert (tmp_path / "mesh.txt").read_text().startswith("# family=g2 eps=0 nr=16 nphi=8\n")
 
+    def test_cli_loads_no_module_it_does_not_run(self):
+        # no command runs the split-signature algebra of `split4`
+        env = subprocess_env()
+        code = "import sys, rolling_twistor.cli; print('rolling_twistor.split4' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
+
 
 class TestModuleEntryPoints:
     @pytest.mark.parametrize("module", ["rolling_twistor", "rolling_twistor.cli"])
     def test_python_dash_m_runs_the_cli(self, module):
-        src = str(Path(rolling_twistor.__file__).resolve().parents[1])
-        path = os.environ.get("PYTHONPATH")
-        env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+        env = subprocess_env()
         env.pop("ROLLING_TWISTOR_JOBS", None)
         proc = subprocess.run(
             [sys.executable, "-m", module, "g2check", "--s1", "sphere:r=1", "--s2", "plane",
@@ -347,9 +365,7 @@ class TestModuleEntryPoints:
     def test_closed_stdout_ends_quietly(self):
         # 5001 rows, far more than a pipe buffer holds; the reader stops
         # after the first line
-        src = str(Path(rolling_twistor.__file__).resolve().parents[1])
-        path = os.environ.get("PYTHONPATH")
-        env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+        env = subprocess_env()
         proc = subprocess.Popen(
             [sys.executable, "-m", "rolling_twistor", "roll", "--s1", "sphere:r=1", "--s2",
              "plane", "--start", "1.5707963267948966,0,0,0,0", "--c1", "0", "--c2", "1",
@@ -552,6 +568,21 @@ class TestQuarticOverflow:
         assert text == ""
         assert capsys.readouterr().err == (
             "error: beta + alpha rho^2 is not finite at rho = 1e+200 (float overflow)\n"
+        )
+
+    @pytest.mark.parametrize("command", ["g2check", "quartic", "oracle", "growth"])
+    def test_overflowing_frame_data_name_the_coordinate(self, tmp_path, capsys, command):
+        # h = 1 + rho^2 is finite at rho = 1e60 but h^3 is not: kappa would
+        # round to 0 and the run would blame the integrable locus
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning on the way
+            code, text = run(tmp_path, command, "--s1", "g2:eps=1", "--s2", "plane",
+                             "--rho", "1e60:1e61:3")
+        assert code == 3
+        assert text == ""
+        assert capsys.readouterr().err == (
+            "error: the cube of beta + alpha rho^2 or its product with rho overflows"
+            " at rho = 1e+60 (float overflow)\n"
         )
 
 

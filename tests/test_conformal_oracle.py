@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from references import riemann_symmetry_residual, weyl_trace_residual
 
 from rolling_twistor import conformal_oracle as co
 from rolling_twistor.cartan_invariants import CartanQuartic, quartic_killing_case
@@ -12,7 +13,6 @@ from rolling_twistor.surfaces import (
     Plane,
     RevolutionProfile,
     Sphere,
-    g2_family,
 )
 
 RNG = np.random.default_rng(321)
@@ -86,7 +86,7 @@ class TestThetaCoframe:
     def test_determinant_nonzero(self):
         for p in sample_points(5):
             T = co.theta_coframe(SPHERE, PLANE, p)
-            assert abs(T.determinant) > 1e-6
+            assert abs(np.linalg.det(T.matrix)) > 1e-6
 
     def test_constant_curvature_coefficients_reduce(self):
         # kappa1 = kappa11 = 0 for the sphere: theta4/theta5 coefficients
@@ -173,8 +173,8 @@ class TestCurvature:
         p = np.array([1.2, 0.1, 0.3, -0.2, 0.8])
         bundle = co.curvature(g, p)
         scale = np.max(np.abs(bundle.riemann)) + 1.0
-        assert co.riemann_symmetry_residual(bundle) < 1e-4 * scale
-        assert co.weyl_trace_residual(bundle) < 1e-4 * scale
+        assert riemann_symmetry_residual(bundle) < 1e-4 * scale
+        assert weyl_trace_residual(bundle) < 1e-4 * scale
         assert np.max(np.abs(bundle.ricci - bundle.ricci.T)) < 1e-4 * scale
 
     def test_nine_to_one_pair_conformally_flat(self):
@@ -228,7 +228,7 @@ class TestCartanFromWeyl:
 
     def test_g2_family_below_noise_floor(self):
         p = np.array([1.0, 0.2, 0.3, -0.1, 0.9])
-        ocl = co.cartan_from_weyl(g2_family(1), PLANE, p)
+        ocl = co.cartan_from_weyl(G2Family(1), PLANE, p)
         assert ocl.weyl_norm < 10.0 * max(ocl.weyl_noise, 1e-14)
 
     def test_vanishing_equivalence_both_directions(self):
@@ -237,7 +237,7 @@ class TestCartanFromWeyl:
         cases = [
             (SPHERE, PLANE, np.array([1.2, 0.1, 0.4, -0.3, 0.7]), False),
             (Sphere(1.0), Sphere(3.0), np.array([1.0, 0.1, 1.3, 0.2, 0.5]), True),
-            (g2_family(0), PLANE, np.array([1.3, 0.2, 0.1, 0.0, 0.4]), True),
+            (G2Family(0), PLANE, np.array([1.3, 0.2, 0.1, 0.0, 0.4]), True),
         ]
         for s1, s2, p, expect_flat in cases:
             ocl = co.cartan_from_weyl(s1, s2, p)
@@ -260,8 +260,8 @@ class TestDerivativeTermsAgainstOracle:
     @pytest.mark.parametrize(
         "s1,s2,p",
         [
-            (g2_family(1), Sphere(1.0), np.array([0.9, 0.3, 1.1, -0.2, 0.8])),
-            (g2_family(0), Sphere(3.0), np.array([1.4, 0.1, 0.9, 0.4, 2.1])),
+            (G2Family(1), Sphere(1.0), np.array([0.9, 0.3, 1.1, -0.2, 0.8])),
+            (G2Family(0), Sphere(3.0), np.array([1.4, 0.1, 0.9, 0.4, 2.1])),
         ],
     )
     def test_full_jet_proportionality(self, s1, s2, p):
@@ -282,7 +282,7 @@ class TestDerivativeTermsAgainstOracle:
     def test_near_integrable_point_is_flagged_by_noise(self):
         # kappa - lambda ~ 0.016 here: the coframe's (kappa-lambda)^-2
         # factors amplify the FD error and the oracle must say so itself
-        s1, s2 = g2_family(0), Sphere(2.0)
+        s1, s2 = G2Family(0), Sphere(2.0)
         p = np.array([1.4, 0.1, 0.9, 0.4, 2.1])
         ocl = co.cartan_from_weyl(s1, s2, p)
         assert np.max(ocl.noise) > np.max(np.abs(np.array(ocl.quartic)))
@@ -292,24 +292,24 @@ class TestCompareProjective:
     def test_scalar_multiple(self):
         qa = CartanQuartic(1.0, 1.0, 4.0 / 3.0, 2.0, 4.0)
         qb = CartanQuartic(3.0, 3.0, 4.0, 6.0, 12.0)
-        assert co.compare_projective(qa, qb, 1e-12)
+        assert co.proportionality_residual(qa, qb) <= 1e-12
 
     def test_non_proportional(self):
         qa = CartanQuartic(1.0, 0.0, 0.0, 0.0, 0.0)
         qb = CartanQuartic(0.0, 0.0, 0.0, 0.0, 1.0)
-        assert not co.compare_projective(qa, qb, 1e-6)
+        assert co.proportionality_residual(qa, qb) > 1e-6
 
     def test_zero_pairs(self):
         z = CartanQuartic(0.0, 0.0, 0.0, 0.0, 0.0)
         nz = CartanQuartic(1.0, 0.0, 0.0, 0.0, 0.0)
-        assert co.compare_projective(z, z, 1e-12)
-        assert not co.compare_projective(z, nz, 1e-12)
+        assert co.proportionality_residual(z, z) <= 1e-12
+        assert co.proportionality_residual(z, nz) > 1e-12
 
     def test_oracle_vs_closed_form_boolean(self):
         p = np.array([1.3, 0.0, 0.1, 0.2, 0.4])
         ocl = co.cartan_from_weyl(SPHERE, PLANE, p)
         closed = quartic_killing_case(SPHERE.jet((1.3, 0.0)), 0.0)
-        assert co.compare_projective(ocl.quartic, closed, 1e-3)
+        assert co.proportionality_residual(ocl.quartic, closed) <= 1e-3
 
 
 STACK_PAIRS = [

@@ -205,7 +205,8 @@ class TestHolonomy:
             1e-3,
             T,
         )
-        assert traj.phi_winding == pytest.approx(2 * math.pi * math.cos(theta0), abs=1e-9)
+        winding = traj.points[-1, 4] - traj.points[0, 4]  # phi is unwrapped
+        assert winding == pytest.approx(2 * math.pi * math.cos(theta0), abs=1e-9)
 
 
 class TestScalingInvariance:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from references import profile_ode_residual, reciprocal_ode_residual
 
 from rolling_twistor.errors import DomainError, SpecParseError
 from rolling_twistor.finitediff import fd_weights
@@ -14,11 +15,7 @@ from rolling_twistor.surfaces import (
     Plane,
     RevolutionProfile,
     Sphere,
-    g2_family,
-    gaussian_curvature_profile,
     parse_surface,
-    profile_ode_residual,
-    reciprocal_ode_residual,
 )
 
 RNG = np.random.default_rng(42)
@@ -54,18 +51,18 @@ class TestJets:
 
     def test_g2_plus_curvature_near_origin(self):
         # kappa = 2/(rho^2+1)^3 -> 2 as rho -> 0
-        j = g2_family(1).jet((1e-8, 0.0))
+        j = G2Family(1).jet((1e-8, 0.0))
         assert j.kappa == pytest.approx(2.0, rel=1e-12)
 
     def test_g2_zero_at_rho_one(self):
-        j = g2_family(0).jet((1.0, 0.0))
+        j = G2Family(0).jet((1.0, 0.0))
         assert j.kappa == pytest.approx(2.0)
         assert j.a2 == pytest.approx(-1.0)
 
     def test_a2_matches_numerical_frame_bracket(self):
         # independent check of a2: the psi-component of [e1, e2] equals
         # a2 * (1/rho) for e1 = (1/h) d_rho, e2 = (1/rho) d_psi
-        fam = g2_family(0)
+        fam = G2Family(0)
         rho = 1.0
         h = 1e-6
 
@@ -82,13 +79,13 @@ class TestJets:
 
     def test_rho_domain_guards(self):
         with pytest.raises(DomainError):
-            g2_family(1).jet((0.0, 0.0))
+            G2Family(1).jet((0.0, 0.0))
         with pytest.raises(DomainError):
-            g2_family(-1).jet((0.9, 0.0))  # restricted to rho > 1
+            G2Family(-1).jet((0.9, 0.0))  # restricted to rho > 1
         with pytest.raises(DomainError):
             RevolutionProfile(1.0, -1.0).jet((1.0, 0.0))  # h = 0 there
 
-    @pytest.mark.parametrize("fam", [g2_family(1), g2_family(-1), RevolutionProfile(-1.0, 2.0)])
+    @pytest.mark.parametrize("fam", [G2Family(1), G2Family(-1), RevolutionProfile(-1.0, 2.0)])
     def test_overflowing_h_is_outside_the_chart(self, fam):
         # h = beta + alpha rho^2 overflows: no frame, whatever kappa rounds to
         with pytest.raises(DomainError, match=r"not finite at rho = 1e\+200"):
@@ -99,6 +96,26 @@ class TestJets:
         with np.errstate(over="ignore"):  # as in the stacked pre-check
             assert not fam._inside(np.array([1e200]))[0]
 
+    @pytest.mark.parametrize(
+        "fam, rho",
+        [
+            (G2Family(1), 1e60),  # h = 1e120 is finite, h^3 is not
+            (RevolutionProfile(-1.0, 2.0), 1e60),
+            (RevolutionProfile(1e-320, 1.0), 1e210),  # h^3 = 1e300 is finite, rho h is not
+        ],
+    )
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_frame_data_are_outside_the_chart(self, fam, rho):
+        # kappa = 2 alpha / h^3 and a2 = -1 / (rho h) would round to 0
+        shown = f"product with rho overflows at rho = {rho!r}".replace("+", r"\+")
+        with pytest.raises(DomainError, match=shown):
+            fam.validate((rho, 0.0))
+        with pytest.raises(DomainError, match=shown) as stacked:
+            fam.jet((np.array([1.5, rho]), np.zeros(2)))
+        assert stacked.value.point_index == 1
+        with np.errstate(over="ignore"):  # as in the stacked pre-check
+            assert not fam._inside(np.array([rho]))[0]
+
     def test_alpha_zero_family_rejected(self):
         with pytest.raises(ValueError):
             RevolutionProfile(0.0, 1.0)
@@ -108,9 +125,9 @@ class TestAnalyticVsFiniteDifferenceJets:
     @pytest.mark.parametrize(
         "fam,rhos",
         [
-            (g2_family(0), (0.6, 1.0, 2.4)),
-            (g2_family(1), (0.3, 1.2, 2.0)),
-            (g2_family(-1), (1.3, 1.8, 2.7)),
+            (G2Family(0), (0.6, 1.0, 2.4)),
+            (G2Family(1), (0.3, 1.2, 2.0)),
+            (G2Family(-1), (1.3, 1.8, 2.7)),
             (RevolutionProfile(1.0, -5.0), (0.6, 1.2, 1.8)),
             (CustomRevolution(lambda r: r.cosh(), "cosh"), (0.5, 1.1)),
         ],
@@ -149,11 +166,8 @@ class TestAnalyticVsFiniteDifferenceJets:
 
 
 class TestGaussianCurvatureProfile:
-    def test_value_at_origin(self):
-        assert gaussian_curvature_profile(1.0, 1.0, 0.0) == pytest.approx(2.0)
-
     def test_negative_branch_value(self):
-        assert gaussian_curvature_profile(1.0, -5.0, 2.0) == pytest.approx(-2.0)
+        assert RevolutionProfile(1.0, -5.0).frame_data((2.0, 0.0)).kappa == pytest.approx(-2.0)
 
     def test_negative_branch_against_fd_metric_curvature(self):
         # cross-check against the finite-difference curvature of the metric
@@ -163,12 +177,9 @@ class TestGaussianCurvatureProfile:
         )
         assert K == pytest.approx(-2.0, rel=1e-6)
 
-    def test_flat_alpha_zero(self):
-        assert gaussian_curvature_profile(0.0, 1.0, 0.7) == 0.0
-
     def test_singularity(self):
         with pytest.raises(DomainError):
-            gaussian_curvature_profile(1.0, -1.0, 1.0)
+            RevolutionProfile(1.0, -1.0).frame_data((1.0, 0.0))
 
 
 def inverse_jets_from_x(alpha, beta, rho):
@@ -277,7 +288,7 @@ class TestScaling:
         cases = [
             (Sphere(1.0), (1.2, 0.0), (1.2, 0.0)),
             (Hyperbolic(2.0), (0.7, 0.0), (0.7, 0.0)),
-            (g2_family(0), (1.4, 0.0), (1.4 * s0, 0.0)),
+            (G2Family(0), (1.4, 0.0), (1.4 * s0, 0.0)),
             (RevolutionProfile(1.0, -5.0), (1.1, 0.0), (1.1 * s0, 0.0)),
         ]
         for fam, p, p_scaled in cases:
@@ -286,7 +297,7 @@ class TestScaling:
             assert np.allclose(direct, transformed, rtol=1e-12, atol=1e-15)
 
     def test_g2_scaled_is_profile(self):
-        s = g2_family(-1).scaled(2.0)
+        s = G2Family(-1).scaled(2.0)
         assert isinstance(s, RevolutionProfile)
         assert s.alpha == pytest.approx(0.25)
         assert s.beta == pytest.approx(-1.0)
