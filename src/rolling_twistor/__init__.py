@@ -23,13 +23,11 @@ from .conformal_oracle import (
     cartan_from_weyl,
     curvature,
     metric_components,
-    metric_field,
     omega_coframe,
     proportionality_residual,
     theta_coframe,
 )
 from .distribution5 import (
-    ConfigPoint,
     frame_fields,
     growth_vector,
     lie_bracket,

@@ -27,7 +27,6 @@ from . import distribution5 as dist
 from . import embedding as emb
 from . import rolling as roll_mod
 from .errors import DomainError, RollingTwistorError, SpecParseError
-from .finitediff import check_step
 from .surfaces import parse_surface
 
 EXIT_OK = 0
@@ -204,33 +203,47 @@ def cmd_roll(args):
     return EXIT_OK
 
 
+def _both_vanish(ocl, noise, closed, kappa, lam):
+    """Whether both routes say the quartic vanishes at an oracle row: the
+    closed form by g2check's rule, and the Weyl quartic within ten times its
+    noise floor plus a rounding allowance of the Weyl tensor's size."""
+    return (
+        closed.max_abs < ci.VANISH_TOL * ci.vanishing_scale(kappa, lam)
+        and ocl.quartic.max_abs <= 10.0 * noise + 1e-12 * max(ocl.weyl_norm, 1.0)
+    )
+
+
 def cmd_oracle(args):
     s1 = parse_surface(args.s1)
     s2 = parse_surface(args.s2)
     if args.points < 1:
         raise SpecParseError(f"--points needs a positive count, got {args.points}")
-    check_step(args.fd_step)
     lam = _constant_curvature(s2)
     grid = _grid_for(s1, args)[: args.points]
     p2 = _mid_point(s2)
     lines = [
         "# rolling-twistor oracle",
-        f"# s1={s1.spec_string()} s2={s2.spec_string()} fd_step={_fmt(args.fd_step)}",
+        f"# s1={s1.spec_string()} s2={s2.spec_string()} fd_step={_fmt(oracle_mod.FD_STEP)}",
         "# columns: x,y,u,v,phi,weyl_norm,A1_oracle..A5_oracle,"
         "A1_closed..A5_closed,prop_residual,noise_floor",
     ]
     for p1 in grid:
         point = np.array([p1[0], p1[1], p2[0], p2[1], args.phi])
-        ocl = oracle_mod.cartan_from_weyl(s1, s2, point, h=args.fd_step)
-        closed = ci.quartic_killing_case(s1.jet(p1), lam)
-        resid = oracle_mod.proportionality_residual(ocl.quartic, closed)
+        ocl = oracle_mod.cartan_from_weyl(s1, s2, point)
+        jet = s1.jet(p1)
+        closed = ci.quartic_killing_case(jet, lam)
+        noise = float(np.max(ocl.noise))
+        if _both_vanish(ocl, noise, closed, jet.kappa, lam):
+            resid = 0.0  # the residual of two noises says nothing
+        else:
+            resid = oracle_mod.proportionality_residual(ocl.quartic, closed)
         vals = [
             *point,
             ocl.weyl_norm,
             *ocl.quartic,
             *closed,
             resid if np.isfinite(resid) else -1.0,
-            float(np.max(ocl.noise)),
+            noise,
         ]
         lines.append(",".join(_fmt(v) for v in vals))
     _emit(lines, args.output)
@@ -292,8 +305,6 @@ def build_parser():
     common(p)
     p.add_argument("--points", type=int, default=5, help="number of sample points")
     p.add_argument("--phi", type=_finite, default=0.3, help="fiber angle of the sample points")
-    p.add_argument("--fd-step", dest="fd_step", type=float,
-                   default=oracle_mod.DEFAULT_FD_STEP, help="finite-difference step")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("embed", help="emit an embedded revolution mesh")

@@ -14,8 +14,9 @@ The coframes and the metric take one chart point or an (m, 5) stack of
 points through one code path (a point is a stack of one), and each row
 rounds as it does on its own: squares go through the C library's pow, as
 a float's ** does.  The curvature calls the metric once per point, on the
-whole finite-difference stencil of both steps.  A stack that fails raises
-the error of its first failing row, as that row raises on its own.
+whole finite-difference stencil of both steps (FD_STEP and its half).  A
+stack that fails raises the error of its first failing row, as that row
+raises on its own.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .cartan_invariants import CartanQuartic
-from .distribution5 import ConfigPoint, _as_point5, _require_noninteg
+from .distribution5 import _as_point5, _require_noninteg
 from .errors import DomainError, RollingTwistorError
-from .finitediff import check_step, richardson
+from .finitediff import richardson
 from .surfaces import constant_jet
 
 # constant coefficient matrix of the metric in the theta basis:
@@ -40,7 +41,7 @@ ETA5[0, 4] = ETA5[4, 0] = 1.0
 ETA5[1, 3] = ETA5[3, 1] = -1.0
 ETA5[2, 2] = 4.0 / 3.0
 
-DEFAULT_FD_STEP = 1e-3
+FD_STEP = 1e-3  # central-difference step of the metric derivatives
 
 
 def _require_constant(s2):
@@ -51,7 +52,7 @@ def _require_constant(s2):
 def _as_stack5(p):
     """The chart points of p as an (m, 5) array, and whether p was one point
     (a point is a stack of one)."""
-    if isinstance(p, ConfigPoint) or np.ndim(p) == 1:
+    if np.ndim(p) == 1:
         return _as_point5(p)[None], True
     a = np.asarray(p, dtype=float)
     if a.ndim != 2 or a.shape[1] != 5:
@@ -60,8 +61,8 @@ def _as_stack5(p):
 
 
 def _stacked(fn, p):
-    """(a, fn(a)) for the (m, 5) stack a of the chart points p, or their
-    first rows if p is one point.  numpy's floating-point warnings are off:
+    """fn(a) for the (m, 5) stack a of the chart points p, or its first row
+    if p is one point.  numpy's floating-point warnings are off:
     fn checks for non-finite values itself.  If fn raises, each row is
     evaluated on its own, in order, so the error raised is that of the first
     row that fails."""
@@ -74,7 +75,7 @@ def _stacked(fn, p):
                 for i in range(len(a)):
                     fn(a[i : i + 1])
             raise
-    return (a[0], out[0]) if single else (a, out)
+    return out[0] if single else out
 
 
 def _square(x):
@@ -111,7 +112,7 @@ def omega_coframe(s1, s2, p):
     The second surface must have constant curvature.
     """
     _require_constant(s2)
-    return _stacked(lambda a: _omega_rows(a, *_surface_data(s1, s2, a)), p)[1]
+    return _stacked(lambda a: _omega_rows(a, *_surface_data(s1, s2, a)), p)
 
 
 def _surface_data(s1, s2, a):
@@ -167,25 +168,12 @@ def _omega_rows(a, j1, d1, d2):
     return w
 
 
-@dataclass(frozen=True)
-class Coframe5:
-    """Invariant coframe rows theta^1..theta^5 in the coordinate cobasis; at
-    a stack of points, one 5x5 matrix per point."""
-
-    point: np.ndarray
-    matrix: np.ndarray
-
-    def duals(self):
-        """Columns Y_1..Y_5 with <theta^j, Y_i> = delta^j_i."""
-        return np.linalg.inv(self.matrix)
-
-
 def theta_coframe(s1, s2, p):
     """Invariant coframe assembled from the omega rows with the jet-dependent
-    coefficient functions, at p or at each point of an (m, 5) stack."""
+    coefficient functions, at p or at each point of an (m, 5) stack: rows
+    theta^1..theta^5 in the coordinate cobasis, one 5x5 matrix per point."""
     _require_constant(s2)
-    a, th = _stacked(lambda a: _theta_rows(a, *_surface_data(s1, s2, a)), p)
-    return Coframe5(point=a, matrix=th)
+    return _stacked(lambda a: _theta_rows(a, *_surface_data(s1, s2, a)), p)
 
 
 def _theta_rows(a, j1, d1, d2):
@@ -227,19 +215,9 @@ def _theta_rows(a, j1, d1, d2):
 def metric_components(s1, s2, p):
     """Symmetric 5x5 components of the (3,2)-signature metric at p, or one
     such matrix per point of an (m, 5) stack."""
-    T = theta_coframe(s1, s2, p).matrix
+    T = theta_coframe(s1, s2, p)
     G = np.swapaxes(T, -1, -2) @ ETA5 @ T
     return 0.5 * (G + np.swapaxes(G, -1, -2))  # exact symmetry despite rounding asymmetries
-
-
-def metric_field(s1, s2):
-    """The metric as a callable over stacks of configuration points."""
-    _require_constant(s2)
-
-    def g(p):
-        return metric_components(s1, s2, p)
-
-    return g
 
 
 class _Derivs(NamedTuple):
@@ -283,9 +261,9 @@ def _metric_derivatives(g, h):
 class CurvatureBundle:
     """Curvature tensors of a metric at a point, all indices coordinate.
 
-    `riemann` and `weyl` are fully lowered; `noise` maps tensor names to the
-    maximum componentwise discrepancy between the step-h and step-h/2
-    computations (the finite-difference noise floor).
+    `riemann` and `weyl` are fully lowered and Richardson extrapolated;
+    `weyl_tiers` holds the Weyl tensors of the step-h and step-h/2
+    derivatives, whose difference is the finite-difference noise floor.
     """
 
     g: np.ndarray
@@ -295,7 +273,7 @@ class CurvatureBundle:
     ricci: np.ndarray
     scalar: float
     weyl: np.ndarray
-    noise: dict
+    weyl_tiers: tuple
 
     @property
     def weyl_norm(self):
@@ -348,35 +326,24 @@ def _assemble_curvature(d):
     return g0, ginv, gamma, riem, ricci, scalar, w
 
 
-def _curvature_tiers(metric, p, h):
-    """`_assemble_curvature` of the metric derivatives at step h, at step h/2
-    and of their Richardson extrapolation, in that order.  The metric is
-    called once, on the stencil rows of step h followed by those of step
-    h/2."""
-    h = check_step(h)
+def curvature(metric, p):
+    """Curvature bundle of a metric field at p by central differences.
+
+    `metric` maps an (m, n) stack of points to the (m, n, n) stack of its
+    components there; it is called once, on the stencil rows of step
+    h = FD_STEP followed by those of step h/2.  The metric derivatives of
+    the two steps are Richardson extrapolated, and the Weyl tensor of each
+    step is kept as well.
+    """
+    h = FD_STEP
+    p = np.asarray(p, dtype=float)
     rows = np.vstack([_stencil(p, h), _stencil(p, h / 2.0)])
     g = np.asarray(metric(rows), dtype=float)
     d1 = _metric_derivatives(g[: len(rows) // 2], h)
     d2 = _metric_derivatives(g[len(rows) // 2 :], h / 2.0)
     extrap = _Derivs(g0=d1.g0, dg=richardson(d1.dg, d2.dg), ddg=richardson(d1.ddg, d2.ddg))
-    return _assemble_curvature(d1), _assemble_curvature(d2), _assemble_curvature(extrap)
-
-
-def curvature(metric, p, h=DEFAULT_FD_STEP):
-    """Curvature bundle of a metric field at p by central differences.
-
-    `metric` maps an (m, n) stack of points to the (m, n, n) stack of its
-    components there.  The metric derivatives are computed at steps h and
-    h/2 and Richardson extrapolated; the h-vs-h/2 discrepancy of each
-    assembled tensor is reported as its noise floor.
-    """
-    raw1, raw2, extrap = _curvature_tiers(metric, np.asarray(p, dtype=float), h)
-    names = ("christoffel", "riemann", "ricci", "scalar", "weyl")
-    noise = {
-        name: float(np.max(np.abs(np.asarray(raw1[i]) - np.asarray(raw2[i]))))
-        for i, name in enumerate(names, start=2)
-    }
-    return CurvatureBundle(*extrap, noise=noise)
+    tiers = (_assemble_curvature(d1)[-1], _assemble_curvature(d2)[-1])
+    return CurvatureBundle(*_assemble_curvature(extrap), weyl_tiers=tiers)
 
 
 class OracleQuartic(NamedTuple):
@@ -402,23 +369,24 @@ def _contract_quartic(weyl, Y):
     )
 
 
-def cartan_from_weyl(s1, s2, p, h=DEFAULT_FD_STEP):
+def cartan_from_weyl(s1, s2, p):
     """Quartic coefficients from the Weyl tensor of the explicit metric.
 
     The five contractions pair the null directions spanning the distribution
-    with their orthogonal partners in the transverse null plane.  A Weyl
-    tensor or quartic that is not finite (a step so small that h^2
-    underflows, say) raises DomainError naming the step.
+    with their orthogonal partners in the transverse null plane, both taken
+    from the duals of the theta coframe.  A Weyl tensor or quartic that is
+    not finite raises DomainError.
     """
     a = _as_point5(p)
-    Y = theta_coframe(s1, s2, a).duals()
+    Y = np.linalg.inv(theta_coframe(s1, s2, a))  # <theta^j, Y_i> = delta^j_i
     with np.errstate(all="ignore"):  # checked for non-finite values below
-        w1, w2, w = (c[6] for c in _curvature_tiers(metric_field(s1, s2), a, h))
+        bundle = curvature(lambda rows: metric_components(s1, s2, rows), a)
+        w, (w1, w2) = bundle.weyl, bundle.weyl_tiers
         A = _contract_quartic(w, Y)
         A1 = _contract_quartic(w1, Y)
         A2 = _contract_quartic(w2, Y)
     if not (np.isfinite(w).all() and np.isfinite(A).all()):
-        raise DomainError(f"the Weyl tensor is not finite at fd step h = {float(h)!r}")
+        raise DomainError("the Weyl tensor of the oracle metric is not finite")
     return OracleQuartic(
         quartic=CartanQuartic(*A),
         noise=np.abs(A1 - A2),

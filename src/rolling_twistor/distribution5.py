@@ -27,31 +27,8 @@ INTEGRABLE_TOL = 1e-10
 RANK_TOL = 1e-7  # singular value threshold, relative to the largest
 
 
-@dataclass(frozen=True)
-class ConfigPoint:
-    """Chart point (x, y, u, v, phi) of the configuration space."""
-
-    x: float
-    y: float
-    u: float
-    v: float
-    phi: float
-
-    def as_array(self):
-        return np.array([self.x, self.y, self.u, self.v, self.phi])
-
-    @classmethod
-    def from_array(cls, a):
-        return cls(*(float(t) for t in a))
-
-    def reduced(self):
-        """Same point with phi reduced mod 2 pi."""
-        return ConfigPoint(self.x, self.y, self.u, self.v, self.phi % (2.0 * np.pi))
-
-
 def _as_point5(p):
-    if isinstance(p, ConfigPoint):
-        return p.as_array()
+    """The chart point (x, y, u, v, phi) p as a length-5 float array."""
     a = np.asarray(p, dtype=float)
     if a.shape != (5,):
         raise ValueError("configuration points have 5 coordinates")

@@ -2,11 +2,11 @@
 
 Fornberg stencils let the trajectory diagnostics differentiate sampled data
 well below the integrator's own error order (the tests' mesh checks use
-them too); the oracle's metric derivatives use `check_step` and
-`richardson`, and the reference brackets of `distribution5` use
-`richardson`.  `tanh_sinh` integrates
-functions given in closed form, such as the embedding heights, to near
-machine precision, including square-root branch points at an endpoint.
+them too); the integrator checks its step with `check_step`, and the
+oracle's metric derivatives and the reference brackets of `distribution5`
+use `richardson`.  `tanh_sinh` integrates functions given in closed form,
+such as the embedding heights, to near machine precision, including
+square-root branch points at an endpoint.
 """
 
 from __future__ import annotations

@@ -6,6 +6,7 @@ from references import necessary_condition_residual, quartic_constant
 
 from rolling_twistor.cartan_invariants import (
     CartanQuartic,
+    _killing_coefficients,
     g2_check,
     quartic_killing_case,
     root_type,
@@ -69,6 +70,35 @@ class TestQuarticKillingCase:
             q = quartic_killing_case(const_jet(k, a2=RNG.uniform(-2, 2)), lam)
             qc = quartic_constant(k, lam).quartic
             assert np.allclose(q, qc, rtol=1e-12, atol=1e-12)
+
+
+class TestSymbolicQuartic:
+    """The quartic formulas on sympy expressions: exact identities, not
+    float agreement at sample points."""
+
+    @staticmethod
+    def _exact(sp, expr):
+        # the formulas' float literals (154.0 / 3.0, ...) become rationals
+        return sp.simplify(sp.nsimplify(expr, rational=True))
+
+    def test_revolution_profile_on_plane_vanishes_identically(self):
+        sp = pytest.importorskip("sympy")
+        alpha, beta, rho = sp.symbols("alpha beta rho")
+        h = beta + alpha * rho**2
+        derivs = [2 * alpha / h**3]
+        for _ in range(4):  # each e1-derivative is (d/drho) / h
+            derivs.append(sp.diff(derivs[-1], rho) / h)
+        jet = SurfaceJet(-1 / (rho * h), *derivs)
+        for A in _killing_coefficients(jet, 0):
+            assert self._exact(sp, A) == 0
+
+    def test_constant_curvature_factorisation(self):
+        sp = pytest.importorskip("sympy")
+        kappa, lam, a2 = sp.symbols("kappa lambda a2")
+        quartic = _killing_coefficients(SurfaceJet(a2, kappa), lam)
+        P = (kappa - 9 * lam) * (kappa - lam) ** 4 * (9 * kappa - lam)
+        for A, weight in zip(quartic, (1, 1, sp.Rational(4, 3), 2, 4)):
+            assert self._exact(sp, A - weight * P) == 0
 
 
 class TestQuarticConstant:

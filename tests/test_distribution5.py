@@ -6,7 +6,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rolling_twistor.distribution5 import (
-    ConfigPoint,
     field_rows,
     frame_fields,
     growth_vector,
@@ -19,7 +18,14 @@ from rolling_twistor.split4 import (
     levi_civita_from_structure,
     product_structure_functions,
 )
-from rolling_twistor.surfaces import G2Family, Hyperbolic, Plane, RevolutionProfile, Sphere
+from rolling_twistor.surfaces import (
+    G2Family,
+    Hyperbolic,
+    Plane,
+    RevolutionProfile,
+    Sphere,
+    parse_surface,
+)
 
 RNG = np.random.default_rng(1234)
 
@@ -45,14 +51,6 @@ def random_sphere_plane_points(n):
 
 
 class TestConfigPoint:
-    def test_round_trip(self):
-        p = ConfigPoint(0.1, 0.2, 0.3, 0.4, 0.5)
-        assert ConfigPoint.from_array(p.as_array()) == p
-
-    def test_reduction(self):
-        p = ConfigPoint(0, 0, 0, 0, 7.0)
-        assert p.reduced().phi == pytest.approx(7.0 - 2 * np.pi)
-
     def test_chart_validation(self):
         from rolling_twistor.distribution5 import validate_point
         from rolling_twistor.errors import DomainError
@@ -222,6 +220,58 @@ class TestDerivedFrame:
         for row in rows[2:]:
             coef = np.linalg.lstsq(span, row, rcond=None)[0]
             assert np.max(np.abs(row - span @ coef)) < 1e-13 * (1.0 + np.max(np.abs(row)))
+
+
+def _symbolic_frame(sp, surface, t):
+    """(f1, f2) of e1 = f1 d/dt, e2 = f2 d/dpsi for the surface's metric
+    E dt^2 + G dpsi^2 in its chart: f1 = 1/sqrt(E), f2 = 1/sqrt(G), written
+    from the metric alone."""
+    if surface.kind == "plane":
+        return sp.Integer(1), sp.Integer(1)
+    if surface.kind in ("sphere", "hyperbolic"):
+        r = sp.nsimplify(surface.radius)
+        return 1 / r, 1 / (r * (sp.sin(t) if surface.kind == "sphere" else sp.sinh(t)))
+    h = sp.nsimplify(surface.beta) + sp.nsimplify(surface.alpha) * t**2  # revolution
+    return 1 / h, 1 / t
+
+
+def _bracket(sp, X, Y, coords):
+    """[X, Y]^i = X^j d_j Y^i - Y^j d_j X^i."""
+    return [sum(X[j] * sp.diff(Y[i], c) - Y[j] * sp.diff(X[i], c) for j, c in enumerate(coords))
+            for i in range(len(coords))]
+
+
+class TestSymbolicFrame:
+    """The closed-form rows X3..X5 against the exact brackets of X1, X2,
+    which sympy builds from the surfaces' metrics alone."""
+
+    @pytest.mark.parametrize(
+        "spec1, spec2, p",
+        [
+            ("sphere:r=1.3", "plane", (1.1, 0.3, 0.4, -0.2, 0.7)),
+            ("g2:eps=1", "hyperbolic:r=2", (0.8, 0.1, 0.9, 0.3, 2.0)),
+            ("profile:alpha=0.5,beta=-3", "sphere:r=2", (1.2, -0.4, 1.0, 0.5, 4.0)),
+        ],
+        ids=lambda v: v if isinstance(v, str) else "",
+    )
+    def test_rows_equal_exact_brackets(self, spec1, spec2, p):
+        sp = pytest.importorskip("sympy")
+        s1, s2 = parse_surface(spec1), parse_surface(spec2)
+        coords = x, _, u, _, phi = sp.symbols("x y u v phi")
+        f1, f2 = _symbolic_frame(sp, s1, x)
+        f3, f4 = _symbolic_frame(sp, s2, u)
+        a2 = f1 * sp.diff(f2, x) / f2  # [e1, e2] = a2 e2
+        a4 = f3 * sp.diff(f4, u) / f4
+        c, s = sp.cos(phi), sp.sin(phi)
+        X1 = [f1, 0, c * f3, s * f4, a4 * s]
+        X2 = [0, f2, -s * f3, c * f4, -a2 + a4 * c]
+        X3 = _bracket(sp, X1, X2, coords)
+        exact = [X1, X2, X3, _bracket(sp, X1, X3, coords), _bracket(sp, X2, X3, coords)]
+        at = dict(zip(coords, map(sp.Float, p)))
+        ref = np.array(sp.Matrix(exact).subs(at).evalf(30), dtype=float)
+        rows = field_rows(s1, s2, np.array(p))
+        scale = np.max(np.abs(ref), axis=1, keepdims=True)
+        assert np.max(np.abs(rows - ref) / scale) < 1e-14
 
 
 class TestGrowthVector:
