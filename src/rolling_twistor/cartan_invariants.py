@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distribution5 import _require_noninteg
+from .distribution5 import _integrable, _require_noninteg
 from .errors import DomainError
 
 VANISH_TOL = 1e-8  # relative threshold for "all A_i vanish"
@@ -37,34 +37,55 @@ class CartanQuartic(NamedTuple):
     A4: float
     A5: float
 
-    @property
-    def array(self):
-        return np.array(self)
-
     def poly_coefficients(self):
         """Polynomial coefficients in ascending degree, weights included."""
         return np.array([self.A1, 4.0 * self.A2, 6.0 * self.A3, 4.0 * self.A4, self.A5])
 
     @property
     def max_abs(self):
-        return float(np.max(np.abs(self.array)))
+        return float(np.max(np.abs(self)))
 
 
 def quartic_killing_case(jet, lam):
     """Closed-form (A1..A5) for a rotationally symmetric surface with jet
-    `jet` rolling on constant curvature `lam`."""
-    k = jet.kappa
-    _require_noninteg(k, lam)  # the quartic is undefined where the distribution is integrable
-    try:
-        quartic = _killing_coefficients(jet, lam)
-        finite = all(map(math.isfinite, quartic))
-    except OverflowError:
-        finite = False
-    if not finite:
+    `jet` rolling on constant curvature `lam`.  The jet of a stack of points
+    (1-D array fields) gives arrays, each point rounded as on its own (see
+    `_ipow`); the stack's first integrable or overflowing point raises the
+    error it raises on its own."""
+    with np.errstate(all="ignore"):
+        try:
+            quartic = _killing_coefficients(jet, lam)
+            finite = np.isfinite(quartic).all(axis=0)
+        except OverflowError:  # a float ** beyond the float range
+            finite = np.False_
+        fails = ~finite | _integrable(jet.kappa, lam)
+    if fails.any():
+        i = int(np.argmax(fails))  # the first failing point of a stack
+        k, lam = (np.broadcast_to(x, fails.shape).item(i) for x in (jet.kappa, lam))
+        _require_noninteg(k, lam)  # the quartic is undefined where the distribution is integrable
         raise DomainError(
             f"the quartic overflows at kappa = {float(k)!r}, lambda = {float(lam)!r}"
         )
     return quartic
+
+
+def _ipow(x, n):
+    """x**n, the one integer power of the quartic formulas.  An ndarray is
+    raised element by element with Python's float ** (libm pow), which
+    numpy's vectorised ** does not match in every last bit; an overflow is inf."""
+    if not isinstance(x, np.ndarray):
+        return x**n
+    try:
+        return np.array([v**n for v in x.tolist()])
+    except OverflowError:
+        return np.array([_pow_or_inf(v, n) for v in x.tolist()])
+
+
+def _pow_or_inf(v, n):
+    try:
+        return v**n
+    except OverflowError:
+        return math.inf
 
 
 def _killing_coefficients(jet, lam):
@@ -72,37 +93,41 @@ def _killing_coefficients(jet, lam):
     a2 = jet.a2
     k1, k11, k111, k1111 = jet.kappa1, jet.kappa11, jet.kappa111, jet.kappa1111
     d = k - lam
-    P = d**4 * (k - 9.0 * lam) * (9.0 * k - lam)
+    # xpN is x**N
+    dp2, dp3, dp4 = (_ipow(d, n) for n in (2, 3, 4))
+    k1p2, k1p3, k1p4 = (_ipow(k1, n) for n in (2, 3, 4))
+    k11p2, a2p2 = _ipow(k11, 2), _ipow(a2, 2)
+    P = dp4 * (k - 9.0 * lam) * (9.0 * k - lam)
 
     A1 = (
-        10.0 * d**3 * k1111
-        - 70.0 * d**2 * k111 * k1
-        - 49.0 * d**2 * k11**2
-        + 280.0 * d * k1**2 * k11
-        + 8.0 * d**3 * (2.0 * k + 7.0 * lam) * k11
-        - 20.0 * d**2 * (k + 6.0 * lam) * k1**2
-        - 175.0 * k1**4
+        10.0 * dp3 * k1111
+        - 70.0 * dp2 * k111 * k1
+        - 49.0 * dp2 * k11p2
+        + 280.0 * d * k1p2 * k11
+        + 8.0 * dp3 * (2.0 * k + 7.0 * lam) * k11
+        - 20.0 * dp2 * (k + 6.0 * lam) * k1p2
+        - 175.0 * k1p4
         + P
     )
     A2 = A1
     A3 = (
         A1
-        - 10.0 * d**3 * a2 * k111
-        + (154.0 / 3.0) * d**2 * a2 * k11 * k1
-        - 20.0 * d**3 * a2**2 * k11
-        - (4.0 / 3.0) * d**3 * (3.0 * k - 7.0 * lam) * k11
-        - (140.0 / 3.0) * d * a2 * k1**3
-        + (5.0 / 3.0) * d**2 * (21.0 * a2**2 + 4.0 * k - 11.0 * lam) * k1**2
-        - (4.0 / 3.0) * d**3 * (15.0 * a2**2 + 12.0 * k + 7.0 * lam) * a2 * k1
+        - 10.0 * dp3 * a2 * k111
+        + (154.0 / 3.0) * dp2 * a2 * k11 * k1
+        - 20.0 * dp3 * a2p2 * k11
+        - (4.0 / 3.0) * dp3 * (3.0 * k - 7.0 * lam) * k11
+        - (140.0 / 3.0) * d * a2 * k1p3
+        + (5.0 / 3.0) * dp2 * (21.0 * a2p2 + 4.0 * k - 11.0 * lam) * k1p2
+        - (4.0 / 3.0) * dp3 * (15.0 * a2p2 + 12.0 * k + 7.0 * lam) * a2 * k1
         + P / 3.0
     )
     A4 = -2.0 * A1 + 3.0 * A3
     A5 = (
         -5.0 * A1
         + 6.0 * A3
-        + 30.0 * d**3 * a2**2 * k11
-        - 49.0 * d**2 * a2**2 * k1**2
-        + 2.0 * d**3 * (15.0 * a2**2 - 3.0 * k - 28.0 * lam) * a2 * k1
+        + 30.0 * dp3 * a2p2 * k11
+        - 49.0 * dp2 * a2p2 * k1p2
+        + 2.0 * dp3 * (15.0 * a2p2 - 3.0 * k - 28.0 * lam) * a2 * k1
         + P
     )
     return CartanQuartic(A1, A2, A3, A4, A5)
@@ -130,19 +155,22 @@ def root_type(quartic, cluster_radius=ROOT_CLUSTER_RADIUS):
 
 def root_types(quartics, cluster_radius=ROOT_CLUSTER_RADIUS):
     """`root_type` of each quartic (a CartanQuartic or five ascending
-    polynomial coefficients).
+    polynomial coefficients, or an (m, 5) array of such rows).
 
-    The companion matrices are built as `np.roots` builds them, after the
+    Each distinct quartic is solved once, keyed on its coefficients' bits
+    (so -0.0 is not 0.0), and its duplicates share its RootType.  The
+    companion matrices are built as `np.roots` builds them, after the
     leading coefficients below DEGREE_TOL of the largest are dropped (roots
     at infinity) and the exact trailing zeros are split off (roots at 0).
     The quartics of one remaining degree share one `np.linalg.eigvals` call
     on their stacked companion matrices, which gives each the roots
     `np.roots` gives it.
     """
-    p = np.array(
-        [q.poly_coefficients() if isinstance(q, CartanQuartic) else q for q in quartics],
-        dtype=float,
-    ).reshape(-1, 5)
+    if not isinstance(quartics, np.ndarray):
+        quartics = [q.poly_coefficients() if isinstance(q, CartanQuartic) else q for q in quartics]
+    p = np.ascontiguousarray(quartics, dtype=float).reshape(-1, 5)
+    _, first, inverse = np.unique(p.view("V40").ravel(), return_index=True, return_inverse=True)
+    p = p[first]
     desc = p[:, ::-1]  # descending degree for the companion solve
     scale = np.max(np.abs(p), axis=1)
     lead = np.cumprod(np.abs(desc[:, :4]) <= DEGREE_TOL * scale[:, None], axis=1).sum(axis=1)
@@ -162,7 +190,7 @@ def root_types(quartics, cluster_radius=ROOT_CLUSTER_RADIUS):
             finite = np.linalg.eigvals(companion).tolist()
         for i, w in zip(rows, finite):
             kinds[i] = _classify(w + [0j] * tz, lo, cluster_radius)
-    return kinds
+    return [kinds[i] for i in inverse.tolist()]
 
 
 def _classify(roots, inf_mult, cluster_radius):
@@ -191,7 +219,7 @@ def _classify(roots, inf_mult, cluster_radius):
 def vanishing_scale(kappa, lam):
     """Dimensionally consistent size estimate for the quartic coefficients
     (they are homogeneous of degree 6 in curvature units)."""
-    return (kappa - lam) ** 4 * max(kappa**2, lam**2, 1.0)
+    return _ipow(kappa - lam, 4) * np.maximum(np.maximum(_ipow(kappa, 2), _ipow(lam, 2)), 1.0)
 
 
 class G2Row(NamedTuple):
@@ -218,9 +246,10 @@ def g2_check(s1, lam, grid, tol=VANISH_TOL):
     """Evaluate the quartic over a grid of chart points of s1 (rolling on
     constant curvature lam) and decide whether it vanishes identically.
 
-    One `s1.jet` call evaluates the whole grid; the quartic is formed row by
-    row, and the rows that do not vanish are classified together.  An
-    invalid grid raises the error of its first failing point.
+    One array pass: one `s1.jet` call, one stacked `quartic_killing_case`,
+    the scaled maxima as arrays, and one `root_types` call on the rows that
+    do not vanish.  An invalid grid raises the error of its first failing
+    point.
     """
     grid = [tuple(p) for p in grid]
     if not grid:
@@ -232,15 +261,17 @@ def g2_check(s1, lam, grid, tol=VANISH_TOL):
         if getattr(exc, "point_index", 0):
             g2_check(s1, lam, grid[: exc.point_index], tol)
         raise
-    rows = []
-    worst = 0.0
-    for p, jet in zip(grid, jets.points()):
-        q = quartic_killing_case(jet, lam)
-        scaled = q.max_abs / vanishing_scale(jet.kappa, lam)
-        worst = max(worst, scaled)
-        rows.append(G2Row(point=p, kappa=jet.kappa, quartic=q, scaled_max=scaled,
-                          root_tag="zero"))
-    loud = [i for i, row in enumerate(rows) if not row.scaled_max < tol]
-    for i, kind in zip(loud, root_types([rows[i].quartic for i in loud])):
-        rows[i] = rows[i]._replace(root_tag=kind.tag)
-    return G2Report(rows=tuple(rows), max_scaled=worst, is_g2=worst < tol, tol=tol)
+    coeffs = np.array(quartic_killing_case(jets, lam))  # (5, points)
+    with np.errstate(all="ignore"):
+        scaled = np.max(np.abs(coeffs), axis=0) / vanishing_scale(jets.kappa, lam)
+    loud = ~(scaled < tol)
+    tags = np.full(len(grid), "zero", dtype=object)
+    loud_quartics = CartanQuartic(*coeffs[:, loud]).poly_coefficients().T
+    tags[loud] = [kind.tag for kind in root_types(loud_quartics)]
+    rows = tuple(
+        G2Row(point=p, kappa=k, quartic=CartanQuartic(*q), scaled_max=m, root_tag=t)
+        for p, k, q, m, t in zip(grid, jets.kappa.tolist(), coeffs.T.tolist(), scaled.tolist(),
+                                 tags)
+    )
+    worst = float(np.max(scaled))
+    return G2Report(rows=rows, max_scaled=worst, is_g2=worst < tol, tol=tol)

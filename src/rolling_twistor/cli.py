@@ -126,9 +126,9 @@ def _quartic_table(args, verdict):
         "# columns: coord1,coord2,kappa,A1,A2,A3,A4,A5,scaled_max,root_type",
         "# note: root_type is the final column and may itself contain commas, e.g. [2,2]",
     ]
-    for row in report.rows:
-        vals = [row.point[0], row.point[1], row.kappa, *row.quartic, row.scaled_max]
-        lines.append(",".join(_fmt(v) for v in vals) + f",{row.root_tag}")
+    row_text = "%.17g," * 9 + "%s"  # coord1, coord2, kappa, A1..A5, scaled_max, root_type
+    lines += [row_text % (*row.point, row.kappa, *row.quartic, row.scaled_max, row.root_tag)
+              for row in report.rows]
     _emit(lines, args.output)
     return report
 

@@ -397,8 +397,7 @@ def cartan_from_weyl(s1, s2, p):
 
 def proportionality_residual(qa, qb):
     """Largest 2x2 minor |A_i B_j - A_j B_i|, scaled by max|A| max|B|."""
-    A = np.asarray(qa.array if isinstance(qa, CartanQuartic) else qa, dtype=float)
-    B = np.asarray(qb.array if isinstance(qb, CartanQuartic) else qb, dtype=float)
+    A, B = np.asarray(qa, dtype=float), np.asarray(qb, dtype=float)
     sa, sb = np.max(np.abs(A)), np.max(np.abs(B))
     if sa == 0.0 or sb == 0.0:
         return 0.0 if (sa == 0.0 and sb == 0.0) else np.inf

@@ -98,13 +98,17 @@ def frame_fields(s1, s2):
     return tuple(_row_field(s1, s2, 5, i) for i in range(5))
 
 
+def _integrable(kappa, lam):
+    """Whether the curvatures are equal, at a point or at each point of a stack."""
+    return abs(kappa - lam) <= INTEGRABLE_TOL * np.maximum(np.maximum(abs(kappa), abs(lam)), 1.0)
+
+
 def _require_noninteg(kappa, lam):
     """Raise IntegrablePointError if the curvatures are equal; for 1-D arrays
     of curvatures, at the first point of the stack where they are."""
-    if isinstance(kappa, np.ndarray):
-        for k, lm in zip(kappa.tolist(), np.broadcast_to(lam, kappa.shape).tolist()):
-            _require_noninteg(k, lm)
-    elif abs(kappa - lam) <= INTEGRABLE_TOL * max(abs(kappa), abs(lam), 1.0):
+    hit = _integrable(kappa, lam)
+    if hit.any():  # the message shows the first such point's Python floats
+        kappa, lam = (np.broadcast_to(x, hit.shape).item(np.argmax(hit)) for x in (kappa, lam))
         raise IntegrablePointError(
             f"equal curvatures (kappa = {kappa}, lambda = {lam}): distribution is integrable"
         )

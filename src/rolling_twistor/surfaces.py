@@ -79,10 +79,6 @@ class SurfaceJet:
             [self.a2, self.kappa, self.kappa1, self.kappa11, self.kappa111, self.kappa1111]
         )
 
-    def points(self):
-        """The single-point jets, with float fields, of the jet of a stack."""
-        return [SurfaceJet(*row) for row in self.as_array().T.tolist()]
-
 
 class Surface:
     """Base class; concrete families implement frame data, jets and domains."""

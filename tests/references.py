@@ -1,7 +1,8 @@
 """Independent references and verifiers that the tests check the package with.
 
 No command of the package runs these: the constant-curvature quartic in
-factored form and the necessary condition of the 9:1 ratio, the pair
+factored form and the necessary condition of the 9:1 ratio, `g2_check`
+written one grid point at a time, the pair
 symmetries and Weyl traces of a curvature bundle, the residuals of the
 profile equations, and the mesh checks (the algebraic identity of the
 eps = +-1 surfaces, the induced metric and the Gauss curvature by finite
@@ -14,7 +15,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from rolling_twistor.cartan_invariants import CartanQuartic
+from rolling_twistor.cartan_invariants import (
+    VANISH_TOL,
+    CartanQuartic,
+    G2Report,
+    G2Row,
+    quartic_killing_case,
+    root_type,
+)
 from rolling_twistor.finitediff import fd_weights, sampled_derivative
 from rolling_twistor.surfaces import Surface
 
@@ -41,6 +49,24 @@ def necessary_condition_residual(kappa, lam):
     maximal symmetry in the rotational-on-constant-curvature case is that
     this vanishes."""
     return (9.0 * kappa - lam) * (kappa - 9.0 * lam) * lam
+
+
+def g2_check_by_rows(s1, lam, grid, tol=VANISH_TOL):
+    """`g2_check` one grid point at a time, in Python floats: each row's
+    jet, quartic, vanishing scale and root type on its own, so the first
+    failing point raises first."""
+    rows = []
+    worst = 0.0
+    for p in grid:
+        jet = s1.jet(p)
+        q = quartic_killing_case(jet, lam)
+        kappa = jet.kappa
+        scaled = q.max_abs / ((kappa - lam) ** 4 * max(kappa**2, lam**2, 1.0))
+        worst = max(worst, scaled)
+        tag = "zero" if scaled < tol else root_type(q).tag
+        rows.append(G2Row(point=tuple(p), kappa=kappa, quartic=q, scaled_max=scaled,
+                          root_tag=tag))
+    return G2Report(rows=tuple(rows), max_scaled=worst, is_g2=worst < tol, tol=tol)
 
 
 def riemann_symmetry_residual(bundle):

@@ -77,6 +77,17 @@ MORE_EXAMPLES = {
         ["growth", "--s1", "g2:eps=0", "--s2", "sphere:r=2", "--rho=0.6:2.5:6", "--phi", "4"],
         "13a51628f8bf3e9ed6bce5b0e8117baab58fce4d65ed3e7432953c272dded3ff",
     ),
+    # a loud grid of about 200 distinct quartics, and a constant-curvature
+    # grid whose 120 rows are one [2,2] quartic
+    "g2check_profile_on_sphere": (
+        ["g2check", "--s1", "profile:alpha=0.7,beta=-1.3", "--s2", "sphere:r=0.8",
+         "--rho=1.6:3.1:200"],
+        "cd925094105dac7b3cd8174e81636915cd3d1536ed3cc6f5cf627492e4179090",
+    ),
+    "quartic_hyperbolic_on_sphere": (
+        ["quartic", "--s1", "hyperbolic:r=1.5", "--s2", "sphere:r=0.4", "--grid", "120"],
+        "da95ecdc1a37ef86395841bb60b1013aab4be5fb7a2af1732493cfd3b95a2449",
+    ),
     # a mesh of the size the benchmark's embed jobs write
     "embed_g2_minus_128x128": (
         ["embed", "--family", "g2:eps=-1", "--rho-range", "1.5:2.8", "--nr", "128",

@@ -1,5 +1,6 @@
-"""One pass per grid: stacked surface jets, the stacked root classifier and
-`g2_check`, each against the same computation done one point at a time."""
+"""One pass per grid: stacked surface jets, the stacked quartic, the stacked
+root classifier and `g2_check`, each against the same computation done one
+point at a time."""
 
 import math
 
@@ -7,11 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from references import g2_check_by_rows
 
+from rolling_twistor import cartan_invariants
 from rolling_twistor.cartan_invariants import (
     CartanQuartic,
-    G2Report,
     g2_check,
+    quartic_killing_case,
     root_type,
     root_types,
 )
@@ -77,7 +80,6 @@ def test_stacked_jet_rounds_as_each_point(surface, points):
     singles = [surface.jet(p) for p in points]
     assert jet.as_array().shape == (6, len(points))
     assert bits(jet.as_array().T) == bits([j.as_array() for j in singles])
-    assert jet.points() == singles
 
 
 def test_custom_revolution_stack():
@@ -192,18 +194,27 @@ def test_classifier_examples(coeffs, tag):
     assert root_types([coeffs])[0].tag == tag == reference_root_type(coeffs)[0]
 
 
-# -- g2_check ----------------------------------------------------------------
+def test_each_distinct_quartic_is_classified_once(monkeypatch):
+    calls = []
+    classify = cartan_invariants._classify
+
+    def counted(*args):
+        calls.append(args)
+        return classify(*args)
+
+    monkeypatch.setattr(cartan_invariants, "_classify", counted)
+    square = [1.0, 4.0, 8.0, 8.0, 4.0]
+    simple = [0.0, 1.0, -2.0, 3.0, 1.0]
+    signed = [-0.0, 1.0, -2.0, 3.0, 1.0]  # the same quartic with -0.0
+    kinds = root_types([square, simple, square, signed, square, simple])
+    assert len(calls) == 3  # square, simple and signed: -0.0 keys apart from 0.0
+    assert kinds[0] is kinds[2] is kinds[4]
+    assert kinds[1] is kinds[5]
+    assert kinds[3].tag == kinds[1].tag == reference_root_type(simple)[0]
+    assert kinds[0].tag == "[2,2]"
 
 
-def pointwise_g2_check(s1, lam, grid, tol=1e-8):
-    """g2_check written as one single-point check per grid point."""
-    rows = []
-    for p in grid:
-        rows.extend(g2_check(s1, lam, [p], tol).rows)
-    worst = 0.0
-    for row in rows:
-        worst = max(worst, row.scaled_max)
-    return G2Report(rows=tuple(rows), max_scaled=worst, is_g2=worst < tol, tol=tol)
+# -- the stacked quartic ------------------------------------------------------
 
 
 def outcome(check, *args):
@@ -214,13 +225,72 @@ def outcome(check, *args):
 
 
 @PROPERTY
-@given(surfaces(), st.lists(_floats(1e-2, 3.1), min_size=1, max_size=10),
-       st.one_of(st.none(), st.integers(0, 9)), _floats(-2.0, 2.0))
-def test_g2_check_grid_equals_single_points(s1, rhos, hit, lam):
+@given(surfaces(), st.lists(_floats(1e-2, 3.1), min_size=1, max_size=10), _floats(-2.0, 2.0))
+def test_stacked_quartic_is_each_points_quartic(s1, rhos, lam):
+    grid = [p for p in (s1.chart_point(t) for t in rhos) if _valid(s1, p)]
+    singles = [outcome(quartic_killing_case, s1.jet(p), lam) for p in grid]
+    grid = [p for p, q in zip(grid, singles) if isinstance(q, CartanQuartic)]
+    assume(grid)
+    stacked = quartic_killing_case(s1.jet(stack(grid)), lam)
+    assert bits(np.array(stacked).T) == bits([quartic_killing_case(s1.jet(p), lam) for p in grid])
+
+
+def test_stacked_quartic_raises_the_first_points_error():
+    s1 = RevolutionProfile(1e40, 0.0)  # kappa about 1e55 at rho = 5e-23
+    rhos = [1.0, 5e-23, 2.0]
+    for lam, first in ((1.0, 1), (0.0, 0)):  # with lam = 0 every kappa below 1e-10 is integrable
+        jets = [s1.jet(s1.chart_point(t)) for t in rhos]
+        want = outcome(quartic_killing_case, jets[first], lam)
+        got = outcome(quartic_killing_case, s1.jet(stack([s1.chart_point(t) for t in rhos])), lam)
+        assert got == want
+        assert isinstance(got, tuple)
+
+
+# -- g2_check ----------------------------------------------------------------
+
+
+@st.composite
+def g2_grids(draw):
+    """(s1, lambda, grid): grids of repeated constant-curvature rows, with an
+    integrable point inside, with a point whose quartic overflows inside a
+    valid chart, or of any catalog surface."""
+    kind = draw(st.sampled_from(("any", "constant", "integrable", "overflow")))
+    lam = draw(_floats(-2.0, 2.0))
+    rhos = draw(st.lists(_floats(1e-2, 3.1), min_size=1, max_size=10))
+    if kind == "constant":  # every row of a constant-curvature grid is one quartic
+        s1 = draw(st.one_of(*(st.builds(cls, _floats(0.1, 10.0))
+                              for cls in (Sphere, Hyperbolic, Plane))))
+        rhos = rhos + rhos[: draw(st.integers(0, len(rhos)))]
+    elif kind == "overflow":  # kappa about 1e55 at rho near 5e-23, tiny elsewhere
+        s1 = RevolutionProfile(draw(_floats(1e39, 1e41)), 0.0)
+        rhos = [t for t in rhos if t > 0.5] or [1.0]
+        rhos.insert(draw(st.integers(0, len(rhos))), draw(_floats(3e-23, 1e-22)))
+        lam = draw(st.sampled_from((1.0, -0.5, 0.0)))  # 0.0: every other row is integrable
+    else:
+        s1 = draw(surfaces())
     grid = [s1.chart_point(t) for t in rhos]
-    if hit is not None and hit < len(grid) and _valid(s1, grid[hit]):
-        lam = s1.frame_data(grid[hit]).kappa  # an integrable point inside the grid
-    assert outcome(g2_check, s1, lam, grid) == outcome(pointwise_g2_check, s1, lam, grid)
+    if kind == "integrable":
+        hit = draw(st.integers(0, len(grid) - 1))
+        if _valid(s1, grid[hit]):
+            lam = s1.frame_data(grid[hit]).kappa
+    return s1, lam, grid
+
+
+def report_outcome(check, *args):
+    result = outcome(check, *args)
+    if isinstance(result, tuple):
+        return result
+    return result.rows, result.max_scaled, result.verdict
+
+
+@PROPERTY
+@given(g2_grids())
+def test_g2_check_grid_equals_single_points(case):
+    """The rows, the largest scaled coefficient and the verdict, or the
+    error's type and text, equal those of the row-by-row reference."""
+    s1, lam, grid = case
+    assert report_outcome(g2_check, s1, lam, grid) == report_outcome(g2_check_by_rows, s1, lam,
+                                                                      grid)
 
 
 @pytest.mark.parametrize(
@@ -235,7 +305,7 @@ def test_g2_check_first_error_in_grid_order(s1, lam, rhos):
     grid = [s1.chart_point(t) for t in rhos]
     if lam is None:
         lam = s1.frame_data(grid[1]).kappa
-    got, want = outcome(g2_check, s1, lam, grid), outcome(pointwise_g2_check, s1, lam, grid)
+    got, want = outcome(g2_check, s1, lam, grid), outcome(g2_check_by_rows, s1, lam, grid)
     assert isinstance(want, tuple)
     assert got == want
 
