@@ -146,14 +146,14 @@ class RootType:
     multiplicities: tuple
 
 
-def root_type(quartic, cluster_radius=ROOT_CLUSTER_RADIUS):
+def root_type(quartic):
     """Classify the quartic over the complex numbers with multiplicity
-    clustering; an (approximately) vanishing leading coefficient contributes
-    a root at infinity."""
-    return root_types([quartic], cluster_radius)[0]
+    clustering (radius ROOT_CLUSTER_RADIUS); an (approximately) vanishing
+    leading coefficient contributes a root at infinity."""
+    return root_types([quartic])[0]
 
 
-def root_types(quartics, cluster_radius=ROOT_CLUSTER_RADIUS):
+def root_types(quartics):
     """`root_type` of each quartic (a CartanQuartic or five ascending
     polynomial coefficients, or an (m, 5) array of such rows).
 
@@ -189,16 +189,16 @@ def root_types(quartics, cluster_radius=ROOT_CLUSTER_RADIUS):
             companion[:, 0, :] = -c[:, 1:] / c[:, :1]
             finite = np.linalg.eigvals(companion).tolist()
         for i, w in zip(rows, finite):
-            kinds[i] = _classify(w + [0j] * tz, lo, cluster_radius)
+            kinds[i] = _classify(w + [0j] * tz, lo)
     return [kinds[i] for i in inverse.tolist()]
 
 
-def _classify(roots, inf_mult, cluster_radius):
+def _classify(roots, inf_mult):
     """RootType of the finite roots and inf_mult roots at infinity."""
     clusters = []  # list of [representative, count]
     for z in sorted(roots, key=lambda w: (w.real, w.imag)):
         for c in clusters:
-            if abs(z - c[0]) <= cluster_radius * (1.0 + abs(c[0])):
+            if abs(z - c[0]) <= ROOT_CLUSTER_RADIUS * (1.0 + abs(c[0])):
                 c[0] = (c[0] * c[1] + z) / (c[1] + 1)
                 c[1] += 1
                 break
@@ -249,19 +249,19 @@ def g2_check(s1, lam, grid, tol=VANISH_TOL):
     One array pass: one `s1.jet` call, one stacked `quartic_killing_case`,
     the scaled maxima as arrays, and one `root_types` call on the rows that
     do not vanish.  An invalid grid raises the error of its first failing
-    point.
+    point: the grid is replayed point by point.
     """
     grid = [tuple(p) for p in grid]
     if not grid:
         raise ValueError("g2_check needs a nonempty grid")
     try:
         jets = s1.jet(tuple(np.array(c, dtype=float) for c in zip(*grid)))
-    except DomainError as exc:
-        # a row before the first point outside the chart may fail first
-        if getattr(exc, "point_index", 0):
-            g2_check(s1, lam, grid[: exc.point_index], tol)
+        coeffs = np.array(quartic_killing_case(jets, lam))  # (5, points)
+    except DomainError:
+        # a point's quartic may fail before a later point leaves the chart
+        for p in grid:
+            quartic_killing_case(s1.jet(p), lam)
         raise
-    coeffs = np.array(quartic_killing_case(jets, lam))  # (5, points)
     with np.errstate(all="ignore"):
         scaled = np.max(np.abs(coeffs), axis=0) / vanishing_scale(jets.kappa, lam)
     loud = ~(scaled < tol)

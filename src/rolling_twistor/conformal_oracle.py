@@ -32,7 +32,6 @@ from .cartan_invariants import CartanQuartic
 from .distribution5 import _as_point5, _require_noninteg
 from .errors import DomainError, RollingTwistorError
 from .finitediff import richardson
-from .surfaces import constant_jet
 
 # constant coefficient matrix of the metric in the theta basis:
 # th1*th5 + th5*th1 - th2*th4 - th4*th2 + 4/3 th3*th3
@@ -94,7 +93,7 @@ def _overflows(x, x2):
 def _sigma_rows(d1, d2):
     """Rows sigma^1..sigma^4 in the cobasis (dx, dy, du, dv, dphi), as an
     (m, 4, 5) stack: the duals dx/f1, dy/f2, du/f3, dv/f4 of the surfaces'
-    frames, given their frame data d1, d2 at m points."""
+    frames, given their frame data (or jets) d1, d2 at m points."""
     rows = np.zeros((len(d1.f1), 4, 5))
     rows[:, 0, 0], rows[:, 1, 1] = 1.0 / d1.f1, 1.0 / d1.f2
     rows[:, 2, 2], rows[:, 3, 3] = 1.0 / d2.f1, 1.0 / d2.f2
@@ -116,29 +115,25 @@ def omega_coframe(s1, s2, p):
 
 
 def _surface_data(s1, s2, a):
-    """(j1, d1, d2) at the chart points a, an (m, 5) stack: the jet and frame
-    data of the first surface and the frame data of the second, with a 1-D
-    array in every field.  A constant-curvature first surface reads its frame
-    data once: its jet is made from them."""
-    q1 = (a[:, 0], a[:, 1])
-    d1 = s1.frame_data(q1)
-    j1 = constant_jet(d1) if s1.is_constant_curvature else s1.jet(q1)
-    return j1, d1, s2.frame_data((a[:, 2], a[:, 3]))
+    """(j1, d2) at the chart points a, an (m, 5) stack: the jet of the first
+    surface, which carries its frame data, and the frame data of the second,
+    with a 1-D array in every field."""
+    return s1.jet((a[:, 0], a[:, 1])), s2.frame_data((a[:, 2], a[:, 3]))
 
 
 def _column(x):
     return np.asarray(x, dtype=float)[:, None]
 
 
-def _omega_rows(a, j1, d1, d2):
+def _omega_rows(a, j1, d2):
     """omega_coframe at the chart points a, an (m, 5) stack, as (m, 5, 5)
-    rows, given the jet j1 and frame data d1 of the first surface and the
-    frame data d2 of the second there."""
+    rows, given the jet j1 of the first surface and the frame data d2 of the
+    second there."""
     _require_noninteg(j1.kappa, d2.kappa)
     k, lam, a2, a4, k1 = map(_column, (j1.kappa, d2.kappa, j1.a2, d2.a2, j1.kappa1))
     d = k - lam
     c, s = _column(np.cos(a[:, 4])), _column(np.sin(a[:, 4]))
-    sig = _sigma_rows(d1, d2)
+    sig = _sigma_rows(j1, d2)
     sig0, sig1, sig2, sig3 = (sig[:, i] for i in range(4))
     dphi = np.zeros(5)
     dphi[4] = 1.0
@@ -176,10 +171,10 @@ def theta_coframe(s1, s2, p):
     return _stacked(lambda a: _theta_rows(a, *_surface_data(s1, s2, a)), p)
 
 
-def _theta_rows(a, j1, d1, d2):
+def _theta_rows(a, j1, d2):
     """theta_coframe at the chart points a, an (m, 5) stack, as (m, 5, 5)
     rows, given the data of `_surface_data` there."""
-    w = _omega_rows(a, j1, d1, d2)
+    w = _omega_rows(a, j1, d2)
     k, lam, a2, k1, k11 = map(_column, (j1.kappa, d2.kappa, j1.a2, j1.kappa1, j1.kappa11))
     d = k - lam
 

@@ -6,8 +6,8 @@ restricted velocity space is spanned by two fields X1, X2; their iterated
 commutators X3 = [X1, X2], X4 = [X1, X3], X5 = [X2, X3] have closed forms in
 terms of the surface frame data (X1, X2, X3) and jets (X4, X5), and away
 from curvature-matching points the five fields frame the space (rank growth
-2, 3, 5).  `field_rows` writes the rows X1..Xn at a point from one frame
-read per surface, and is defined at equal curvatures too; rolling
+2, 3, 5).  `field_rows` writes the rows X1..Xn at a point from one read per
+surface, and is defined at equal curvatures too; rolling
 integrates its first two rows and `growth_vector` ranks all five.
 `velocity_fields` and `frame_fields` view the rows as callables, and the
 finite-difference `lie_bracket` is the tests' numerical reference for the
@@ -54,15 +54,17 @@ def field_rows(s1, s2, p, n=5):
     expanded with no division by lambda - kappa, so they stay defined where
     the curvatures meet; they use that the e2-derivatives of both curvatures
     vanish and that e1(a2) = kappa + a2^2 (the structure identity of the
-    curvature).  The rows read one `frame_data` per surface, and one jet per
-    surface for n = 5.
+    curvature).  The rows read one jet per surface for n = 5, whose leading
+    fields are the frame data, and one `frame_data` per surface otherwise.
     """
     if n not in (2, 3, 5):
         raise ValueError(f"field_rows writes 2, 3 or 5 rows, not {n}")
     a = _as_point5(p)
     q1, q2 = (a[0], a[1]), (a[2], a[3])
-    f1, f2, a2, kappa = s1.frame_data(q1)
-    f3, f4, a4, lam = s2.frame_data(q2)
+    d1 = s1.jet(q1) if n == 5 else s1.frame_data(q1)
+    d2 = s2.jet(q2) if n == 5 else s2.frame_data(q2)
+    f1, f2, a2, kappa = d1[:4]
+    f3, f4, a4, lam = d2[:4]
     c, s = np.cos(a[4]), np.sin(a[4])
     rows = np.zeros((n, 5))
     rows[0] = f1, 0.0, c * f3, s * f4, a4 * s
@@ -71,8 +73,7 @@ def field_rows(s1, s2, p, n=5):
         rows[2] = a2 * rows[1]
         rows[2, 4] += lam - kappa
     if n == 5:
-        k1 = s1.jet(q1).kappa1
-        lam1 = s2.jet(q2).kappa1
+        k1, lam1 = d1.kappa1, d2.kappa1
         dl = lam - kappa
         # the X3-coefficient a2 comes from expanding a2 [X1, X2]
         rows[3] = (kappa + a2 * a2) * rows[1] + a2 * rows[2]

@@ -6,10 +6,11 @@ the family's symmetry (the rotation, or the translation in y for the plane's
 Cartesian chart), so the curvature depends on t only and its derivative
 along e2 vanishes.  The frame data of a
 surface at a point is (f1, f2, a2, kappa), in closed form; it is all the
-velocity fields, their first bracket, the rolling diagnostics and the
-oracle's coframe read.  The jet holds (a2, kappa) and the e1-derivatives of
-kappa up to fourth order; this is exactly the data the quartic invariant
-formulas consume.  `jet` and `frame_data` also take a stack of chart
+velocity fields, their first bracket and the rolling diagnostics read.  The
+jet is the frame data, bit for bit, followed by the e1-derivatives of kappa
+up to fourth order: one read gives everything the quartic invariant
+formulas, the derived fields X4, X5 and the oracle's coframe consume.
+`jet` and `frame_data` also take a stack of chart
 points, a pair of 1-D coordinate arrays, and return fields that are 1-D
 arrays; each point rounds as it does on its own.  Arithmetic-only
 families evaluate a stack in one pass; the sphere, the hyperbolic plane and
@@ -47,37 +48,27 @@ class FrameData(NamedTuple):
     kappa: float
 
 
-@dataclass(frozen=True)
-class SurfaceJet:
-    """Pointwise jet: a2 and kappa, as in the frame data, and the
-    e1-derivatives of kappa up to fourth order.  The jet of a stack of points
-    has a 1-D array in every field."""
+class SurfaceJet(NamedTuple):
+    """Pointwise jet: the frame data (f1, f2, a2, kappa), bit for bit those of
+    `frame_data`, and the e1-derivatives of kappa up to fourth order.  The jet
+    of a stack of points has a 1-D array in every field."""
 
+    f1: float
+    f2: float
     a2: float
     kappa: float
-    kappa1: float = 0.0
-    kappa11: float = 0.0
-    kappa111: float = 0.0
-    kappa1111: float = 0.0
+    kappa1: float
+    kappa11: float
+    kappa111: float
+    kappa1111: float
 
     def scaled(self, s0):
-        """Jet of the same point after multiplying the metric by s0^2."""
+        """Jet of the same chart point after multiplying the metric by s0^2:
+        each field is divided by |s0| to its degree in inverse length."""
         s = abs(float(s0))
         if s == 0.0:
             raise ValueError("scale factor must be nonzero")
-        return SurfaceJet(
-            a2=self.a2 / s,
-            kappa=self.kappa / s**2,
-            kappa1=self.kappa1 / s**3,
-            kappa11=self.kappa11 / s**4,
-            kappa111=self.kappa111 / s**5,
-            kappa1111=self.kappa1111 / s**6,
-        )
-
-    def as_array(self):
-        return np.array(
-            [self.a2, self.kappa, self.kappa1, self.kappa11, self.kappa111, self.kappa1111]
-        )
+        return SurfaceJet(*(x / s**n for x, n in zip(self, (1, 1, 1, 2, 3, 4, 5, 6))))
 
 
 class Surface:
@@ -88,12 +79,16 @@ class Surface:
 
     def frame_data(self, p) -> FrameData:
         """(f1, f2, a2, kappa) at p, or at each point of a stack (see module
-        doc); a2 and kappa equal those of `jet`."""
+        doc); they are the first four fields of `jet`."""
         raise NotImplementedError
 
     def jet(self, p) -> SurfaceJet:
-        """Jet at a chart point, or at each point of a stack (see module doc)."""
-        raise NotImplementedError
+        """Jet at a chart point, or at each point of a stack (see module doc).
+        This one is a constant-curvature family's: the frame data, with
+        vanishing curvature derivatives."""
+        d = self.frame_data(p)
+        zero = np.zeros_like(d.kappa) if isinstance(d.kappa, np.ndarray) else 0.0
+        return SurfaceJet(*d, zero, zero, zero, zero)
 
     def validate(self, p):
         """Raise DomainError if p lies outside the chart domain."""
@@ -148,30 +143,14 @@ def _profile_coordinate(p):
 
 
 def _each_point(p, fn):
-    """fn of each point of the stack p, in order, as a pair of floats.  The
-    DomainError of the first point that fails carries its index in the stack
-    as `point_index`."""
-    out = []
-    for i, q in enumerate(zip(*(np.asarray(c, dtype=float).tolist() for c in p))):
-        try:
-            out.append(fn(q))
-        except DomainError as exc:
-            exc.point_index = i
-            raise
-    return out
+    """fn of each point of the stack p, in order, as a pair of floats."""
+    return [fn(q) for q in zip(*(np.asarray(c, dtype=float).tolist() for c in p))]
 
 
 def _frames_of_each_point(surface, p):
     """Frame data of the stack p, one `frame_data` call per point, so each
     point rounds through the math module as it does on its own."""
     return FrameData(*np.array(_each_point(p, surface.frame_data)).reshape(-1, 4).T)
-
-
-def constant_jet(d):
-    """Jet of a constant-curvature family from its frame data `d` at a point
-    or a stack: (a2, kappa), with vanishing curvature derivatives."""
-    zero = np.zeros_like(d.kappa) if isinstance(d.kappa, np.ndarray) else 0.0
-    return SurfaceJet(d.a2, d.kappa, zero, zero, zero, zero)
 
 
 @dataclass(frozen=True)
@@ -193,9 +172,6 @@ class Plane(Surface):
             m = len(p[0])
             return FrameData(np.full(m, f), np.full(m, f), np.zeros(m), np.zeros(m))
         return FrameData(f, f, 0.0, 0.0)
-
-    def jet(self, p):
-        return constant_jet(self.frame_data(p))
 
     def scaled(self, s0):
         _check_scale(s0)
@@ -235,9 +211,6 @@ class Sphere(Surface):
         rs = r * math.sin(theta)
         return FrameData(1.0 / r, 1.0 / rs, -math.cos(theta) / rs, 1.0 / r**2)
 
-    def jet(self, p):
-        return constant_jet(self.frame_data(p))
-
     def scaled(self, s0):
         _check_scale(s0)
         return Sphere(radius=self.radius * abs(s0))
@@ -275,9 +248,6 @@ class Hyperbolic(Surface):
         r = self.radius
         rs = r * math.sinh(theta)
         return FrameData(1.0 / r, 1.0 / rs, -math.cosh(theta) / rs, -1.0 / r**2)
-
-    def jet(self, p):
-        return constant_jet(self.frame_data(p))
 
     def scaled(self, s0):
         _check_scale(s0)
@@ -338,49 +308,45 @@ class _RevolutionBase(Surface):
         self.validate(p)
         return _profile_coordinate(p)
 
-    def frame_data(self, p):
-        rho = self._rho(p)
+    def _frame(self, rho):
+        """Frame data at the profile coordinate rho of a valid chart point, or
+        at each entry of an array of them."""
         h = self.h(rho)
-        # h*h*h rounds as TaylorJet's h**3 does, so kappa equals the jet's bit for bit
+        # h*h*h rounds as TaylorJet's h**3 does: kappa is the value of the jet's series
         return FrameData(1.0 / h, 1.0 / rho, -1.0 / (rho * h), 2.0 * self.alpha / (h * h * h))
+
+    def frame_data(self, p):
+        return self._frame(self._rho(p))
 
     def jet(self, p):
         rho = self._rho(p)
-        # exact Taylor arithmetic: kappa = 2 alpha / h^3 expanded to 4th order,
-        # then the e1-derivative chain f -> f'(rho)/h applied four times
+        # exact Taylor arithmetic: kappa = 2 alpha / h^3 expanded to 4th order
         r = TaylorJet.variable(rho, 4)
         h = self.beta + self.alpha * r * r
-        kappa = 2.0 * self.alpha / h**3
-        return _jet_from_series(kappa, h, a2=-1.0 / (rho * self.h(rho)))
+        return SurfaceJet(*self._frame(rho), *_kappa_derivatives(2.0 * self.alpha / h**3, h))
 
     def profile_range(self):
         return (0.5, 2.0)
 
 
-def _jet_from_series(kappa_series, h_series, a2):
-    derivs = [kappa_series.value]
+def _kappa_derivatives(kappa_series, h_series):
+    """kappa1..kappa1111: the e1-derivative chain f -> f'(rho)/h applied
+    four times to the curvature series."""
+    derivs = []
     f = kappa_series
     for _ in range(4):
         f = f.derivative() / h_series.truncate(f.order - 1)
         derivs.append(f.value)
-    return SurfaceJet(
-        a2=a2,
-        kappa=derivs[0],
-        kappa1=derivs[1],
-        kappa11=derivs[2],
-        kappa111=derivs[3],
-        kappa1111=derivs[4],
-    )
+    return derivs
 
 
 @dataclass(frozen=True)
 class RevolutionProfile(_RevolutionBase):
-    """General revolution family; gamma is the chart constant of the profile
-    x = alpha rho^2 / 2 + beta log rho + gamma and does not enter the metric."""
+    """General revolution family, of profile x = alpha rho^2 / 2 + beta log rho
+    (up to a constant, which does not enter the metric)."""
 
     alpha: float
     beta: float
-    gamma: float = 0.0
 
     kind = "profile"
 
@@ -390,11 +356,10 @@ class RevolutionProfile(_RevolutionBase):
 
     def scaled(self, s0):
         _check_scale(s0)
-        return RevolutionProfile(self.alpha / s0**2, self.beta, self.gamma)
+        return RevolutionProfile(self.alpha / s0**2, self.beta)
 
     def spec_string(self):
-        spec = f"profile:alpha={_spec_number(self.alpha)},beta={_spec_number(self.beta)}"
-        return spec + (f",gamma={_spec_number(self.gamma)}" if self.gamma != 0.0 else "")
+        return f"profile:alpha={_spec_number(self.alpha)},beta={_spec_number(self.beta)}"
 
 
 @dataclass(frozen=True)
@@ -468,9 +433,7 @@ class CustomRevolution(_RevolutionBase):
     def frame_data(self, p):
         if _is_stack(p):
             return _frames_of_each_point(self, p)
-        j = self.jet(p)
-        rho = _profile_coordinate(p)
-        return FrameData(1.0 / self.h(rho), 1.0 / rho, j.a2, j.kappa)
+        return FrameData(*self.jet(p)[:4])
 
     def jet(self, p):
         rho = self._rho(p)
@@ -479,7 +442,8 @@ class CustomRevolution(_RevolutionBase):
         if not isinstance(h, TaylorJet):
             h = TaylorJet.constant(float(h), 5)
         kappa = h.derivative() / (r * h**3).truncate(4)
-        return _jet_from_series(kappa, h.truncate(4), a2=-1.0 / (rho * h.value))
+        frame = (1.0 / h.value, 1.0 / rho, -1.0 / (rho * h.value), kappa.value)
+        return SurfaceJet(*frame, *_kappa_derivatives(kappa, h.truncate(4)))
 
     def spec_string(self):
         return f"custom:{self.label}"
@@ -491,7 +455,7 @@ _SPEC_KEYS = {
     "plane": ("scale",),
     "sphere": ("r",),
     "hyperbolic": ("r",),
-    "profile": ("alpha", "beta", "gamma"),
+    "profile": ("alpha", "beta"),
     "g2": ("eps",),
 }
 
@@ -500,7 +464,7 @@ def parse_surface(spec):
     """Parse a surface spec string.
 
     Grammar: ``plane``, ``plane:scale=<v>``, ``sphere:r=<v>``,
-    ``hyperbolic:r=<v>``, ``profile:alpha=<v>,beta=<v>[,gamma=<v>]``,
+    ``hyperbolic:r=<v>``, ``profile:alpha=<v>,beta=<v>``,
     ``g2:eps=<-1|0|1>``.  `Surface.spec_string` prints specs in this grammar
     that parse back to an equal surface.
     """
@@ -552,7 +516,7 @@ def parse_surface(spec):
         elif kind == "hyperbolic":
             surface = Hyperbolic(radius=kv["r"])
         elif kind == "profile":
-            surface = RevolutionProfile(kv["alpha"], kv["beta"], kv.get("gamma", 0.0))
+            surface = RevolutionProfile(kv["alpha"], kv["beta"])
         else:
             eps = kv["eps"]
             if eps != int(eps):

@@ -59,7 +59,7 @@ def test_criterion_1_constant_curvature_factorization():
             count += 1
             P = (k - lam) ** 4 * (k - 9.0 * lam) * (9.0 * k - lam)
             expected = P * pattern
-            got = np.array(quartic_killing_case(SurfaceJet(a2=RNG.uniform(-2, 2), kappa=k), lam))
+            got = np.array(quartic_killing_case(SurfaceJet(1.0, 1.0, RNG.uniform(-2, 2), k, 0.0, 0.0, 0.0, 0.0), lam))
             assert np.allclose(got, expected, rtol=1e-12, atol=1e-12 * max(abs(P), 1.0))
 
     _report(1, "constant-curvature quartic factorization (50 random pairs, rel 1e-12)", 1.0, body)
@@ -103,9 +103,9 @@ def test_criterion_4_ode_sufficiency():
             alpha = RNG.uniform(-2.0, 2.0)
             if abs(alpha) < 0.05:
                 continue
-            beta, gamma = RNG.uniform(-2.0, 2.0, 2)
+            beta, _ = RNG.uniform(-2.0, 2.0, 2)  # and the profile's additive constant
             rho = RNG.uniform(0.5, 2.0)
-            x1 = alpha * rho + beta / rho  # d/drho of alpha rho^2/2 + beta log rho + gamma
+            x1 = alpha * rho + beta / rho  # d/drho of alpha rho^2/2 + beta log rho
             if abs(x1) < 0.05 or abs(beta + alpha * rho**2) < 0.05:
                 continue
             done += 1
@@ -120,7 +120,7 @@ def test_criterion_4_ode_sufficiency():
                         abs(d2 * d1**2 * rho), d1**4)
             assert abs(res) < 1e-10 * scale
             # the same profile rolls on the plane with a vanishing quartic
-            jet = RevolutionProfile(alpha, beta, gamma).jet((rho, 0.0))
+            jet = RevolutionProfile(alpha, beta).jet((rho, 0.0))
             q = quartic_killing_case(jet, 0.0)
             assert q.max_abs < 1e-8 * vanishing_scale(jet.kappa, 0.0)
         # the flat family alpha = 0 is rejected as excluded

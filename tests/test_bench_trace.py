@@ -33,8 +33,7 @@ def wrapped_names(spans):
     """(owner, attribute) of every binding `instrument` replaces by name."""
     tj = taylor.TaylorJet
     names = [(tj, op) for op in spans.TAYLOR_OPS + spans.TAYLOR_CTORS]
-    families = (surfaces.Plane, surfaces.Sphere, surfaces.Hyperbolic, surfaces._RevolutionBase,
-                surfaces.CustomRevolution)
+    families = (surfaces.Surface, surfaces._RevolutionBase, surfaces.CustomRevolution)
     names += [(cls, "jet") for cls in families]
     mods = spans._package_modules()
     names += [(mods[m], f) for m, funcs in spans.MODULE_FUNCTIONS.items() for f in funcs]

@@ -4,6 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from references import necessary_condition_residual, quartic_constant
 
+from rolling_twistor import cartan_invariants
 from rolling_twistor.cartan_invariants import (
     CartanQuartic,
     _killing_coefficients,
@@ -26,7 +27,9 @@ RNG = np.random.default_rng(99)
 
 
 def const_jet(kappa, a2=0.0):
-    return SurfaceJet(a2=a2, kappa=kappa)
+    """A jet with vanishing curvature derivatives; the quartic does not
+    read the frame (f1, f2)."""
+    return SurfaceJet(1.0, 1.0, a2, kappa, 0.0, 0.0, 0.0, 0.0)
 
 
 class TestQuarticKillingCase:
@@ -88,14 +91,14 @@ class TestSymbolicQuartic:
         derivs = [2 * alpha / h**3]
         for _ in range(4):  # each e1-derivative is (d/drho) / h
             derivs.append(sp.diff(derivs[-1], rho) / h)
-        jet = SurfaceJet(-1 / (rho * h), *derivs)
+        jet = SurfaceJet(1 / h, 1 / rho, -1 / (rho * h), *derivs)
         for A in _killing_coefficients(jet, 0):
             assert self._exact(sp, A) == 0
 
     def test_constant_curvature_factorisation(self):
         sp = pytest.importorskip("sympy")
         kappa, lam, a2 = sp.symbols("kappa lambda a2")
-        quartic = _killing_coefficients(SurfaceJet(a2, kappa), lam)
+        quartic = _killing_coefficients(SurfaceJet(1.0, 1.0, a2, kappa, 0.0, 0.0, 0.0, 0.0), lam)
         P = (kappa - 9 * lam) * (kappa - lam) ** 4 * (9 * kappa - lam)
         for A, weight in zip(quartic, (1, 1, sp.Rational(4, 3), 2, 4)):
             assert self._exact(sp, A - weight * P) == 0
@@ -164,6 +167,18 @@ class TestNineToOneProperty:
         assert g2_check(s1, lam, grid).is_g2
         assert not g2_check(s1, lam / (1.0 + 1e-3), grid).is_g2
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="vanishing_scale floors the curvature scale at 1, so below unit "
+        "curvature the vanishing test is absolute and a large pair 0.1% off "
+        "the 9:1 ratio reads as G2",
+    )
+    def test_large_spheres_off_ratio_nine_are_not_g2(self):
+        s1 = Sphere(45.0)
+        kappa = s1.frame_data(_at(s1, 0.5)).kappa
+        assert not g2_check(s1, kappa / (9.0 * 1.001), s1.profile_grid(3)).is_g2
+
 
 class TestRootType:
     def test_constant_quartic_is_double_double(self):
@@ -211,12 +226,13 @@ class TestRootType:
         q = CartanQuartic(poly[0], poly[1] / 4, poly[2] / 6, poly[3] / 4, poly[4])
         assert root_type(q).tag == "[2,1,1]"
 
-    def test_triple_root_with_relaxed_clustering(self):
+    def test_triple_root_with_relaxed_clustering(self, monkeypatch):
         # eigenvalue splitting of a triple root is ~ eps^(1/3), above the
         # default clustering radius, so classification needs a looser one
+        monkeypatch.setattr(cartan_invariants, "ROOT_CLUSTER_RADIUS", 1e-4)
         poly = np.poly([1.0, 1.0, 1.0, -2.0])[::-1]
         q = CartanQuartic(poly[0], poly[1] / 4, poly[2] / 6, poly[3] / 4, poly[4])
-        assert root_type(q, cluster_radius=1e-4).tag == "[3,1]"
+        assert root_type(q).tag == "[3,1]"
 
     def test_nonzero_constant_quartics_always_double_double(self):
         for _ in range(30):

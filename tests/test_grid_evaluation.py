@@ -51,7 +51,7 @@ def surfaces(draw):
     """A catalog family, revolution-type most often, possibly a homothetic copy."""
     alpha = _floats(-5.0, 5.0).filter(lambda x: abs(x) > 1e-3)
     surface = draw(st.one_of(
-        st.builds(RevolutionProfile, alpha, _floats(-5.0, 5.0), _floats(-1.0, 1.0)),
+        st.builds(RevolutionProfile, alpha, _floats(-5.0, 5.0)),
         st.builds(G2Family, st.sampled_from((-1, 0, 1))),
         st.builds(Sphere, _floats(0.1, 10.0)),
         st.builds(Hyperbolic, _floats(0.1, 10.0)),
@@ -78,15 +78,15 @@ def test_stacked_jet_rounds_as_each_point(surface, points):
     assume(points)
     jet = surface.jet(stack(points))
     singles = [surface.jet(p) for p in points]
-    assert jet.as_array().shape == (6, len(points))
-    assert bits(jet.as_array().T) == bits([j.as_array() for j in singles])
+    assert np.shape(jet) == (8, len(points))
+    assert bits(np.transpose(jet)) == bits(singles)
 
 
 def test_custom_revolution_stack():
     surface = CustomRevolution(lambda r: r.cosh(), "cosh")
     points = [(0.5, 0.0), (1.1, 0.2), (2.0, -1.0)]
     jet = surface.jet(stack(points))
-    assert bits(jet.as_array().T) == bits([surface.jet(p).as_array() for p in points])
+    assert bits(np.transpose(jet)) == bits([surface.jet(p) for p in points])
 
 
 @pytest.mark.parametrize(
@@ -105,7 +105,6 @@ def test_stacked_jet_raises_the_first_points_error(surface, points, index):
         surface.jet(stack(points))
     assert type(stacked.value) is type(single.value)
     assert str(stacked.value) == str(single.value)
-    assert stacked.value.point_index == index
 
 
 # -- the root classifier ----------------------------------------------------
