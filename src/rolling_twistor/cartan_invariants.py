@@ -9,18 +9,18 @@ this happens exactly at curvature ratio 9:1.
 
 All coefficients are defined only up to a common nonvanishing factor, so
 every comparison here is projective and every vanishing test is relative to
-the dimensional scale (kappa - lambda)^4 * max(kappa^2, lambda^2, 1).
+the dimensional scale (kappa - lambda)^4 * curvature_scale^2, where
+`distribution5.curvature_scale` is max(|kappa|, |lambda|, 1).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .distribution5 import _integrable, _require_noninteg
+from .distribution5 import _integrable, _require_noninteg, curvature_scale
 from .errors import DomainError
 
 VANISH_TOL = 1e-8  # relative threshold for "all A_i vanish"
@@ -70,22 +70,12 @@ def quartic_killing_case(jet, lam):
 
 
 def _ipow(x, n):
-    """x**n, the one integer power of the quartic formulas.  An ndarray is
-    raised element by element with Python's float ** (libm pow), which
-    numpy's vectorised ** does not match in every last bit; an overflow is inf."""
-    if not isinstance(x, np.ndarray):
-        return x**n
-    try:
-        return np.array([v**n for v in x.tolist()])
-    except OverflowError:
-        return np.array([_pow_or_inf(v, n) for v in x.tolist()])
-
-
-def _pow_or_inf(v, n):
-    try:
-        return v**n
-    except OverflowError:
-        return math.inf
+    """x**n, the one integer power of the quartic formulas and the oracle.
+    An ndarray goes through np.float_power, the C library's pow, as a float's
+    ** does, so each element rounds as it does on its own (numpy's x**n
+    multiplies, and differs in the last bit for a small share of x); an
+    element that overflows is inf where a float's ** raises OverflowError."""
+    return np.float_power(x, n) if isinstance(x, np.ndarray) else x**n
 
 
 def _killing_coefficients(jet, lam):
@@ -219,7 +209,7 @@ def _classify(roots, inf_mult):
 def vanishing_scale(kappa, lam):
     """Dimensionally consistent size estimate for the quartic coefficients
     (they are homogeneous of degree 6 in curvature units)."""
-    return _ipow(kappa - lam, 4) * np.maximum(np.maximum(_ipow(kappa, 2), _ipow(lam, 2)), 1.0)
+    return _ipow(kappa - lam, 4) * _ipow(curvature_scale(kappa, lam), 2)
 
 
 class G2Row(NamedTuple):

@@ -12,23 +12,21 @@ flatness) is an independent maximal-symmetry detector.
 
 The coframes and the metric take one chart point or an (m, 5) stack of
 points through one code path (a point is a stack of one), and each row
-rounds as it does on its own: squares go through the C library's pow, as
-a float's ** does.  The curvature calls the metric once per point, on the
-whole finite-difference stencil of both steps (FD_STEP and its half).  A
-stack that fails raises the error of its first failing row, as that row
-raises on its own.
+rounds as it does on its own: squares go through `cartan_invariants._ipow`,
+the C library's pow, as a float's ** does.  The curvature calls the metric
+once per point, on the whole finite-difference stencil of both steps
+(FD_STEP and its half).  A stack that fails raises the error of its first
+failing row, as that row raises on its own.
 """
 
 from __future__ import annotations
 
-import errno
-import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .cartan_invariants import CartanQuartic
+from .cartan_invariants import CartanQuartic, _ipow
 from .distribution5 import _as_point5, _require_noninteg
 from .errors import DomainError, RollingTwistorError
 from .finitediff import richardson
@@ -77,17 +75,21 @@ def _stacked(fn, p):
     return out[0] if single else out
 
 
-def _square(x):
-    """x**2 of each entry, rounded as a float's ** rounds it (the C library's
-    pow, where numpy's x**2 is x*x; the two differ in the last bit for a
-    small share of x)."""
-    return np.float_power(x, 2.0)
-
-
 def _overflows(x, x2):
     """Where the square x2 of a finite x is infinite: there a float's **
     raises OverflowError."""
     return np.isfinite(x) & np.isinf(x2)
+
+
+def _require_no_overflow(bad, k, lam):
+    """Raise DomainError naming the curvatures k, lam (columns) of the first
+    row of the stack where `bad` holds."""
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DomainError(
+            f"the oracle coframe overflows at kappa = {float(k[i, 0])!r},"
+            f" lambda = {float(lam[i, 0])!r}"
+        )
 
 
 def _sigma_rows(d1, d2):
@@ -138,7 +140,7 @@ def _omega_rows(a, j1, d2):
     dphi = np.zeros(5)
     dphi[4] = 1.0
 
-    a2sq, ksq, lamsq, dsq = (_square(x) for x in (a2, k, lam, d))
+    a2sq, ksq, lamsq, dsq = (_ipow(x, 2) for x in (a2, k, lam, d))
     w = np.zeros((len(a), 5, 5))
     w[:, 0] = sig0
     c2 = 2.0 * a2sq * k + 2.0 * ksq - a2 * k1 - 2.0 * a2sq * lam - 3.0 * k * lam + lamsq
@@ -154,12 +156,7 @@ def _omega_rows(a, j1, d2):
     bad = ~np.isfinite(w).all(axis=(1, 2))
     for x, x2 in ((a2, a2sq), (k, ksq), (lam, lamsq), (d, dsq)):
         bad |= _overflows(x, x2)[:, 0]
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise DomainError(
-            f"the oracle coframe overflows at kappa = {float(k[i, 0])!r},"
-            f" lambda = {float(lam[i, 0])!r}"
-        )
+    _require_no_overflow(bad, k, lam)
     return w
 
 
@@ -178,7 +175,8 @@ def _theta_rows(a, j1, d2):
     k, lam, a2, k1, k11 = map(_column, (j1.kappa, d2.kappa, j1.a2, j1.kappa1, j1.kappa11))
     d = k - lam
 
-    a2sq, k1sq, dsq = (_square(x) for x in (a2, k1, d))
+    a2sq, k1sq, dsq = (_ipow(x, 2) for x in (a2, k1, d))
+    _require_no_overflow(_overflows(k1, k1sq)[:, 0], k, lam)
     q = a2 + k1 / (lam - k)
     r = (
         a2sq
@@ -195,8 +193,6 @@ def _theta_rows(a, j1, d2):
         - 0.5 * k1sq / dsq
     )
     u = (3.0 / 10.0) * k - (7.0 / 10.0) * lam + a2 * k1 / (10.0 * (lam - k))
-    if _overflows(k1, k1sq).any():  # where a float's k1**2 raised
-        raise OverflowError(errno.ERANGE, os.strerror(errno.ERANGE))
 
     th = np.zeros((len(a), 5, 5))
     th[:, 0] = w[:, 3] - w[:, 4]
@@ -369,8 +365,8 @@ def cartan_from_weyl(s1, s2, p):
 
     The five contractions pair the null directions spanning the distribution
     with their orthogonal partners in the transverse null plane, both taken
-    from the duals of the theta coframe.  A Weyl tensor or quartic that is
-    not finite raises DomainError.
+    from the duals of the theta coframe.  A Weyl tensor, Weyl norm or
+    quartic that is not finite raises DomainError naming the curvatures.
     """
     a = _as_point5(p)
     Y = np.linalg.inv(theta_coframe(s1, s2, a))  # <theta^j, Y_i> = delta^j_i
@@ -380,14 +376,16 @@ def cartan_from_weyl(s1, s2, p):
         A = _contract_quartic(w, Y)
         A1 = _contract_quartic(w1, Y)
         A2 = _contract_quartic(w2, Y)
-    if not (np.isfinite(w).all() and np.isfinite(A).all()):
-        raise DomainError("the Weyl tensor of the oracle metric is not finite")
-    return OracleQuartic(
-        quartic=CartanQuartic(*A),
-        noise=np.abs(A1 - A2),
-        weyl_norm=float(np.sqrt(np.sum(w**2))),
-        weyl_noise=float(abs(np.sqrt(np.sum(w1**2)) - np.sqrt(np.sum(w2**2)))),
-    )
+        norm = float(np.sqrt(np.sum(w**2)))
+        noise = float(abs(np.sqrt(np.sum(w1**2)) - np.sqrt(np.sum(w2**2))))
+    if not (np.isfinite(w).all() and np.isfinite(A).all() and np.isfinite([norm, noise]).all()):
+        kappa, lam = s1.frame_data((a[0], a[1])).kappa, s2.frame_data((a[2], a[3])).kappa
+        raise DomainError(
+            "the Weyl tensor of the oracle metric or its norm is not finite"
+            f" at kappa = {float(kappa)!r}, lambda = {float(lam)!r}"
+        )
+    return OracleQuartic(quartic=CartanQuartic(*A), noise=np.abs(A1 - A2), weyl_norm=norm,
+                         weyl_noise=noise)
 
 
 def proportionality_residual(qa, qb):

@@ -99,9 +99,16 @@ def frame_fields(s1, s2):
     return tuple(_row_field(s1, s2, 5, i) for i in range(5))
 
 
+def curvature_scale(kappa, lam):
+    """max(|kappa|, |lambda|, 1): the curvature size the integrability and
+    vanishing thresholds are relative to, at a point or at each point of a
+    stack."""
+    return np.maximum(np.maximum(abs(kappa), abs(lam)), 1.0)
+
+
 def _integrable(kappa, lam):
     """Whether the curvatures are equal, at a point or at each point of a stack."""
-    return abs(kappa - lam) <= INTEGRABLE_TOL * np.maximum(np.maximum(abs(kappa), abs(lam)), 1.0)
+    return abs(kappa - lam) <= INTEGRABLE_TOL * curvature_scale(kappa, lam)
 
 
 def _require_noninteg(kappa, lam):

@@ -1,13 +1,16 @@
 """Kinematic integration of admissible rolling motions.
 
-An admissible motion is a curve tangent to the velocity distribution:
-ydot = c1 X1 + c2 X2 with time-dependent controls.  Integration is a fixed
-step classical 4th-order scheme over the rows (X1, X2) of `field_rows`, one
-frame read per surface per stage; the no-slip and no-twist diagnostics then
-read the frame data of all samples in one stacked call per surface and
-measure the constraint residuals of the sampled curve with high-order finite
-differences, so the observed residuals converge at the integrator's order
-instead of being swamped by measurement error.
+A configuration holds the two contact points and the angle phi of the
+rotation A_phi identifying the tangent planes; in orthonormal frames A_phi
+is multiplication by e^{i phi}.  An admissible motion is a curve tangent to
+the velocity distribution, ydot = c1 X1 + c2 X2 with time-dependent
+controls, and `integrate` is the one RK4 scheme that follows it.  The
+diagnostics check, in complex frame components, that A_phi carries the
+first contact velocity to the second (no slipping) and the first curve's
+parallel-transported frame to the second curve's (no twisting).  They
+measure the sampled velocities with high-order finite differences, so the
+observed residuals converge at the integrator's order instead of being
+swamped by measurement error.
 """
 
 from __future__ import annotations
@@ -99,12 +102,12 @@ class Trajectory:
         return len(self.times)
 
 
-def integrate_fields(fields, start, ctrl, dt, t_end, validate=None):
-    """Fixed-step RK4 for ydot = c1(t) X1(y) + c2(t) X2(y), where
-    `fields(y)` returns the rows (X1(y), X2(y)).
-
-    `validate`, when given, is called on each accepted sample; a DomainError
-    aborts with the partial trajectory attached to the exception.
+def integrate(s1, s2, start, ctrl, dt, t_end):
+    """Fixed-step RK4 of an admissible rolling motion of s1 on s2:
+    ydot = c1(t) X1(y) + c2(t) X2(y) with the rows (X1, X2) of `field_rows`,
+    one frame read per surface per stage.  Each accepted sample is checked
+    against both charts; a DomainError aborts with the partial trajectory
+    attached to the exception as `last_valid`.
     """
     check_step(dt)
     y = _as_point5(start).copy()
@@ -115,7 +118,7 @@ def integrate_fields(fields, start, ctrl, dt, t_end, validate=None):
 
     def f(t, state):
         c = ctrl(t)
-        rows = fields(state)
+        rows = field_rows(s1, s2, state, 2)
         return c[0] * rows[0] + c[1] * rows[1]
 
     t = 0.0
@@ -127,34 +130,24 @@ def integrate_fields(fields, start, ctrl, dt, t_end, validate=None):
             k4 = f(t + dt, y + dt * k3)
             y = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             t = (k + 1) * dt
-            if validate is not None:
-                validate(y)
+            validate_point(s1, s2, y)
         except DomainError as exc:
-            partial = Trajectory(
-                times=np.array(times), points=np.array(points), control=ctrl, dt=dt
-            )
-            exc.last_valid = partial
+            exc.last_valid = Trajectory(np.array(times), np.array(points), ctrl, dt)
             raise
         times.append(t)
         points.append(y.copy())
     return Trajectory(times=np.array(times), points=np.array(points), control=ctrl, dt=dt)
 
 
-def integrate(s1, s2, start, ctrl, dt, t_end):
-    """Integrate an admissible rolling motion of s1 on s2: one `field_rows`
-    evaluation, one frame read per surface, per RK4 stage."""
-    return integrate_fields(lambda y: field_rows(s1, s2, y, 2), start, ctrl, dt, t_end,
-                            validate=lambda y: validate_point(s1, s2, y))
-
-
 class Diagnostics(NamedTuple):
     """Constraint residuals and contact-curve arc lengths of a trajectory.
 
-    `no_slip` is the max norm of A_phi(velocity on surface 1) - (velocity on
-    surface 2).  `no_twist` transports e1 in parallel along the first contact
-    curve, rotates it by A_phi and takes the max norm of the covariant
-    derivative of the image along the second.  `L1`, `L2` are the arc lengths
-    of the two contact curves in their own metrics.
+    `no_slip` is the max modulus of e^{i phi} v1 - v2, where v1, v2 are the
+    contact velocities in each surface's orthonormal frame, as complex
+    numbers.  `no_twist` transports e1 in parallel along the first contact
+    curve, turns it by e^{i phi} and takes the max modulus of the covariant
+    derivative of the image along the second.  `L1`, `L2` are the arc
+    lengths of the two contact curves in their own metrics.
     """
 
     no_slip: float
@@ -166,17 +159,22 @@ class Diagnostics(NamedTuple):
 def diagnostics(traj, s1, s2):
     """`Diagnostics` of the trajectory, from one stacked frame read per
     surface and one measurement of the sampled contact-curve velocities."""
-    d1 = s1.frame_data((traj.points[:, 0], traj.points[:, 1]))
-    d2 = s2.frame_data((traj.points[:, 2], traj.points[:, 3]))
-    v1, v2 = _frame_velocities(traj, d1, d2)
-    no_slip = 0.0
-    for k in range(len(traj)):
-        rotated = _rotation(traj.points[k, 4]) @ v1[k]
-        no_slip = max(no_slip, float(np.linalg.norm(rotated - v2[k])))
-    L1, L2 = (float(cumulative_integral(np.linalg.norm(v, axis=1), traj.dt)[-1]) for v in (v1, v2))
-    # the connection form a2 v^2 along each contact curve
-    gamma1, gamma2 = d1.a2 * v1[:, 1], d2.a2 * v2[:, 1]
-    return Diagnostics(no_slip, _no_twist(traj, gamma1, gamma2), L1, L2)
+    q, dt = traj.points, traj.dt
+    d1 = s1.frame_data((q[:, 0], q[:, 1]))
+    d2 = s2.frame_data((q[:, 2], q[:, 3]))
+    vel = sampled_derivative(q, dt)
+    v1 = vel[:, 0] / d1.f1 + 1j * (vel[:, 1] / d1.f2)
+    v2 = vel[:, 2] / d2.f1 + 1j * (vel[:, 3] / d2.f2)
+    turn = np.exp(1j * q[:, 4])  # A_phi
+    no_slip = float(np.max(np.abs(turn * v1 - v2)))
+    L1, L2 = (float(cumulative_integral(np.abs(v), dt)[-1]) for v in (v1, v2))
+    # parallel transport turns e1 by the time integral of the connection
+    # form a2 v^2 along the first curve; A_phi carries it to the second
+    theta = cumulative_integral(d1.a2 * v1.imag, dt)
+    w = turn * np.exp(1j * theta)
+    wdot = sampled_derivative(w.view(float).reshape(-1, 2), dt).view(complex)[:, 0]
+    no_twist = float(np.max(np.abs(wdot - 1j * (d2.a2 * v2.imag) * w)))
+    return Diagnostics(no_slip, no_twist, L1, L2)
 
 
 def no_slip_residual(traj, s1, s2):
@@ -191,42 +189,11 @@ def contact_arclengths(traj, s1, s2):
     return diagnostics(traj, s1, s2)[2:]
 
 
-def _frame_velocities(traj, d1, d2):
-    """Frame components of the sampled contact-curve velocities.
-
-    `d1`, `d2` are the stacked frame data of each surface at the samples.
-    Returns (v1, v2): arrays (n, 2) with the orthonormal-frame components of
-    the chart velocities on each surface, measured by sixth-order finite
-    differences of the samples.
-    """
-    vel = sampled_derivative(traj.points, traj.dt)
-    return (vel[:, 0:2] / np.column_stack((d1.f1, d1.f2)),
-            vel[:, 2:4] / np.column_stack((d2.f1, d2.f2)))
-
-
-def _rotation(phi):
-    c, s = np.cos(phi), np.sin(phi)
-    return np.array([[c, -s], [s, c]])
-
-
-def _no_twist(traj, gamma1, gamma2):
-    """The transport equation vdot = gamma1(t) J v (J the rotation generator)
-    integrates in closed form to a rotation by the time integral of gamma1,
-    which is evaluated with high-order quadrature of the sampled data."""
-    theta = cumulative_integral(gamma1, traj.dt)
-    v = np.einsum("kij,j->ki", np.array([_rotation(t) for t in theta]), np.array([1.0, 0.0]))
-    w = np.einsum("kij,kj->ki", np.array([_rotation(p[4]) for p in traj.points]), v)
-    wdot = sampled_derivative(w, traj.dt)
-    J = np.array([[0.0, -1.0], [1.0, 0.0]])
-    resid = wdot - gamma2[:, None] * (w @ J.T)
-    return float(np.max(np.linalg.norm(resid, axis=1)))
-
-
 def export_trajectory(traj, fh):
     """Write `t, x, y, u, v, phi, c1, c2` rows (phi unwrapped) to the open
     text handle fh."""
+    t = traj.times
+    c = traj.control(t).T if traj.control is not None else np.zeros((len(t), 2))
+    row_text = ",".join(["%.17g"] * 8) + "\n"
     fh.write("# t,x,y,u,v,phi,c1,c2\n")
-    for t, p in zip(traj.times, traj.points):
-        c = traj.control(t) if traj.control is not None else (0.0, 0.0)
-        row = [t, p[0], p[1], p[2], p[3], p[4], c[0], c[1]]
-        fh.write(",".join(f"{val:.17g}" for val in row) + "\n")
+    fh.writelines(row_text % tuple(row) for row in np.column_stack((t, traj.points, c)).tolist())

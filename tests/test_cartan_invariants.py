@@ -32,6 +32,30 @@ def const_jet(kappa, a2=0.0):
     return SurfaceJet(1.0, 1.0, a2, kappa, 0.0, 0.0, 0.0, 0.0)
 
 
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from((2, 3, 4)))
+def test_array_power_is_a_floats_power(x, n):
+    # the stacked quartic keeps each point's bits only while this holds
+    with np.errstate(over="ignore"):
+        got = cartan_invariants._ipow(np.array([x]), n)[0]
+    try:
+        want = x**n
+    except OverflowError:
+        assert np.isinf(got)
+    else:
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.floats(-1e60, 1e60), st.floats(-1e60, 1e60))
+def test_vanishing_scale_is_the_floored_square(kappa, lam):
+    want = (kappa - lam) ** 4 * max(kappa**2, lam**2, 1.0)
+    for k, l in ((kappa, lam), (np.array([kappa]), np.array([lam]))):
+        with np.errstate(over="ignore"):  # the product may pass the float range
+            got = np.ravel(vanishing_scale(k, l))[0]
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
 class TestQuarticKillingCase:
     def test_constant_case_factorizes(self):
         # A1 = (k-l)^4 (k-9l)(9k-l); at the 9:1 ratio everything vanishes

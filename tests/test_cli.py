@@ -691,3 +691,17 @@ class TestHugeCurvature:
         assert text == ""
         err = capsys.readouterr().err
         assert err == "error: the oracle coframe overflows at kappa = 1e+200, lambda = 0.0\n"
+
+    def test_oracle_weyl_norm_overflow_is_an_error(self):
+        # the Weyl tensor is finite, but the sum of its squares overflows; a
+        # child process shows any numpy warning on stderr as a user sees it
+        proc = subprocess.run(
+            [sys.executable, "-m", "rolling_twistor", "oracle", "--s1",
+             "profile:alpha=1e60,beta=1", "--s2", "sphere:r=1", "--points", "3"],
+            capture_output=True, text=True, env=subprocess_env(), timeout=120,
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith("error: the Weyl tensor of the oracle metric or its norm")
+        assert "lambda = 1.0" in proc.stderr

@@ -59,14 +59,14 @@ MORE_EXAMPLES = {
     "roll_control_file": (
         ["roll", "--s1", "sphere:r=1", "--s2", "plane", "--start", "1.2,0.1,0,0,0",
          "--control", "{control}", "--dt", "0.01", "--T", "0.5"],
-        "36a1debdbaf44c33a098c3929230611ecc70e80c9cf25f8b66031dae41e3131d",
+        "63fd7b4e722333a6d58632bec276f6bc1281ec10e9f578cb5b4b86066c13ee2f",
     ),
     # revolution and hyperbolic frames in roll, the oracle and growth, away
     # from the sphere/plane pair above
     "roll_g2_minus_on_hyperbolic": (
         ["roll", "--s1", "g2:eps=-1", "--s2", "hyperbolic:r=2", "--start", "1.5,0,0.7,0,1",
          "--c1", "0.6", "--c2", "-0.8", "--dt", "0.01", "--T", "0.5"],
-        "89cc3add7f81d841af7a4cf1fba814a7432447d1dc51e34a9045b75ae3ae4c59",
+        "50c5649af0928a78615e1eb75b59f9962bbda521d177839c14759bc77de74d9c",
     ),
     "oracle_profile_on_hyperbolic": (
         ["oracle", "--s1", "profile:alpha=1,beta=-5", "--s2", "hyperbolic:r=1",

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from rolling_twistor import rolling
 from rolling_twistor.errors import DomainError, SpecParseError, StepSizeError
 from rolling_twistor.rolling import (
     ControlCurve,
@@ -10,7 +11,6 @@ from rolling_twistor.rolling import (
     contact_arclengths,
     export_trajectory,
     integrate,
-    integrate_fields,
     no_slip_residual,
     no_twist_residual,
 )
@@ -137,19 +137,20 @@ class TestNoTwist:
         ratio = res[0] / res[1]
         assert 13.0 <= ratio <= 19.0
 
-    def test_fiber_violating_curve_has_large_residual(self):
+    def test_fiber_violating_curve_has_large_residual(self, monkeypatch):
         # drop the fiber correction from the velocity fields: the motion
         # slides the contact frames against parallel transport
-        from rolling_twistor.distribution5 import field_rows
+        field_rows = rolling.field_rows
 
-        def bad(p):
-            rows = field_rows(SPHERE, PLANE, p, 2)
+        def bad(s1, s2, p, n):
+            rows = field_rows(s1, s2, p, n)
             rows[:, 4] = 0.0
             return rows
 
+        monkeypatch.setattr(rolling, "field_rows", bad)
         ctrl = ControlCurve.constant(0.0, 1.0)
         start = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
-        traj = integrate_fields(bad, start, ctrl, 1e-2, 1.0)
+        traj = integrate(SPHERE, PLANE, start, ctrl, 1e-2, 1.0)
         # a2 = -cot(1) so the twist defect is order |a2| ~ 0.64
         assert no_twist_residual(traj, SPHERE, PLANE) > 0.1
 
