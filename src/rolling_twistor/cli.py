@@ -203,14 +203,16 @@ def cmd_roll(args):
     return EXIT_OK
 
 
-def _both_vanish(ocl, noise, closed, kappa, lam):
-    """Whether both routes say the quartic vanishes at an oracle row: the
+def _both_vanish(weyl_quartic, noise, weyl_norm, closed, kappa, lam):
+    """Whether both routes say the quartic vanishes at each oracle row: the
     closed form by g2check's rule, and the Weyl quartic within ten times its
     noise floor plus a rounding allowance of the Weyl tensor's size."""
-    return (
-        closed.max_abs < ci.VANISH_TOL * ci.vanishing_scale(kappa, lam)
-        and ocl.quartic.max_abs <= 10.0 * noise + 1e-12 * max(ocl.weyl_norm, 1.0)
-    )
+    with np.errstate(all="ignore"):
+        return (
+            (np.max(np.abs(closed), axis=1) < ci.VANISH_TOL * ci.vanishing_scale(kappa, lam))
+            & (np.max(np.abs(weyl_quartic), axis=1)
+               <= 10.0 * noise + 1e-12 * np.maximum(weyl_norm, 1.0))
+        )
 
 
 def cmd_oracle(args):
@@ -221,31 +223,33 @@ def cmd_oracle(args):
     lam = _constant_curvature(s2)
     grid = _grid_for(s1, args)[: args.points]
     p2 = _mid_point(s2)
+    points = np.array([[x, y, p2[0], p2[1], args.phi] for x, y in grid])
+    try:
+        ocl = oracle_mod.cartan_from_weyl(s1, s2, points)
+        jets = s1.jet((points[:, 0], points[:, 1]))
+        closed = np.array(ci.quartic_killing_case(jets, lam)).T
+    except (RollingTwistorError, ArithmeticError, ValueError):
+        # a point's closed form may fail before a later point's oracle does:
+        # replay both on stacks of one, so the first failing point raises
+        for q in points[:, None]:
+            oracle_mod.cartan_from_weyl(s1, s2, q)
+            ci.quartic_killing_case(s1.jet((q[:, 0], q[:, 1])), lam)
+        raise
+    weyl_quartic = np.array(ocl.quartic).T  # one row per point, as `closed`
+    noise = np.max(ocl.noise, axis=1)
+    # where both routes vanish, the residual of two noises says nothing
+    resid = np.where(_both_vanish(weyl_quartic, noise, ocl.weyl_norm, closed, jets.kappa, lam),
+                     0.0, oracle_mod.proportionality_residual(weyl_quartic, closed))
+    table = np.column_stack([points, ocl.weyl_norm, weyl_quartic, closed,
+                             np.where(np.isfinite(resid), resid, -1.0), noise])
     lines = [
         "# rolling-twistor oracle",
         f"# s1={s1.spec_string()} s2={s2.spec_string()} fd_step={_fmt(oracle_mod.FD_STEP)}",
         "# columns: x,y,u,v,phi,weyl_norm,A1_oracle..A5_oracle,"
         "A1_closed..A5_closed,prop_residual,noise_floor",
     ]
-    for p1 in grid:
-        point = np.array([p1[0], p1[1], p2[0], p2[1], args.phi])
-        ocl = oracle_mod.cartan_from_weyl(s1, s2, point)
-        jet = s1.jet(p1)
-        closed = ci.quartic_killing_case(jet, lam)
-        noise = float(np.max(ocl.noise))
-        if _both_vanish(ocl, noise, closed, jet.kappa, lam):
-            resid = 0.0  # the residual of two noises says nothing
-        else:
-            resid = oracle_mod.proportionality_residual(ocl.quartic, closed)
-        vals = [
-            *point,
-            ocl.weyl_norm,
-            *ocl.quartic,
-            *closed,
-            resid if np.isfinite(resid) else -1.0,
-            noise,
-        ]
-        lines.append(",".join(_fmt(v) for v in vals))
+    row_text = ",".join(["%.17g"] * table.shape[1])
+    lines += [row_text % tuple(row) for row in table.tolist()]
     _emit(lines, args.output)
     return EXIT_OK
 

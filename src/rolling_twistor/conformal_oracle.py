@@ -10,13 +10,16 @@ factor.  Agreement with the closed forms is therefore a genuine two-route
 consistency check, and the vanishing of the full Weyl tensor (conformal
 flatness) is an independent maximal-symmetry detector.
 
-The coframes and the metric take one chart point or an (m, 5) stack of
-points through one code path (a point is a stack of one), and each row
-rounds as it does on its own: squares go through `cartan_invariants._ipow`,
-the C library's pow, as a float's ** does.  The curvature calls the metric
-once per point, on the whole finite-difference stencil of both steps
-(FD_STEP and its half).  A stack that fails raises the error of its first
-failing row, as that row raises on its own.
+The coframes, the metric, the curvature and the Weyl quartic take one
+chart point or an (m, 5) stack of points through one code path (a point is
+a stack of one), and each row rounds as it does on its own: squares go
+through `cartan_invariants._ipow`, the C library's pow, as a float's **
+does.  The metric is called once per table (once per block of
+POINTS_PER_PASS points), on the finite-difference stencils of every point
+at both steps (FD_STEP and its half); the derivatives, the curvature of the
+Richardson blend and of each step, and the contractions are array passes
+over a leading (point, tier) axis.  A stack that fails raises the error of
+its first failing row, as that row raises on its own.
 """
 
 from __future__ import annotations
@@ -57,21 +60,26 @@ def _as_stack5(p):
     return a, False
 
 
-def _stacked(fn, p):
-    """fn(a) for the (m, 5) stack a of the chart points p, or its first row
-    if p is one point.  numpy's floating-point warnings are off:
-    fn checks for non-finite values itself.  If fn raises, each row is
-    evaluated on its own, in order, so the error raised is that of the first
-    row that fails."""
-    a, single = _as_stack5(p)
+def _replayed(fn, a):
+    """fn(a) for the (m, 5) stack a, with numpy's floating-point warnings
+    off: fn checks for non-finite values itself.  If fn raises, it is called
+    on each row of a as a stack of one, in order, so the error raised is
+    that of the first row that fails."""
     with np.errstate(all="ignore"):
         try:
-            out = fn(a)
+            return fn(a)
         except (RollingTwistorError, ArithmeticError, ValueError):
             if len(a) > 1:
                 for i in range(len(a)):
                     fn(a[i : i + 1])
             raise
+
+
+def _stacked(fn, p):
+    """fn of the (m, 5) stack of the chart points p (see `_replayed`), or its
+    first row if p is one point."""
+    a, single = _as_stack5(p)
+    out = _replayed(fn, a)
     return out[0] if single else out
 
 
@@ -213,44 +221,69 @@ def metric_components(s1, s2, p):
 
 class _Derivs(NamedTuple):
     g0: np.ndarray
-    dg: np.ndarray  # dg[k] = d g / d x^k
-    ddg: np.ndarray  # ddg[k, l] = d^2 g / d x^k d x^l
+    dg: np.ndarray  # dg[..., k, :, :] = d g / d x^k
+    ddg: np.ndarray  # ddg[..., k, l, :, :] = d^2 g / d x^k d x^l
 
 
-def _stencil(p, h):
-    """The 1 + 2n + 2n(n - 1) rows of the step-h stencil around p, in order:
-    p; p + h e_k, p - h e_k for each k; then p + e, p - e, p + f, p - f with
-    e = h (e_k + e_l), f = h (e_k - e_l) for each k < l.  A step -s holds
-    -0.0 where s holds 0.0, so p + h (-s) rounds as p - h s in every
-    coordinate, signed zeros included."""
-    n = len(p)
+_PAIRS = np.triu_indices(5, 1)  # the coordinate pairs k < l
+
+
+def _unit_steps(n=5):
+    """The 1 + 2n + 2n(n - 1) unit steps of the stencil rows, in order: a
+    zero step; +e_k, -e_k for each k; then +e, -e, +f, -f with
+    e = e_k + e_l, f = e_k - e_l for each pair k < l.  A step -s holds -0.0
+    where s holds 0.0, so p + h (-s) rounds as p - h s in every coordinate,
+    signed zeros included; the zero step is -0.0, so its row is p itself."""
     unit = np.eye(n)
-    k, l = np.triu_indices(n, 1)
+    k, l = _PAIRS
     e, f = unit[k] + unit[l], unit[k] - unit[l]
-    steps = np.vstack([
+    return np.vstack([
+        np.full((1, n), -0.0),
         np.stack([unit, -unit], axis=1).reshape(-1, n),
         np.stack([e, -e, f, -f], axis=1).reshape(-1, n),
     ])
-    return np.vstack([p, p + steps * h])
 
 
-def _metric_derivatives(g, h):
-    """Central differences of the metric values g on `_stencil`'s rows."""
+# Points per array pass.  numpy may give an elementwise result of more than
+# 32768 elements another memory layout, and a layout changes the order in
+# which einsum adds a contraction's terms; blocks of 8 points stay below that
+# size, so each point rounds as it does on its own.  They also bound the
+# memory of a large table.
+POINTS_PER_PASS = 8
+
+# the steps of both tiers, h = FD_STEP and h/2: (2, 51, 5)
+_TIER_H = (FD_STEP, FD_STEP / 2.0)
+_STENCIL = np.stack([_unit_steps() * h for h in _TIER_H])
+# the denominators 2h, h^2 and 4h^2 of the central differences, one row per tier
+_DENOMINATORS = np.array([[2.0 * h, h**2, 4.0 * h**2] for h in _TIER_H])
+
+
+def _stencil(a):
+    """The stencil rows of both tiers around each point of the (m, 5) stack
+    a, as an (m, 2, 51, 5) array."""
+    return a[:, None, None, :] + _STENCIL
+
+
+def _metric_derivatives(g):
+    """Central differences of the metric values g, (..., 2, 51, n, n) on
+    `_stencil`'s rows, with the tier axis second to last of the leading ones."""
     n = g.shape[-1]
-    g0 = g[0]
-    gp, gm = g[1 : 2 * n + 1 : 2], g[2 : 2 * n + 1 : 2]
-    dg = (gp - gm) / (2.0 * h)
-    ddg = np.empty((n, n, n, n))
-    ddg[range(n), range(n)] = (gp - 2.0 * g0 + gm) / h**2
-    gpp, gmm, gpm, gmp = (g[2 * n + 1 + i :: 4] for i in range(4))
-    k, l = np.triu_indices(n, 1)
-    ddg[k, l] = ddg[l, k] = (gpp + gmm - gpm - gmp) / (4.0 * h**2)
+    two_h, h2, four_h2 = (_DENOMINATORS[:, i].reshape(2, 1, 1, 1) for i in range(3))
+    g0 = g[..., 0, :, :]
+    gp, gm = g[..., 1 : 2 * n + 1 : 2, :, :], g[..., 2 : 2 * n + 1 : 2, :, :]
+    dg = (gp - gm) / two_h
+    ddg = np.empty(g.shape[:-3] + (n, n, n, n))
+    ddg[..., range(n), range(n), :, :] = (gp - 2.0 * g0[..., None, :, :] + gm) / h2
+    gpp, gmm, gpm, gmp = (g[..., 2 * n + 1 + i :: 4, :, :] for i in range(4))
+    k, l = _PAIRS
+    ddg[..., k, l, :, :] = ddg[..., l, k, :, :] = (gpp + gmm - gpm - gmp) / four_h2
     return _Derivs(g0=g0, dg=dg, ddg=ddg)
 
 
 @dataclass(frozen=True)
 class CurvatureBundle:
-    """Curvature tensors of a metric at a point, all indices coordinate.
+    """Curvature tensors of a metric at a point, all indices coordinate, or
+    at each point of a stack, with a leading axis of points.
 
     `riemann` and `weyl` are fully lowered and Richardson extrapolated;
     `weyl_tiers` holds the Weyl tensors of the step-h and step-h/2
@@ -259,7 +292,7 @@ class CurvatureBundle:
 
     g: np.ndarray
     ginv: np.ndarray
-    christoffel: np.ndarray  # Gamma[i, j, k] = Gamma^i_{jk}
+    christoffel: np.ndarray  # Gamma[..., i, j, k] = Gamma^i_{jk}
     riemann: np.ndarray
     ricci: np.ndarray
     scalar: float
@@ -268,73 +301,108 @@ class CurvatureBundle:
 
     @property
     def weyl_norm(self):
-        return float(np.sqrt(np.sum(self.weyl**2)))
+        return _frobenius(self.weyl)
+
+
+def _frobenius(w):
+    """Frobenius norm of the trailing 4-index tensors of w."""
+    return np.sqrt(np.sum((w**2).reshape(*w.shape[:-4], -1), axis=-1))
 
 
 def _assemble_curvature(d):
+    """(g0, ginv, Gamma, Riemann, Ricci, scalar, Weyl) from the metric and its
+    derivatives d, with any leading axes (one entry per point and tier)."""
     g0, dg, ddg = d
-    n = g0.shape[0]
+    n = g0.shape[-1]
     ginv = np.linalg.inv(g0)
-    dginv = -np.einsum("ia,kab,bj->kij", ginv, dg, ginv)
+    dginv = -np.einsum("...ia,...kab,...bj->...kij", ginv, dg, ginv)
 
     # T[s, m, v] = d_m g_{s v} + d_v g_{s m} - d_s g_{m v}
-    T = np.einsum("msv->smv", dg) + np.einsum("vsm->smv", dg) - dg
-    gamma = 0.5 * np.einsum("ls,smv->lmv", ginv, T)
+    T = np.einsum("...msv->...smv", dg) + np.einsum("...vsm->...smv", dg) - dg
+    gamma = 0.5 * np.einsum("...ls,...smv->...lmv", ginv, T)
     # dT[k, s, m, v] from the second derivatives
     dT = (
-        np.einsum("kmsv->ksmv", ddg)
-        + np.einsum("kvsm->ksmv", ddg)
-        - np.einsum("ksmv->ksmv", ddg)
+        np.einsum("...kmsv->...ksmv", ddg)
+        + np.einsum("...kvsm->...ksmv", ddg)
+        - np.einsum("...ksmv->...ksmv", ddg)
     )
     dgamma = 0.5 * (
-        np.einsum("kls,smv->klmv", dginv, T) + np.einsum("ls,ksmv->klmv", ginv, dT)
+        np.einsum("...kls,...smv->...klmv", dginv, T)
+        + np.einsum("...ls,...ksmv->...klmv", ginv, dT)
     )
 
     # R^i_{jkl} = d_k Gamma^i_{lj} - d_l Gamma^i_{kj}
     #             + Gamma^i_{km} Gamma^m_{lj} - Gamma^i_{lm} Gamma^m_{kj}
     riem_up = (
-        np.einsum("kilj->ijkl", dgamma)
-        - np.einsum("likj->ijkl", dgamma)
-        + np.einsum("ikm,mlj->ijkl", gamma, gamma)
-        - np.einsum("ilm,mkj->ijkl", gamma, gamma)
+        np.einsum("...kilj->...ijkl", dgamma)
+        - np.einsum("...likj->...ijkl", dgamma)
+        + np.einsum("...ikm,...mlj->...ijkl", gamma, gamma)
+        - np.einsum("...ilm,...mkj->...ijkl", gamma, gamma)
     )
-    riem = np.einsum("im,mjkl->ijkl", g0, riem_up)
-    ricci = np.einsum("kjkl->jl", riem_up)
-    scalar = float(np.einsum("jl,jl->", ginv, ricci))
+    riem = np.einsum("...im,...mjkl->...ijkl", g0, riem_up)
+    ricci = np.einsum("...kjkl->...jl", riem_up)
+    scalar = np.einsum("...jl,...jl->...", ginv, ricci)
 
     w = (
         riem
         - (1.0 / (n - 2))
         * (
-            np.einsum("ik,jl->ijkl", g0, ricci)
-            - np.einsum("il,jk->ijkl", g0, ricci)
-            - np.einsum("jk,il->ijkl", g0, ricci)
-            + np.einsum("jl,ik->ijkl", g0, ricci)
+            np.einsum("...ik,...jl->...ijkl", g0, ricci)
+            - np.einsum("...il,...jk->...ijkl", g0, ricci)
+            - np.einsum("...jk,...il->...ijkl", g0, ricci)
+            + np.einsum("...jl,...ik->...ijkl", g0, ricci)
         )
-        + (scalar / ((n - 1) * (n - 2)))
-        * (np.einsum("ik,jl->ijkl", g0, g0) - np.einsum("il,jk->ijkl", g0, g0))
+        + (scalar[..., None, None, None, None] / ((n - 1) * (n - 2)))
+        * (
+            np.einsum("...ik,...jl->...ijkl", g0, g0)
+            - np.einsum("...il,...jk->...ijkl", g0, g0)
+        )
     )
     return g0, ginv, gamma, riem, ricci, scalar, w
 
 
-def curvature(metric, p):
-    """Curvature bundle of a metric field at p by central differences.
+def _curvature_tiers(metric, a):
+    """`_assemble_curvature` at each point of the (m, 5) stack a, with
+    leading (m, 3) axes: the Richardson blend of the two steps' metric
+    derivatives, then the step h, then the step h/2.  The metric is called
+    once, on the stencil rows of every point and both steps."""
+    m, n = a.shape
+    g = np.asarray(metric(_stencil(a).reshape(-1, n)), dtype=float)
+    g0, dg, ddg = _metric_derivatives(g.reshape(m, 2, -1, n, n))
+    blend = _Derivs(g0[:, 0], richardson(dg[:, 0], dg[:, 1]), richardson(ddg[:, 0], ddg[:, 1]))
+    tiers = _Derivs(*(np.concatenate([x[:, None], y], axis=1)
+                      for x, y in zip(blend, (g0, dg, ddg))))
+    return _assemble_curvature(tiers)
 
-    `metric` maps an (m, n) stack of points to the (m, n, n) stack of its
-    components there; it is called once, on the stencil rows of step
-    h = FD_STEP followed by those of step h/2.  The metric derivatives of
-    the two steps are Richardson extrapolated, and the Weyl tensor of each
-    step is kept as well.
+
+def _by_blocks(fn, a):
+    """fn on the successive blocks of at most POINTS_PER_PASS rows of the
+    (m, 5) stack a, in order; each of fn's outputs is concatenated along its
+    first axis."""
+    parts = [fn(a[i : i + POINTS_PER_PASS]) for i in range(0, len(a), POINTS_PER_PASS)]
+    return tuple(np.concatenate(x) for x in zip(*parts))
+
+
+def curvature(metric, p):
+    """Curvature bundle of a metric field at p, or at each point of an
+    (m, 5) stack, by central differences.
+
+    `metric` maps an (r, 5) stack of points to the (r, 5, 5) stack of its
+    components there; it is called once per table (once per block of
+    POINTS_PER_PASS points): on the stencil rows of every point, step
+    h = FD_STEP followed by step h/2.  The metric derivatives of the two
+    steps are Richardson extrapolated, and the Weyl tensor of each step is
+    kept as well.
     """
-    h = FD_STEP
-    p = np.asarray(p, dtype=float)
-    rows = np.vstack([_stencil(p, h), _stencil(p, h / 2.0)])
-    g = np.asarray(metric(rows), dtype=float)
-    d1 = _metric_derivatives(g[: len(rows) // 2], h)
-    d2 = _metric_derivatives(g[len(rows) // 2 :], h / 2.0)
-    extrap = _Derivs(g0=d1.g0, dg=richardson(d1.dg, d2.dg), ddg=richardson(d1.ddg, d2.ddg))
-    tiers = (_assemble_curvature(d1)[-1], _assemble_curvature(d2)[-1])
-    return CurvatureBundle(*_assemble_curvature(extrap), weyl_tiers=tiers)
+    a, single = _as_stack5(p)
+    g0, ginv, gamma, riem, ricci, scalar, w = _by_blocks(lambda b: _curvature_tiers(metric, b), a)
+    at = (lambda x, tier: x[0, tier]) if single else (lambda x, tier: x[:, tier])
+    return CurvatureBundle(
+        *(at(x, 0) for x in (g0, ginv, gamma, riem, ricci)),
+        scalar=float(scalar[0, 0]) if single else scalar[:, 0],
+        weyl=at(w, 0),
+        weyl_tiers=(at(w, 1), at(w, 2)),
+    )
 
 
 class OracleQuartic(NamedTuple):
@@ -342,7 +410,9 @@ class OracleQuartic(NamedTuple):
 
     Defined up to an overall factor; `noise` is the per-coefficient FD noise
     floor, `weyl_norm`/`weyl_noise` the Frobenius norm of the full Weyl
-    tensor and its floor.
+    tensor and its floor.  For a stack of points each field has a leading
+    axis of points (the quartic's fields are 1-D arrays, as for a stacked
+    `quartic_killing_case`).
     """
 
     quartic: CartanQuartic
@@ -352,48 +422,71 @@ class OracleQuartic(NamedTuple):
 
 
 def _contract_quartic(weyl, Y):
+    """The five contractions of the Weyl tensors weyl (..., 5, 5, 5, 5) with
+    the columns of the duals Y (..., 5, 5), as (..., 5)."""
     def C(a, b, c, d):
-        return float(np.einsum("ijkl,i,j,k,l->", weyl, Y[:, a], Y[:, b], Y[:, c], Y[:, d]))
+        return np.einsum("...ijkl,...i,...j,...k,...l->...", weyl,
+                         Y[..., a], Y[..., b], Y[..., c], Y[..., d])
 
-    return np.array(
-        [C(3, 0, 0, 3), C(3, 0, 1, 3), C(3, 0, 1, 4), C(3, 1, 1, 4), C(4, 1, 1, 4)]
+    return np.stack(
+        [C(3, 0, 0, 3), C(3, 0, 1, 3), C(3, 0, 1, 4), C(3, 1, 1, 4), C(4, 1, 1, 4)], axis=-1
     )
 
 
 def cartan_from_weyl(s1, s2, p):
-    """Quartic coefficients from the Weyl tensor of the explicit metric.
+    """Quartic coefficients from the Weyl tensor of the explicit metric, at p
+    or at each point of an (m, 5) stack.
 
     The five contractions pair the null directions spanning the distribution
     with their orthogonal partners in the transverse null plane, both taken
     from the duals of the theta coframe.  A Weyl tensor, Weyl norm or
     quartic that is not finite raises DomainError naming the curvatures.
+    A stack is one pass (one per block of POINTS_PER_PASS points): one
+    coframe call on its points and one metric call on all their stencil
+    rows.  A stack that fails is replayed point by point, so the first
+    failing point raises its own error.
     """
-    a = _as_point5(p)
+    a, single = _as_stack5(p)
+    A, noise, norm, weyl_noise = _by_blocks(
+        lambda b: _replayed(lambda rows: _weyl_quartics(s1, s2, rows), b), a
+    )
+    if single:
+        return OracleQuartic(quartic=CartanQuartic(*A[0].tolist()), noise=noise[0],
+                             weyl_norm=float(norm[0]), weyl_noise=float(weyl_noise[0]))
+    return OracleQuartic(quartic=CartanQuartic(*A.T), noise=noise, weyl_norm=norm,
+                         weyl_noise=weyl_noise)
+
+
+def _weyl_quartics(s1, s2, a):
+    """(quartic, noise, weyl_norm, weyl_noise) of `cartan_from_weyl` at the
+    (m, 5) stack a, as (m, 5), (m, 5), (m,) and (m,) arrays."""
     Y = np.linalg.inv(theta_coframe(s1, s2, a))  # <theta^j, Y_i> = delta^j_i
-    with np.errstate(all="ignore"):  # checked for non-finite values below
-        bundle = curvature(lambda rows: metric_components(s1, s2, rows), a)
-        w, (w1, w2) = bundle.weyl, bundle.weyl_tiers
-        A = _contract_quartic(w, Y)
-        A1 = _contract_quartic(w1, Y)
-        A2 = _contract_quartic(w2, Y)
-        norm = float(np.sqrt(np.sum(w**2)))
-        noise = float(abs(np.sqrt(np.sum(w1**2)) - np.sqrt(np.sum(w2**2))))
-    if not (np.isfinite(w).all() and np.isfinite(A).all() and np.isfinite([norm, noise]).all()):
-        kappa, lam = s1.frame_data((a[0], a[1])).kappa, s2.frame_data((a[2], a[3])).kappa
+    w = _curvature_tiers(lambda rows: metric_components(s1, s2, rows), a)[-1]
+    A = _contract_quartic(w, Y[:, None])  # (m, 3, 5): blend, step h, step h/2
+    norms = _frobenius(w)
+    norm, weyl_noise = norms[:, 0], np.abs(norms[:, 1] - norms[:, 2])
+    finite = (np.isfinite(w[:, 0]).all(axis=(1, 2, 3, 4)) & np.isfinite(A[:, 0]).all(axis=1)
+              & np.isfinite(norm) & np.isfinite(weyl_noise))
+    if not finite.all():
+        i = int(np.argmin(finite))  # the first point that is not finite
+        kappa = s1.frame_data((a[i, 0], a[i, 1])).kappa
+        lam = s2.frame_data((a[i, 2], a[i, 3])).kappa
         raise DomainError(
             "the Weyl tensor of the oracle metric or its norm is not finite"
             f" at kappa = {float(kappa)!r}, lambda = {float(lam)!r}"
         )
-    return OracleQuartic(quartic=CartanQuartic(*A), noise=np.abs(A1 - A2), weyl_norm=norm,
-                         weyl_noise=noise)
+    return A[:, 0], np.abs(A[:, 1] - A[:, 2]), norm, weyl_noise
 
 
 def proportionality_residual(qa, qb):
-    """Largest 2x2 minor |A_i B_j - A_j B_i|, scaled by max|A| max|B|."""
+    """Largest 2x2 minor |A_i B_j - A_j B_i|, scaled by max|A| max|B|; 0 if
+    both quartics vanish and inf if one does.  Stacks of quartics, (m, 5)
+    arrays, give one residual per row."""
     A, B = np.asarray(qa, dtype=float), np.asarray(qb, dtype=float)
-    sa, sb = np.max(np.abs(A)), np.max(np.abs(B))
-    if sa == 0.0 or sb == 0.0:
-        return 0.0 if (sa == 0.0 and sb == 0.0) else np.inf
-    m = np.outer(A, B)  # m[i, j] = A_i B_j
-    return float(np.max(np.abs(m - m.T)) / (sa * sb))
-
+    sa, sb = np.max(np.abs(A), axis=-1), np.max(np.abs(B), axis=-1)
+    m = A[..., :, None] * B[..., None, :]  # m[..., i, j] = A_i B_j
+    with np.errstate(all="ignore"):
+        r = np.max(np.abs(m - np.swapaxes(m, -1, -2)), axis=(-2, -1)) / (sa * sb)
+    zero_a, zero_b = sa == 0.0, sb == 0.0
+    r = np.where(zero_a | zero_b, np.where(zero_a & zero_b, 0.0, np.inf), r)
+    return float(r) if r.ndim == 0 else r

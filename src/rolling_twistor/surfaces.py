@@ -12,10 +12,13 @@ up to fourth order: one read gives everything the quartic invariant
 formulas, the derived fields X4, X5 and the oracle's coframe consume.
 `jet` and `frame_data` also take a stack of chart
 points, a pair of 1-D coordinate arrays, and return fields that are 1-D
-arrays; each point rounds as it does on its own.  Arithmetic-only
-families evaluate a stack in one pass; the sphere, the hyperbolic plane and
-`CustomRevolution` give frame data point by point, through the math module
-(numpy's vectorised sinh and cosh can round differently).
+arrays; each point rounds as it does on its own.  Every catalog family
+evaluates a stack in one pass: the sphere and the hyperbolic plane take
+their sin/cos or sinh/cosh through the math module element by element
+(numpy's vectorised ones can round differently) and do the rest in numpy
+arithmetic.  Only `CustomRevolution`, whose h takes one point, gives frame
+data point by point.  A stack with a point outside the chart raises the
+error of its first such point.
 
 Revolution-type families use coordinates (rho, psi) with metric
 (beta + alpha rho^2)^2 drho^2 + rho^2 dpsi^2 and frame
@@ -148,9 +151,40 @@ def _each_point(p, fn):
 
 
 def _frames_of_each_point(surface, p):
-    """Frame data of the stack p, one `frame_data` call per point, so each
-    point rounds through the math module as it does on its own."""
+    """Frame data of the stack p, one `frame_data` call per point, in order:
+    the first failing point raises its own error."""
     return FrameData(*np.array(_each_point(p, surface.frame_data)).reshape(-1, 4).T)
+
+
+def _polar_frame_data(surface, p, sin, cos, sign):
+    """Frame data (1/r, 1/(r s), -c/(r s), sign/r^2) of a polar chart, with
+    s, c = sin, cos (the sphere) or sinh, cosh (the hyperbolic plane) of the
+    polar angle theta, at a point or at each point of a stack.  A stack is
+    checked against the chart with one array comparison; s and c come from
+    the math module element by element (numpy's vectorised sin, cos, sinh
+    and cosh may round differently), and the rest is numpy arithmetic, which
+    rounds each element as a float does.  So each point rounds as it does on
+    its own.  A stack that fails anywhere is replayed point by point, so the
+    first failing point raises its own error."""
+    r = surface.radius
+    if not _is_stack(p):
+        surface.validate(p)
+        rs = r * sin(p[0])
+        return FrameData(1.0 / r, 1.0 / rs, -cos(p[0]) / rs, sign / r**2)
+    theta = np.asarray(p[0], dtype=float)
+    t = theta.tolist()
+    try:
+        kappa = sign / r**2
+        with np.errstate(all="ignore"):  # a float overflows to inf without a warning
+            rs = r * np.array(list(map(sin, t)))
+            c = np.array(list(map(cos, t)))
+            valid = (surface._inside(theta) & ~np.isinf(rs)).all()
+            f2, a2 = 1.0 / rs, -c / rs
+    except ArithmeticError:  # OverflowError of r**2, math.sinh or math.cosh
+        valid = False
+    if not valid:
+        return _frames_of_each_point(surface, p)
+    return FrameData(np.full(len(t), 1.0 / r), f2, a2, np.full(len(t), kappa))
 
 
 @dataclass(frozen=True)
@@ -202,14 +236,12 @@ class Sphere(Surface):
         if not (1e-9 < theta < math.pi - 1e-9):
             raise DomainError(f"sphere polar chart requires 0 < theta < pi, got {theta}")
 
+    def _inside(self, theta):
+        """Where the polar angles theta lie in the chart, elementwise."""
+        return (1e-9 < theta) & (theta < math.pi - 1e-9)
+
     def frame_data(self, p):
-        if _is_stack(p):
-            return _frames_of_each_point(self, p)
-        self.validate(p)
-        theta = p[0]
-        r = self.radius
-        rs = r * math.sin(theta)
-        return FrameData(1.0 / r, 1.0 / rs, -math.cos(theta) / rs, 1.0 / r**2)
+        return _polar_frame_data(self, p, math.sin, math.cos, 1.0)
 
     def scaled(self, s0):
         _check_scale(s0)
@@ -239,15 +271,22 @@ class Hyperbolic(Surface):
         theta = p[0]
         if theta < 1e-9:
             raise DomainError(f"hyperbolic polar chart requires theta > 0, got {theta}")
+        try:
+            rs = self.radius * math.sinh(theta)
+        except OverflowError:
+            rs = math.inf
+        if math.isinf(rs):
+            raise ChartOverflowError(
+                f"sinh(theta) or its product with r overflows at theta = {theta} (float overflow)"
+            )
+
+    def _inside(self, theta):
+        """Where the polar angles theta pass the angle test of `validate`,
+        elementwise (its overflow test is made on r sinh(theta))."""
+        return ~(theta < 1e-9)
 
     def frame_data(self, p):
-        if _is_stack(p):
-            return _frames_of_each_point(self, p)
-        self.validate(p)
-        theta = p[0]
-        r = self.radius
-        rs = r * math.sinh(theta)
-        return FrameData(1.0 / r, 1.0 / rs, -math.cosh(theta) / rs, -1.0 / r**2)
+        return _polar_frame_data(self, p, math.sinh, math.cosh, -1.0)
 
     def scaled(self, s0):
         _check_scale(s0)

@@ -581,6 +581,23 @@ class TestQuarticOverflow:
             " at rho = 1e+60 (float overflow)\n"
         )
 
+    @pytest.mark.parametrize("command", ["g2check", "quartic", "oracle", "growth"])
+    @pytest.mark.parametrize("radius, theta", [("1", "800"), ("10", "709")])
+    def test_overflowing_hyperbolic_angle_is_named(self, tmp_path, capsys, command, radius,
+                                                   theta):
+        # sinh(800) overflows a float, and 10 sinh(709) does: the polar chart
+        # ends there, and the error names theta instead of a range error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning on the way
+            code, text = run(tmp_path, command, "--s1", f"hyperbolic:r={radius}", "--s2",
+                             "plane", f"--rho={theta}:900:2")
+        assert code == 3
+        assert text == ""
+        assert capsys.readouterr().err == (
+            f"error: sinh(theta) or its product with r overflows at theta = {float(theta)}"
+            " (float overflow)\n"
+        )
+
 
 class TestRollInputs:
     @pytest.mark.parametrize("T", ["-1", "0", "nan", "inf"])

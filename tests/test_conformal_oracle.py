@@ -1,11 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from references import riemann_symmetry_residual, weyl_trace_residual
 
 from rolling_twistor import conformal_oracle as co
 from rolling_twistor.cartan_invariants import CartanQuartic, quartic_killing_case
 from rolling_twistor.distribution5 import frame_fields
-from rolling_twistor.errors import DomainError, IntegrablePointError
+from rolling_twistor.errors import (
+    ChartOverflowError,
+    DomainError,
+    IntegrablePointError,
+    RollingTwistorError,
+)
 from rolling_twistor.surfaces import (
     CustomRevolution,
     G2Family,
@@ -200,8 +207,9 @@ class TestCartanFromWeyl:
             assert co.proportionality_residual(ocl.quartic, closed) < 1e-3
 
     def test_one_hundred_two_metric_evaluations(self, monkeypatch):
-        # one metric call per oracle point, on the 102-row stencil stack of
-        # both steps; the duals Y come from one coframe at the base point
+        # one metric call per table, on the 102-row stencil stacks of both
+        # steps of every point; the duals Y come from one coframe call on
+        # the base points, whatever their number
         metric_calls, theta_calls = [], []
         metric, theta = co.metric_components, co.theta_coframe
 
@@ -215,9 +223,14 @@ class TestCartanFromWeyl:
 
         monkeypatch.setattr(co, "metric_components", counting_metric)
         monkeypatch.setattr(co, "theta_coframe", counting_theta)
-        co.cartan_from_weyl(SPHERE, PLANE, np.array([1.1, 0.0, 0.0, 0.0, 0.3]))
-        assert metric_calls == [(102, 5)]
-        assert theta_calls == [(5,), (102, 5)]
+        points = np.array([[1.1, 0.0, 0.0, 0.0, 0.3], [1.3, 0.1, 0.2, 0.0, 0.4],
+                           [0.9, 0.0, 0.1, 0.5, 2.0]])
+        for p, m in ((points[0], 1), (points, 3)):
+            metric_calls.clear()
+            theta_calls.clear()
+            co.cartan_from_weyl(SPHERE, PLANE, p)
+            assert metric_calls == [(102 * m, 5)]
+            assert theta_calls == [(m, 5), (102 * m, 5)]
 
     def test_nine_to_one_below_noise_floor(self):
         p = np.array([1.0, 0.1, 1.3, 0.2, 0.5])
@@ -346,7 +359,7 @@ class TestStackedMetric:
     @pytest.mark.parametrize("s1, s2", STACK_PAIRS, ids=lambda s: s.spec_string())
     def test_stacked_metric_equals_each_row_on_its_own(self, s1, s2):
         rows = _rows_in_charts(s1, s2, 24, seed=11)
-        stencil = co._stencil(rows[3], 1e-3)
+        stencil = co._stencil(rows[3:4]).reshape(-1, 5)
         for stack in (rows, stencil):
             G = co.metric_components(s1, s2, stack)
             assert G.shape == (len(stack), 5, 5)
@@ -363,18 +376,21 @@ class TestStackedMetric:
 
     def test_stencil_order(self):
         p = np.array([1.0, -0.0, 0.5, 0.25, -0.0])
-        h = 0.125
-        rows = co._stencil(p, h)
-        assert rows.shape == (51, 5)
-        assert _same_bits(rows[0], p)
-        e0 = np.array([h, 0.0, 0.0, 0.0, 0.0])
-        assert _same_bits(rows[1], p + e0) and _same_bits(rows[2], p - e0)
-        e01 = np.array([h, h, 0.0, 0.0, 0.0])
-        f01 = np.array([h, -h, 0.0, 0.0, 0.0])
-        for row, expected in zip(rows[11:15], (p + e01, p - e01, p + f01, p - f01)):
-            assert _same_bits(row, expected)
-        e34 = np.array([0.0, 0.0, 0.0, h, h])
-        assert _same_bits(rows[47], p + e34)
+        q = np.array([0.0, 0.3, -0.0, 0.0, 1.0])
+        stencils = co._stencil(np.array([p, q]))
+        assert stencils.shape == (2, 2, 51, 5)
+        for point, tiers in zip((p, q), stencils):
+            for h, rows in zip((co.FD_STEP, co.FD_STEP / 2.0), tiers):
+                assert _same_bits(rows[0], point)
+                e0 = np.array([h, 0.0, 0.0, 0.0, 0.0])
+                assert _same_bits(rows[1], point + e0) and _same_bits(rows[2], point - e0)
+                e01 = np.array([h, h, 0.0, 0.0, 0.0])
+                f01 = np.array([h, -h, 0.0, 0.0, 0.0])
+                for row, expected in zip(rows[11:15],
+                                         (point + e01, point - e01, point + f01, point - f01)):
+                    assert _same_bits(row, expected)
+                e34 = np.array([0.0, 0.0, 0.0, h, h])
+                assert _same_bits(rows[47], point + e34)
 
 
 class TestStencilErrors:
@@ -382,8 +398,8 @@ class TestStencilErrors:
     error of its first failing row, in the order the rows are differenced:
     step h before step h/2; the centre, then p +- h e_k, then the mixed rows."""
 
-    def _first_failure(self, s1, s2, p, h=1e-3):
-        rows = np.vstack([co._stencil(p, h), co._stencil(p, h / 2.0)])
+    def _first_failure(self, s1, s2, p):
+        rows = co._stencil(p[None]).reshape(-1, 5)
         for row in rows:
             try:
                 co.metric_components(s1, s2, row)
@@ -438,9 +454,9 @@ class TestStencilErrors:
             co.cartan_from_weyl(Sphere(1e-100), PLANE, np.array([1.0, 0.0, 0.0, 0.0, 0.3]))
 
     def test_infinite_frame_entry_is_the_overflow_error(self):
-        # r sinh(theta) overflows, so 1/f2 does: a clean DomainError, where
-        # the point-by-point coframe divided a float by zero
-        with pytest.raises(DomainError, match="overflows at kappa = -0.01, lambda = 0.0"):
+        # r sinh(theta) overflows: the hyperbolic chart's overflow error,
+        # naming theta, where the coframe once divided a float by zero
+        with pytest.raises(ChartOverflowError, match=r"overflows at theta = 709.0 \(float"):
             co.cartan_from_weyl(Hyperbolic(10.0), PLANE, np.array([709.0, 0.0, 0.0, 0.0, 0.3]))
 
     def test_kappa1_squared_overflow_names_the_curvatures(self):
@@ -451,3 +467,100 @@ class TestStencilErrors:
         assert np.isfinite(co.omega_coframe(s1, Sphere(1.0), p)).all()
         with pytest.raises(DomainError, match="overflows at kappa = 0.0, lambda = 1.0"):
             co.cartan_from_weyl(s1, Sphere(1.0), p)
+
+
+ORACLE_PAIRS = [
+    (Sphere(1.0), PLANE),
+    (Plane(0.5), Sphere(1.0)),
+    (Hyperbolic(0.8), Sphere(3.0)),
+    (Sphere(1.3), Hyperbolic(1.1)),
+    (Sphere(1.0), Sphere(3.0)),
+    (G2Family(-1), PLANE),
+    (G2Family(0), Sphere(2.0)),
+    (G2Family(1), Hyperbolic(1.5)),
+    (RevolutionProfile(1.0, -5.0), Hyperbolic(1.0)),
+    (RevolutionProfile(0.7, -1.3), Sphere(0.8)),
+]
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def oracle_stacks(draw):
+    """A catalog pair and an (m, 5) stack of configuration points, whose
+    profile coordinates may leave the first surface's chart or meet its
+    degenerate and integrable points; 0.0 and -0.0 among the others."""
+    s1, s2 = draw(st.sampled_from(ORACLE_PAIRS))
+    (x0, x1), (u0, u1) = s1.profile_range(), s2.profile_range()
+    signed_zero = st.sampled_from((0.0, -0.0))
+    m = draw(st.one_of(st.integers(1, 4), st.integers(5, 2 * co.POINTS_PER_PASS + 1)))
+    rows = [[draw(st.one_of(_floats(x0, x1), _floats(x0 - 1.0, x1 + 1.0))),
+             draw(st.one_of(signed_zero, _floats(-3.0, 3.0))),
+             draw(_floats(u0, u1)),
+             draw(st.one_of(signed_zero, _floats(-3.0, 3.0))),
+             draw(st.one_of(signed_zero, _floats(-7.0, 7.0)))] for _ in range(m)]
+    return s1, s2, np.array(rows)
+
+
+def _fields(ocl, i=None):
+    """repr of the fields of an OracleQuartic, or of row i of a stacked one."""
+    row = (lambda x: x) if i is None else (lambda x: x[i])
+    return (repr([float(row(a)) for a in ocl.quartic]), repr(row(ocl.noise).tolist()),
+            repr(float(row(ocl.weyl_norm))), repr(float(row(ocl.weyl_noise))))
+
+
+def _assert_stack_is_each_point(s1, s2, rows):
+    each, error = [], None
+    for row in rows:
+        try:
+            each.append(co.cartan_from_weyl(s1, s2, row))
+        except (RollingTwistorError, ArithmeticError, ValueError) as exc:
+            error = exc
+            break
+    if error is None:
+        stacked = co.cartan_from_weyl(s1, s2, rows)
+        assert [_fields(stacked, i) for i in range(len(rows))] == [_fields(o) for o in each]
+    else:
+        with pytest.raises(type(error)) as info:
+            co.cartan_from_weyl(s1, s2, rows)
+        assert type(info.value) is type(error)
+        assert str(info.value) == str(error)
+    return error
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(oracle_stacks())
+def test_stacked_oracle_equals_each_point(case):
+    # every field by repr, or the first failing point's error
+    _assert_stack_is_each_point(*case)
+
+
+@pytest.mark.parametrize("s1, s2", [(Sphere(1.0), PLANE), (G2Family(0), Sphere(2.0))],
+                         ids=lambda s: s.spec_string())
+def test_a_table_of_many_points_equals_each_point(s1, s2):
+    # 40 points: five blocks, and more Weyl tensors than one array pass may
+    # hold without numpy changing their layout (and einsum its sums)
+    _assert_stack_is_each_point(s1, s2, _rows_in_charts(s1, s2, 40, seed=23))
+
+
+@pytest.mark.parametrize(
+    "s1, s2, rho, message",
+    [
+        # a Weyl tensor that is not finite at the first point, and r sinh(theta)
+        # overflowing at the last
+        (Hyperbolic(10.0), PLANE, (700.0, 704.5, 709.0), "kappa = -0.01, lambda = 0.0"),
+        # a finite Weyl tensor whose sum of squares overflows
+        (RevolutionProfile(1e60, 1.0), Sphere(1.0), (0.5, 0.6666666666666666, 0.8333333333333333),
+         "lambda = 1.0"),
+    ],
+)
+def test_stacked_oracle_raises_the_first_failing_points_error(s1, s2, rho, message):
+    p2 = s2.chart_point(sum(s2.profile_range()) / 2.0)
+    rows = np.array([[x, 0.0, p2[0], p2[1], 0.3] for x in rho])
+    error = _assert_stack_is_each_point(s1, s2, rows)
+    assert isinstance(error, DomainError)
+    assert message in str(error)
+    for i in range(len(rows)):  # and each later stack's first failing point
+        _assert_stack_is_each_point(s1, s2, rows[i:])

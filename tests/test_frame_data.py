@@ -185,6 +185,61 @@ def test_stacked_frame_data_raises_the_first_failing_points_error(surface, t):
     assert str(stacked.value) == str(on_its_own.value)
 
 
+def _next_to(*xs):
+    """Each x and the floats one step either side of it."""
+    return [y for x in xs for y in (np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf))]
+
+
+# the ends of the polar charts: theta = 1e-9, pi - 1e-9, where sinh overflows,
+# and where 2 sinh(theta) overflows
+POLAR_EDGES = _next_to(1e-9, math.pi - 1e-9, 710.4758600739439, math.asinh(8.98846567431158e307))
+
+
+@st.composite
+def polar_stacks(draw):
+    """A sphere or hyperbolic plane (radius 2 or drawn) and a stack of polar
+    angles, some next to the chart's ends, with psi = 0.0 or -0.0 among the
+    other coordinates."""
+    cls = draw(st.sampled_from((Sphere, Hyperbolic)))
+    surface = cls(draw(st.one_of(st.just(2.0), _floats(0.1, 10.0))))
+    inside = _floats(1e-3, 3.1)  # in both charts
+    theta = st.one_of(inside, inside, st.sampled_from(POLAR_EDGES + [0.0, -0.0]),
+                      _floats(-0.5, 712.0))
+    t = draw(st.lists(theta, min_size=1, max_size=6))
+    psi = draw(st.lists(st.one_of(st.sampled_from((0.0, -0.0)), _floats(-5, 5)),
+                        min_size=len(t), max_size=len(t)))
+    return surface, t, psi
+
+
+def _on_each_point(method, t, psi):
+    """method at each point (t_i, psi_i) in order, and the first error raised."""
+    values = []
+    for q in zip(t, psi):
+        try:
+            values.append(method(q))
+        except (DomainError, ArithmeticError) as exc:
+            return values, exc
+    return values, None
+
+
+@PROPERTY
+@given(polar_stacks())
+def test_stacked_polar_frames_and_jets_equal_each_point(case):
+    # bit for bit, -0.0 included, or the first failing point's error
+    surface, t, psi = case
+    stack = (np.array(t), np.array(psi))
+    for method in (surface.frame_data, surface.jet):
+        each, error = _on_each_point(method, t, psi)
+        if error is None:
+            stacked = method(stack)
+            assert bits(np.array(stacked).T) == bits(each)
+        else:
+            with pytest.raises(type(error)) as info:
+                method(stack)
+            assert type(info.value) is type(error)
+            assert str(info.value) == str(error)
+
+
 @PROPERTY
 @given(st.one_of(_profile(), _g2()), _floats(-3.0, 3.0))
 def test_revolution_inside_test_never_admits_a_point_validate_rejects(case, rho):
@@ -281,6 +336,10 @@ def test_rolling_reads_no_jet(jet_calls):
     assert jet_calls == []
 
 
+THREE_POINTS = np.array([[0.8, 0.1, 0.2, -0.3, 0.3], [1.1, 0.0, 0.7, 0.2, 1.0],
+                         [1.4, -0.2, 1.2, 0.0, 2.5]])
+
+
 def test_oracle_builds_one_jet_per_theta_coframe(jet_calls, monkeypatch):
     thetas = []
     original = conformal_oracle.theta_coframe
@@ -290,16 +349,23 @@ def test_oracle_builds_one_jet_per_theta_coframe(jet_calls, monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(conformal_oracle, "theta_coframe", spy)
-    conformal_oracle.cartan_from_weyl(S1, Plane(), np.array([0.8, 0.1, 0.2, -0.3, 0.3]))
-    # the base point, then the whole stencil in one stacked call
-    assert [np.shape(args[2]) for args in thetas] == [(5,), (102, 5)]
-    assert jet_calls == [S1, S1]
+    # one point, then three: the calls do not grow with the number of points
+    for p, m in ((THREE_POINTS[0], 1), (THREE_POINTS, 3)):
+        thetas.clear()
+        jet_calls.clear()
+        conformal_oracle.cartan_from_weyl(S1, Plane(), p)
+        # the base points, then all their stencils in one stacked call
+        assert [np.shape(args[2]) for args in thetas] == [(m, 5), (102 * m, 5)]
+        assert jet_calls == [S1, S1]
 
 
 def test_oracle_reads_a_constant_curvature_first_surface_once(jet_calls, frame_data_calls):
     # one jet per stacked call, as for any first surface; the plane's jet
     # reads its frame data once, and nothing else does
     s1 = Plane()
-    conformal_oracle.cartan_from_weyl(s1, Sphere(1.0), np.array([0.8, 0.1, 0.7, -0.3, 0.3]))
-    assert [s for s in jet_calls if s is s1] == [s1, s1]  # base point, then stencil
-    assert [s for s in frame_data_calls if s is s1] == [s1, s1]
+    for p in (THREE_POINTS[0], THREE_POINTS):
+        jet_calls.clear()
+        frame_data_calls.clear()
+        conformal_oracle.cartan_from_weyl(s1, Sphere(1.0), p)
+        assert [s for s in jet_calls if s is s1] == [s1, s1]  # base points, then stencils
+        assert [s for s in frame_data_calls if s is s1] == [s1, s1]

@@ -73,6 +73,12 @@ MORE_EXAMPLES = {
          "--rho=0.5:1.9:3", "--points", "3", "--phi", "2"],
         "79ed41e1c5b5f9140e7ef8da402ede9b5621ccaffd305d74db6ad8e61e2200ec",
     ),
+    # both constant-curvature frames through a stencil of several points
+    "oracle_sphere_on_hyperbolic": (
+        ["oracle", "--s1", "sphere:r=1.3", "--s2", "hyperbolic:r=1.1", "--rho=0.4:2.5:4",
+         "--points", "4", "--phi=0.7"],
+        "2088e0d3f3e8a80ae716937386d6177ecef940705a0588659ded728473ed75e3",
+    ),
     "growth_g2_zero_on_sphere": (
         ["growth", "--s1", "g2:eps=0", "--s2", "sphere:r=2", "--rho=0.6:2.5:6", "--phi", "4"],
         "13a51628f8bf3e9ed6bce5b0e8117baab58fce4d65ed3e7432953c272dded3ff",
