@@ -24,6 +24,8 @@ its first failing row, as that row raises on its own.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -225,15 +227,17 @@ class _Derivs(NamedTuple):
     ddg: np.ndarray  # ddg[..., k, l, :, :] = d^2 g / d x^k d x^l
 
 
-_PAIRS = np.triu_indices(5, 1)  # the coordinate pairs k < l
+_PAIRS = [list(x) for x in zip(*itertools.combinations(range(5), 2))]  # the pairs k < l
 
 
-def _unit_steps(n=5):
-    """The 1 + 2n + 2n(n - 1) unit steps of the stencil rows, in order: a
-    zero step; +e_k, -e_k for each k; then +e, -e, +f, -f with
-    e = e_k + e_l, f = e_k - e_l for each pair k < l.  A step -s holds -0.0
-    where s holds 0.0, so p + h (-s) rounds as p - h s in every coordinate,
-    signed zeros included; the zero step is -0.0, so its row is p itself."""
+def _unit_steps():
+    """The 1 + 2n + 2n(n - 1) = 51 unit steps of the stencil rows in the
+    n = 5 chart coordinates, in order: a zero step; +e_k, -e_k for each k;
+    then +e, -e, +f, -f with e = e_k + e_l, f = e_k - e_l for each pair
+    k < l.  A step -s holds -0.0 where s holds 0.0, so p + h (-s) rounds as
+    p - h s in every coordinate, signed zeros included; the zero step is
+    -0.0, so its row is p itself."""
+    n = 5
     unit = np.eye(n)
     k, l = _PAIRS
     e, f = unit[k] + unit[l], unit[k] - unit[l]
@@ -251,24 +255,30 @@ def _unit_steps(n=5):
 # memory of a large table.
 POINTS_PER_PASS = 8
 
-# the steps of both tiers, h = FD_STEP and h/2: (2, 51, 5)
-_TIER_H = (FD_STEP, FD_STEP / 2.0)
-_STENCIL = np.stack([_unit_steps() * h for h in _TIER_H])
-# the denominators 2h, h^2 and 4h^2 of the central differences, one row per tier
-_DENOMINATORS = np.array([[2.0 * h, h**2, 4.0 * h**2] for h in _TIER_H])
+
+@functools.cache
+def _step_table():
+    """The (2, 51, 5) stencil steps of both tiers, h = FD_STEP and h/2, and
+    the (2, 3, 1, 1, 1) denominators 2h, h^2 and 4h^2 of their central
+    differences.  Built once, on the first call: an import that runs no
+    oracle pays nothing for it."""
+    tiers = (FD_STEP, FD_STEP / 2.0)
+    steps = np.stack([_unit_steps() * h for h in tiers])
+    denominators = np.array([[2.0 * h, h**2, 4.0 * h**2] for h in tiers])
+    return steps, denominators.reshape(2, 3, 1, 1, 1)
 
 
 def _stencil(a):
     """The stencil rows of both tiers around each point of the (m, 5) stack
     a, as an (m, 2, 51, 5) array."""
-    return a[:, None, None, :] + _STENCIL
+    return a[:, None, None, :] + _step_table()[0]
 
 
 def _metric_derivatives(g):
     """Central differences of the metric values g, (..., 2, 51, n, n) on
     `_stencil`'s rows, with the tier axis second to last of the leading ones."""
     n = g.shape[-1]
-    two_h, h2, four_h2 = (_DENOMINATORS[:, i].reshape(2, 1, 1, 1) for i in range(3))
+    two_h, h2, four_h2 = (_step_table()[1][:, i] for i in range(3))
     g0 = g[..., 0, :, :]
     gp, gm = g[..., 1 : 2 * n + 1 : 2, :, :], g[..., 2 : 2 * n + 1 : 2, :, :]
     dg = (gp - gm) / two_h
