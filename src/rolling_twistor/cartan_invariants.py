@@ -147,63 +147,135 @@ def root_types(quartics):
     """`root_type` of each quartic (a CartanQuartic or five ascending
     polynomial coefficients, or an (m, 5) array of such rows).
 
-    Each distinct quartic is solved once, keyed on its coefficients' bits
-    (so -0.0 is not 0.0), and its duplicates share its RootType.  The
-    companion matrices are built as `np.roots` builds them, after the
-    leading coefficients below DEGREE_TOL of the largest are dropped (roots
-    at infinity) and the exact trailing zeros are split off (roots at 0).
-    The quartics of one remaining degree share one `np.linalg.eigvals` call
-    on their stacked companion matrices, which gives each the roots
-    `np.roots` gives it.
+    The RootType of each distinct quartic is built from the arrays of one
+    classifying pass (`_classified`, the pass `g2_check` reads its tags
+    from): its clusters ordered by multiplicity, ties in the order they
+    opened, and the roots at infinity (None) last among their ties.  A
+    quartic's duplicates share its RootType.
     """
     if not isinstance(quartics, np.ndarray):
         quartics = [q.poly_coefficients() if isinstance(q, CartanQuartic) else q for q in quartics]
-    p = np.ascontiguousarray(quartics, dtype=float).reshape(-1, 5)
-    _, first, inverse = np.unique(p.view("V40").ravel(), return_index=True, return_inverse=True)
-    p = p[first]
-    desc = p[:, ::-1]  # descending degree for the companion solve
-    scale = np.max(np.abs(p), axis=1)
-    lead = np.cumprod(np.abs(desc[:, :4]) <= DEGREE_TOL * scale[:, None], axis=1).sum(axis=1)
-    trailing = np.cumprod(desc[:, :0:-1] == 0.0, axis=1).sum(axis=1)
-    groups = {}  # (lead, trailing) -> rows
-    for i, key in enumerate(zip(lead.tolist(), trailing.tolist())):
-        if scale[i] != 0.0:
-            groups.setdefault(key, []).append(i)
-    kinds = [RootType(tag="zero", roots=(), multiplicities=())] * len(p)
-    for (lo, tz), rows in groups.items():
-        c = desc[rows, lo : 5 - tz]
-        d = c.shape[1] - 1
-        finite = [[]] * len(rows)
-        if d:
-            companion = np.tile(np.eye(d, k=-1), (len(rows), 1, 1))
-            companion[:, 0, :] = -c[:, 1:] / c[:, :1]
-            finite = np.linalg.eigvals(companion).tolist()
-        for i, w in zip(rows, finite):
-            kinds[i] = _classify(w + [0j] * tz, lo)
+    inverse, reps, mults = _classified(quartics)
+    kinds = _root_kinds(reps, mults)
     return [kinds[i] for i in inverse.tolist()]
 
 
-def _classify(roots, inf_mult):
-    """RootType of the finite roots and inf_mult roots at infinity."""
-    clusters = []  # list of [representative, count]
-    for z in sorted(roots, key=lambda w: (w.real, w.imag)):
-        for c in clusters:
-            if abs(z - c[0]) <= ROOT_CLUSTER_RADIUS * (1.0 + abs(c[0])):
-                c[0] = (c[0] * c[1] + z) / (c[1] + 1)
-                c[1] += 1
-                break
-        else:
-            clusters.append([z, 1])
-    mults = [c[1] for c in clusters]
-    reps = [complex(c[0]) for c in clusters]
-    if inf_mult:
-        mults.append(inf_mult)
-        reps.append(None)
-    order = sorted(range(len(mults)), key=lambda i: -mults[i])  # stable: ties keep their order
-    mults = tuple(int(mults[i]) for i in order)
-    reps = tuple(reps[i] for i in order)
-    tag = "[" + ",".join(str(m) for m in mults) + "]"
-    return RootType(tag=tag, roots=reps, multiplicities=mults)
+def _root_kinds(reps, mults):
+    """The RootType of each row of `_clusters`' (reps, mults)."""
+    order = np.argsort(-mults, axis=1, kind="stable")
+    kinds = []
+    for key, rep, mult, slots in zip(_tag_keys(mults).tolist(), reps.tolist(),
+                                     mults.astype(int).tolist(), order.tolist()):
+        slots = [s for s in slots if mult[s]]
+        kinds.append(RootType(tag=_TAGS[key], roots=tuple(rep[s] if s < 4 else None for s in slots),
+                              multiplicities=tuple(mult[s] for s in slots)))
+    return kinds
+
+
+# the tag of each partition of 4 at the sum of its squared parts, which tells
+# the partitions apart ("zero" at 0: a vanishing quartic has no roots)
+_TAGS = np.full(17, None, dtype=object)
+_TAGS[[0, 4, 6, 8, 10, 16]] = ["zero", "[1,1,1,1]", "[2,1,1]", "[2,2]", "[3,1]", "[4]"]
+_SLOTS = np.arange(4)
+_FIRST = np.array([True, False, False, False])
+
+
+def _tag_keys(mults):
+    """The index in _TAGS of each row of multiplicities (see `_clusters`)."""
+    return (mults * mults).sum(axis=1).astype(int)
+
+
+def _classified(quartics):
+    """Root clusters of each distinct quartic of an (m, 5) stack of ascending
+    coefficients, as (inverse, reps, mults): row i of the stack is distinct
+    quartic inverse[i], and reps and mults are `_clusters` of the distinct
+    quartics (a quartic that vanishes has no roots: its mults are all 0).
+
+    Each distinct quartic is solved once, keyed on its coefficients' bits
+    (so -0.0 is not 0.0).  The companion matrices are built as `np.roots`
+    builds them, after the leading coefficients below DEGREE_TOL of the
+    largest are dropped (roots at infinity) and the exact trailing zeros are
+    split off (roots at 0).  The quartics of one (dropped, split) pair share
+    one `np.linalg.eigvals` call on their stacked companion matrices, which
+    gives each the roots `np.roots` gives it.
+    """
+    p = np.ascontiguousarray(quartics, dtype=float).reshape(-1, 5)
+    _, first, inverse = np.unique(p.view("V40").ravel(), return_index=True, return_inverse=True)
+    desc = p[first, ::-1]  # descending degree for the companion solve
+    size = np.abs(desc)
+    scale = np.max(size, axis=1)
+    lead = np.cumprod(size[:, :4] <= DEGREE_TOL * scale[:, None], axis=1).sum(axis=1)
+    trailing = np.cumprod(desc[:, :0:-1] == 0.0, axis=1).sum(axis=1)
+    zero = scale == 0.0  # all its coefficients count as dropped
+    roots = np.zeros((len(desc), 4), dtype=complex)  # the split-off roots stay 0j
+    floats = np.zeros(roots.shape, dtype=bool)
+    group = np.where(zero, -1, 5 * lead + trailing)
+    for key in np.flatnonzero(np.bincount(group + 1)[1:]).tolist():
+        lo, tz = divmod(key, 5)
+        rows = np.flatnonzero(group == key)
+        c = desc[rows, lo : 5 - tz]
+        d = c.shape[1] - 1
+        if d:
+            companion = np.tile(np.eye(d, k=-1), (len(rows), 1, 1))
+            companion[:, 0, :] = -c[:, 1:] / c[:, :1]
+            w = np.linalg.eigvals(companion)
+            roots[rows, :d] = w
+            floats[rows, :d] = not np.iscomplexobj(w)
+    reps, mults = _clusters(roots, 4 - lead, floats)
+    mults[zero, 4] = 0.0
+    return inverse, reps, mults
+
+
+def _clusters(roots, n_finite, floats):
+    """Multiplicity clusters of the roots of each row of an (m, 4) complex
+    array, whose first n_finite[i] entries in row i are its finite roots and
+    whose other 4 - n_finite[i] roots are at infinity.  The (m, 4) bool
+    array `floats` marks the roots that are real numbers, not complex ones
+    (`np.linalg.eigvals` gives a real array when every eigenvalue is real).
+
+    The greedy rule in a fixed number of array steps, bit for bit as Python
+    runs it one root at a time: the finite roots are taken in (real, imag)
+    order, ties in slot order; each joins the first open cluster c, of n
+    roots, with |z - c| <= ROOT_CLUSTER_RADIUS * (1 + |c|), whose
+    representative becomes (c*n + z)/(n + 1) in Python's complex (or, for
+    two real numbers, float) arithmetic, or else opens the next cluster.
+    Returns (reps, mults): reps (m, 4), the representatives in the order
+    the clusters opened, and mults (m, 5), their sizes (0 where no cluster
+    opened) followed by the number of roots at infinity.
+    """
+    radius = ROOT_CLUSTER_RADIUS  # read per call
+    n_finite = np.asarray(n_finite)
+    m = len(n_finite)
+    rows = np.arange(m)[:, None]
+    # a root at infinity is nan here: it sorts last, joins and opens nothing
+    z = np.where(_SLOTS < n_finite[:, None], roots, np.nan)
+    order = np.lexsort((z.imag, z.real))  # stable
+    z = z[rows, order]
+    # Python divides x + yi by the int d as ((x + y*0.0)/d, (y - x*0.0)/d)
+    # (Smith's rule with ratio 0), and a float x as x/d, which is
+    # (x + y*-0.0)/d as y is 0.0.  So the quotient is ((x + y*g)/d, (y +
+    # x*-0.0)/d), where g is -0.0 if the cluster and the root are floats and
+    # 0.0 if not: q holds (g, -0.0) of each root and cq of each cluster, and
+    # cq + q is -0.0 only where both are -0.0
+    q = np.full((m, 4, 2), -0.0)
+    q[..., 0] = np.where(floats[rows, order], -0.0, 0.0)
+    c = np.where(_FIRST, z, np.nan)  # slot s: the s-th cluster opened, nan until then
+    cq = np.where(_FIRST[..., None], q, -0.0)
+    n = _FIRST * 1.0
+    for k in range(1, 4):
+        zk = z[:, k, None]
+        dz = zk - c
+        near = np.hypot(dz.real, dz.imag) <= radius * (1.0 + np.hypot(c.real, c.imag))
+        unopened = np.isnan(c.real)
+        hit = _SLOTS == (near | unopened).argmax(axis=1)[:, None]  # first near, or new
+        a = (c * n + zk).view(float).reshape(m, 4, 2)  # numpy's c*n rounds as Python's
+        g = cq + q[:, k, None]
+        mean = ((a + a[..., ::-1] * g) / (n + 1.0)[..., None]).view(complex)[..., 0]
+        c = np.where(hit, np.where(unopened, zk, mean), c)
+        cq = np.where(hit[..., None], g, cq)
+        n = n + hit
+    mults = np.where(np.isnan(c.real), 0.0, n)
+    return c, np.concatenate([mults, 4.0 - n_finite[:, None]], axis=1)
 
 
 def vanishing_scale(kappa, lam):
@@ -237,9 +309,10 @@ def g2_check(s1, lam, grid, tol=VANISH_TOL):
     constant curvature lam) and decide whether it vanishes identically.
 
     One array pass: one `s1.jet` call, one stacked `quartic_killing_case`,
-    the scaled maxima as arrays, and one `root_types` call on the rows that
-    do not vanish.  An invalid grid raises the error of its first failing
-    point: the grid is replayed point by point.
+    the scaled maxima as arrays, and, if any row does not vanish, one
+    classifying pass (`_classified`) on those rows, whose tags the rows read
+    directly.  An invalid grid raises the error of its first failing point:
+    the grid is replayed point by point.
     """
     grid = [tuple(p) for p in grid]
     if not grid:
@@ -255,13 +328,11 @@ def g2_check(s1, lam, grid, tol=VANISH_TOL):
     with np.errstate(all="ignore"):
         scaled = np.max(np.abs(coeffs), axis=0) / vanishing_scale(jets.kappa, lam)
     loud = ~(scaled < tol)
-    tags = np.full(len(grid), "zero", dtype=object)
-    loud_quartics = CartanQuartic(*coeffs[:, loud]).poly_coefficients().T
-    tags[loud] = [kind.tag for kind in root_types(loud_quartics)]
-    rows = tuple(
-        G2Row(point=p, kappa=k, quartic=CartanQuartic(*q), scaled_max=m, root_tag=t)
-        for p, k, q, m, t in zip(grid, jets.kappa.tolist(), coeffs.T.tolist(), scaled.tolist(),
-                                 tags)
-    )
+    keys = np.zeros(len(grid), dtype=int)  # _TAGS[0] is "zero"
+    if loud.any():
+        inverse, _, mults = _classified(CartanQuartic(*coeffs[:, loud]).poly_coefficients().T)
+        keys[loud] = _tag_keys(mults)[inverse]
+    quartics = map(CartanQuartic._make, coeffs.T.tolist())
+    rows = tuple(map(G2Row, grid, jets.kappa.tolist(), quartics, scaled.tolist(), _TAGS[keys]))
     worst = float(np.max(scaled))
     return G2Report(rows=rows, max_scaled=worst, is_g2=worst < tol, tol=tol)

@@ -450,7 +450,8 @@ def cartan_from_weyl(s1, s2, p):
     The five contractions pair the null directions spanning the distribution
     with their orthogonal partners in the transverse null plane, both taken
     from the duals of the theta coframe.  A Weyl tensor, Weyl norm or
-    quartic that is not finite raises DomainError naming the curvatures.
+    quartic that is not finite raises DomainError naming the curvatures, and
+    a theta coframe that is singular in floating point one naming the point.
     A stack is one pass (one per block of POINTS_PER_PASS points): one
     coframe call on its points and one metric call on all their stencil
     rows.  A stack that fails is replayed point by point, so the first
@@ -470,7 +471,14 @@ def cartan_from_weyl(s1, s2, p):
 def _weyl_quartics(s1, s2, a):
     """(quartic, noise, weyl_norm, weyl_noise) of `cartan_from_weyl` at the
     (m, 5) stack a, as (m, 5), (m, 5), (m,) and (m,) arrays."""
-    Y = np.linalg.inv(theta_coframe(s1, s2, a))  # <theta^j, Y_i> = delta^j_i
+    theta = theta_coframe(s1, s2, a)
+    try:
+        Y = np.linalg.inv(theta)  # <theta^j, Y_i> = delta^j_i
+    except np.linalg.LinAlgError:  # `_replayed` retries a stack point by point
+        point = ", ".join(repr(float(x)) for x in a[0])
+        raise DomainError(
+            f"the oracle's theta coframe is singular at (x, y, u, v, phi) = ({point})"
+        ) from None
     w = _curvature_tiers(lambda rows: metric_components(s1, s2, rows), a)[-1]
     A = _contract_quartic(w, Y[:, None])  # (m, 3, 5): blend, step h, step h/2
     norms = _frobenius(w)

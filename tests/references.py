@@ -2,7 +2,8 @@
 
 No command of the package runs these: the constant-curvature quartic in
 factored form and the necessary condition of the 9:1 ratio, `g2_check`
-written one grid point at a time, the pair
+written one grid point at a time, the root classifier written one quartic
+at a time in Python arithmetic, the pair
 symmetries and Weyl traces of a curvature bundle, the residuals of the
 profile equations, and the mesh checks (the algebraic identity of the
 eps = +-1 surfaces, the induced metric and the Gauss curvature by finite
@@ -15,11 +16,14 @@ from typing import NamedTuple
 
 import numpy as np
 
+from rolling_twistor import cartan_invariants
 from rolling_twistor.cartan_invariants import (
+    DEGREE_TOL,
     VANISH_TOL,
     CartanQuartic,
     G2Report,
     G2Row,
+    RootType,
     quartic_killing_case,
     root_type,
 )
@@ -67,6 +71,64 @@ def g2_check_by_rows(s1, lam, grid, tol=VANISH_TOL):
         rows.append(G2Row(point=tuple(p), kappa=kappa, quartic=q, scaled_max=scaled,
                           root_tag=tag))
     return G2Report(rows=tuple(rows), max_scaled=worst, is_g2=worst < tol, tol=tol)
+
+
+def classify_roots(roots, inf_mult):
+    """RootType of the finite roots and inf_mult roots at infinity: the
+    greedy clustering one root at a time, in the arithmetic of the roots'
+    own Python types (a float root averages as a float), with the radius
+    `cartan_invariants.ROOT_CLUSTER_RADIUS` read per call."""
+    clusters = []  # list of [representative, count]
+    for z in sorted(roots, key=lambda w: (w.real, w.imag)):
+        for c in clusters:
+            if abs(z - c[0]) <= cartan_invariants.ROOT_CLUSTER_RADIUS * (1.0 + abs(c[0])):
+                c[0] = (c[0] * c[1] + z) / (c[1] + 1)
+                c[1] += 1
+                break
+        else:
+            clusters.append([z, 1])
+    mults = [c[1] for c in clusters]
+    reps = [complex(c[0]) for c in clusters]
+    if inf_mult:
+        mults.append(inf_mult)
+        reps.append(None)
+    order = sorted(range(len(mults)), key=lambda i: -mults[i])  # stable: ties keep their order
+    mults = tuple(int(mults[i]) for i in order)
+    reps = tuple(reps[i] for i in order)
+    tag = "[" + ",".join(str(m) for m in mults) + "]"
+    return RootType(tag=tag, roots=reps, multiplicities=mults)
+
+
+def root_types_by_rows(quartics):
+    """`root_types` with each distinct quartic classified on its own by
+    `classify_roots`: the same solve (one `np.linalg.eigvals` call per
+    (dropped, split) group of distinct quartics, whose Python values, float
+    or complex, are the roots) and one RootType per distinct quartic."""
+    if not isinstance(quartics, np.ndarray):
+        quartics = [q.poly_coefficients() if isinstance(q, CartanQuartic) else q for q in quartics]
+    p = np.ascontiguousarray(quartics, dtype=float).reshape(-1, 5)
+    _, first, inverse = np.unique(p.view("V40").ravel(), return_index=True, return_inverse=True)
+    p = p[first]
+    desc = p[:, ::-1]
+    scale = np.max(np.abs(p), axis=1)
+    lead = np.cumprod(np.abs(desc[:, :4]) <= DEGREE_TOL * scale[:, None], axis=1).sum(axis=1)
+    trailing = np.cumprod(desc[:, :0:-1] == 0.0, axis=1).sum(axis=1)
+    groups = {}  # (lead, trailing) -> rows
+    for i, key in enumerate(zip(lead.tolist(), trailing.tolist())):
+        if scale[i] != 0.0:
+            groups.setdefault(key, []).append(i)
+    kinds = [RootType(tag="zero", roots=(), multiplicities=())] * len(p)
+    for (lo, tz), rows in groups.items():
+        c = desc[rows, lo : 5 - tz]
+        d = c.shape[1] - 1
+        finite = [[]] * len(rows)
+        if d:
+            companion = np.tile(np.eye(d, k=-1), (len(rows), 1, 1))
+            companion[:, 0, :] = -c[:, 1:] / c[:, :1]
+            finite = np.linalg.eigvals(companion).tolist()
+        for i, w in zip(rows, finite):
+            kinds[i] = classify_roots(w + [0j] * tz, lo)
+    return [kinds[i] for i in inverse.tolist()]
 
 
 def riemann_symmetry_residual(bundle):

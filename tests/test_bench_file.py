@@ -1,7 +1,8 @@
 """The committed benchmark records, BENCH_<pr>.json at the repository root:
 each carries every end-to-end metric of BENCHMARK.json, with its unit, on
 every workload, for the parent and the change, and the traced run's
-per-layer counters."""
+per-layer counters.  From BENCH_17.json on, each also carries the median job
+time of every template of every workload, so a saving shows where it is."""
 
 import json
 from pathlib import Path
@@ -12,6 +13,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 WORKLOADS = [w["name"] for w in SPEC["workloads"]]
 FILES = sorted(ROOT.glob("BENCH_*.json"))
+PER_TEMPLATE = [p for p in FILES if int(p.stem.split("_")[1]) >= 17]
 
 
 def test_a_bench_file_is_committed():
@@ -47,3 +49,18 @@ def test_trace_counters_cover_the_per_layer_metrics(path):
             counters = record["trace"][name][side]
             assert per_layer <= set(counters)
             assert all(isinstance(v, (int, float)) for v in counters.values())
+
+
+def test_the_latest_records_are_checked_per_template():
+    assert PER_TEMPLATE
+
+
+@pytest.mark.parametrize("path", PER_TEMPLATE, ids=lambda p: p.name)
+def test_per_template_medians_on_every_workload(path):
+    record = json.loads(path.read_text())
+    for name in WORKLOADS:
+        medians = record["end_to_end"][name]["per_template_job_s_median"]
+        assert medians
+        for entry in medians.values():
+            assert entry["parent"] > 0 and entry["change"] > 0
+            assert entry["change_frac"] == pytest.approx(entry["change"] / entry["parent"] - 1.0)

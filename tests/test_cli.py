@@ -709,6 +709,21 @@ class TestHugeCurvature:
         err = capsys.readouterr().err
         assert err == "error: the oracle coframe overflows at kappa = 1e+200, lambda = 0.0\n"
 
+    def test_oracle_singular_coframe_names_the_point(self):
+        # the theta coframe at rho = 3.9e-139 is singular in floating point;
+        # numpy's LinAlgError must not read as a usage error (exit 2)
+        proc = subprocess.run(
+            [sys.executable, "-m", "rolling_twistor", "oracle", "--s1",
+             "profile:alpha=1,beta=-5", "--s2", "hyperbolic:r=1",
+             "--rho", "3.89210064e-139:1:2", "--phi", "1"],
+            capture_output=True, text=True, env=subprocess_env(), timeout=120,
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith("error: the oracle's theta coframe is singular at "
+                                      "(x, y, u, v, phi) = (3.89210064e-139, ")
+
     def test_oracle_weyl_norm_overflow_is_an_error(self):
         # the Weyl tensor is finite, but the sum of its squares overflows; a
         # child process shows any numpy warning on stderr as a user sees it

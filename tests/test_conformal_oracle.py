@@ -468,6 +468,19 @@ class TestStencilErrors:
         with pytest.raises(DomainError, match="overflows at kappa = 0.0, lambda = 1.0"):
             co.cartan_from_weyl(s1, Sphere(1.0), p)
 
+    def test_singular_coframe_names_the_point(self):
+        # the theta coframe is singular in floating point at this rho; a
+        # stack raises the error of that point, not numpy's LinAlgError
+        s1, s2 = RevolutionProfile(1.0, -5.0), Hyperbolic(1.0)
+        bad = [3.89210064e-139, 0.0, 1.15, 0.0, 1.0]
+        message = (r"the oracle's theta coframe is singular at \(x, y, u, v, phi\)"
+                   r" = \(3.89210064e-139, 0.0, 1.15, 0.0, 1.0\)")
+        with pytest.raises(DomainError, match=message):
+            co.cartan_from_weyl(s1, s2, np.array(bad))
+        stack = np.array([[0.5, 0.0, 1.15, 0.0, 1.0], bad, [0.7, -0.0, 1.15, 0.0, 1.0]])
+        with pytest.raises(DomainError, match=message):
+            co.cartan_from_weyl(s1, s2, stack)
+
 
 ORACLE_PAIRS = [
     (Sphere(1.0), PLANE),

@@ -6,9 +6,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from references import g2_check_by_rows
+from references import classify_roots, g2_check_by_rows, root_types_by_rows
 
 from rolling_twistor import cartan_invariants
 from rolling_twistor.cartan_invariants import (
@@ -194,23 +194,108 @@ def test_classifier_examples(coeffs, tag):
 
 
 def test_each_distinct_quartic_is_classified_once(monkeypatch):
-    calls = []
-    classify = cartan_invariants._classify
+    solved = []  # the companion matrices passed to np.linalg.eigvals
+    eigvals = np.linalg.eigvals
 
-    def counted(*args):
-        calls.append(args)
-        return classify(*args)
+    def counted(a):
+        solved.extend(np.array(a))
+        return eigvals(a)
 
-    monkeypatch.setattr(cartan_invariants, "_classify", counted)
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
     square = [1.0, 4.0, 8.0, 8.0, 4.0]
     simple = [0.0, 1.0, -2.0, 3.0, 1.0]
     signed = [-0.0, 1.0, -2.0, 3.0, 1.0]  # the same quartic with -0.0
     kinds = root_types([square, simple, square, signed, square, simple])
-    assert len(calls) == 3  # square, simple and signed: -0.0 keys apart from 0.0
+    assert len(solved) == 3  # square, simple and signed: -0.0 keys apart from 0.0
     assert kinds[0] is kinds[2] is kinds[4]
     assert kinds[1] is kinds[5]
     assert kinds[3].tag == kinds[1].tag == reference_root_type(simple)[0]
     assert kinds[0].tag == "[2,2]"
+
+
+def test_a_grid_that_vanishes_is_not_classified(monkeypatch):
+    monkeypatch.setattr(cartan_invariants, "_classified", None)  # any call fails
+    s1 = G2Family(1)
+    report = g2_check(s1, 0.0, s1.profile_grid(5))
+    assert report.is_g2
+    assert {row.root_tag for row in report.rows} == {"zero"}
+
+
+@st.composite
+def root_rows(draw):
+    """One row of the cluster step: 4 - inf finite roots among chains
+    spaced 0.9 or 1.1 cluster radii apart, pairs exactly one radius apart,
+    exact ties and ties of signed zeros, then inf roots at infinity.  In a
+    row of real roots they are floats, as numpy's real eigenvalues are,
+    beside roots at 0 that are complex, as the split-off ones are."""
+    inf = draw(st.integers(0, 4))
+    real = draw(st.booleans())
+    parts = st.sampled_from((0.0, -0.0, 1.0, -1.0, 0.5)) | _floats(-3.0, 3.0)
+    radius = cartan_invariants.ROOT_CLUSTER_RADIUS
+    roots = []
+
+    def put(w):
+        roots.append(w.real if real else w)
+
+    while len(roots) < 4 - inf:
+        z = complex(draw(parts), 0.0 if real else draw(parts))
+        put(z)
+        kind = draw(st.sampled_from(("chain", "edge", "tie", "signed", "zero", "single")))
+        if kind == "tie":
+            put(z)
+        elif kind == "signed":  # equal as a sort key, apart in its bits
+            put(complex(-z.real if z.real == 0.0 else z.real, -z.imag if z.imag == 0.0 else z.imag))
+        elif kind == "zero":
+            roots.append(0j)
+        elif kind == "edge":  # |w - z| is the radius of the cluster of z
+            put(z + radius * (1.0 + abs(z)))
+        elif kind == "chain":
+            step = complex(*draw(st.sampled_from(((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0),
+                                                   (0.6, 0.8)))))
+            for _ in range(draw(st.integers(1, 3))):
+                z = z + step * draw(st.sampled_from((0.9, 1.1))) * radius * (1.0 + abs(z))
+                put(z)
+    return draw(st.permutations(roots[: 4 - inf])), inf
+
+
+@PROPERTY
+@given(st.lists(root_rows(), min_size=1, max_size=8))
+@example([([-0.0, 2.5, -1.0, -0.0], 0)])  # two floats -0.0 average to -0.0 as floats
+@example([([complex(-0.0, 1.0), complex(-1.0, -0.0)] * 2, 0)])  # ... complex ones to 0.0
+def test_cluster_step_matches_the_reference(rows):
+    m = len(rows)
+    roots = np.zeros((m, 4), dtype=complex)
+    floats = np.zeros((m, 4), dtype=bool)
+    for i, (finite, _) in enumerate(rows):
+        roots[i, : len(finite)] = finite
+        floats[i, : len(finite)] = [isinstance(z, float) for z in finite]
+    n_finite = np.array([4 - inf for _, inf in rows])
+    kinds = cartan_invariants._root_kinds(*cartan_invariants._clusters(roots, n_finite, floats))
+    for (finite, inf), kind in zip(rows, kinds):
+        assert repr(kind) == repr(classify_roots(finite, inf))
+
+
+@st.composite
+def quartic_stacks(draw):
+    """Rows of `quartics`, a row of every (dropped, split) pair of degree
+    drop and split-off zeros, and duplicates, some with -0.0 for 0.0."""
+    rows = draw(st.lists(quartics(), min_size=1, max_size=8))
+    for lead in range(5):
+        for trailing in range(5 - lead):
+            desc = [draw(_floats(1e-3, 2.0) | _floats(-2.0, -1e-3)) for _ in range(5)]
+            desc[:lead] = [draw(st.sampled_from((0.0, -0.0, 1e-15))) for _ in range(lead)]
+            desc[5 - trailing:] = [0.0] * trailing
+            rows.append(desc[::-1])
+    for row in draw(st.lists(st.sampled_from(rows), max_size=6)):
+        rows.append([-0.0 if x == 0.0 and draw(st.booleans()) else x for x in row])
+    return draw(st.permutations(rows))
+
+
+@PROPERTY
+@given(quartic_stacks())
+def test_root_types_match_the_reference_bit_for_bit(rows):
+    kinds = root_types(rows)
+    assert repr(kinds) == repr(root_types_by_rows(rows))
 
 
 # -- the stacked quartic ------------------------------------------------------
