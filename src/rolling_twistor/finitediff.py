@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import QuadratureError, StepSizeError
 
@@ -71,7 +72,8 @@ def sampled_derivative(values, dt, order=6, deriv=1):
 
     Uses centered (order+1)-point stencils in the interior and shifted
     stencils of the same width near the boundary, so the accuracy order is
-    uniform across the sample range.
+    uniform across the sample range.  One array pass: every sample's window
+    is gathered at once and contracted with its row of the stencil table.
     """
     y = np.asarray(values, dtype=float)
     n = y.shape[0]
@@ -80,11 +82,10 @@ def sampled_derivative(values, dt, order=6, deriv=1):
         raise ValueError("not enough samples for the requested derivative")
     offsets = np.arange(width, dtype=float)
     stencils = fd_weights(offsets, offsets, deriv)[:, deriv]  # column s: window offset s
-    out = np.empty_like(y)
-    for i in range(n):
-        lo = min(max(i - width // 2, 0), n - width)
-        out[i] = np.tensordot(stencils[:, i - lo], y[lo : lo + width], axes=(0, 0)) / dt**deriv
-    return out
+    i = np.arange(n)
+    lo = np.clip(i - width // 2, 0, n - width)
+    windows = sliding_window_view(y, width, axis=0)[lo]  # windows[i, ..., s] = y[lo[i] + s]
+    return np.einsum("i...s,is->i...", windows, stencils.T[i - lo]) / dt**deriv
 
 
 def _interval_weights(nodes, a, b):
@@ -102,20 +103,19 @@ def cumulative_integral(values, dt, order=4):
     """Cumulative integral of uniformly sampled data (4th-order accurate).
 
     Each interval [t_k, t_{k+1}] is integrated with the local degree-(order-1)
-    interpolant through `order` neighbouring samples.
+    interpolant through `order` neighbouring samples: one array pass over
+    all intervals, then one running sum.
     """
     y = np.asarray(values, dtype=float)
     n = y.shape[0]
     width = min(order, n)
     nodes = np.arange(width, dtype=float)
-    weights = [_interval_weights(nodes, s, s + 1.0) for s in range(width - 1)]
-    out = np.zeros(y.shape)
-    acc = np.zeros(y.shape[1:]) if y.ndim > 1 else 0.0
-    for k in range(n - 1):
-        lo = min(max(k - (width - 1) // 2, 0), n - width)
-        acc = acc + dt * np.tensordot(weights[k - lo], y[lo : lo + width], axes=(0, 0))
-        out[k + 1] = acc
-    return out
+    weights = np.array([_interval_weights(nodes, s, s + 1.0) for s in range(width - 1)])
+    k = np.arange(n - 1)
+    lo = np.clip(k - (width - 1) // 2, 0, n - width)
+    windows = sliding_window_view(y, width, axis=0)[lo]
+    steps = dt * np.einsum("i...s,is->i...", windows, weights.reshape(-1, width)[k - lo])
+    return np.concatenate([np.zeros((1,) + y.shape[1:]), np.cumsum(steps, axis=0)])
 
 
 TANH_SINH_TOL = 1e-13  # relative change between levels that counts as converged

@@ -22,8 +22,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .distribution5 import _as_point5, field_rows, validate_point
-from .errors import DomainError, SpecParseError
+from .errors import DomainError, SpecParseError, StepSizeError
 from .finitediff import check_step, cumulative_integral, sampled_derivative
+
+MAX_STEPS = 10**6  # RK4 steps of one run; at the cap about a minute and 0.5 GB
 
 
 @dataclass(frozen=True)
@@ -77,12 +79,7 @@ class ControlCurve:
         return cls(times=np.array(times), values=np.array(values))
 
     def __call__(self, t):
-        return np.array(
-            [
-                np.interp(t, self.times, self.values[:, 0]),
-                np.interp(t, self.times, self.values[:, 1]),
-            ]
-        )
+        return np.array([np.interp(t, self.times, v) for v in self.values.T])
 
 
 def _control_error(path, lineno, what):
@@ -105,38 +102,41 @@ class Trajectory:
 def integrate(s1, s2, start, ctrl, dt, t_end):
     """Fixed-step RK4 of an admissible rolling motion of s1 on s2:
     ydot = c1(t) X1(y) + c2(t) X2(y) with the rows (X1, X2) of `field_rows`,
-    one frame read per surface per stage.  Each accepted sample is checked
-    against both charts; a DomainError aborts with the partial trajectory
-    attached to the exception as `last_valid`.
+    one frame read per surface per stage; the controls are read in one array
+    call at all stage times first.  More than MAX_STEPS steps is a
+    StepSizeError.  Each accepted sample is checked against both charts; a
+    DomainError aborts with the partial trajectory attached as `last_valid`.
     """
     check_step(dt)
-    y = _as_point5(start).copy()
-    n_steps = max(1, int(round(t_end / dt)))
+    steps = t_end / dt
+    if not steps <= MAX_STEPS:
+        raise StepSizeError(f"dt = {dt!r} divides T = {t_end!r} into {steps:.3g} steps,"
+                            f" more than {MAX_STEPS}")
+    y = _as_point5(start)
+    n_steps = max(1, int(round(steps)))
     dt = t_end / n_steps  # land on t_end exactly
-    times = [0.0]
-    points = [y.copy()]
+    times = np.arange(n_steps + 1) * dt
+    t = times[:-1]  # controls[k]: (c1, c2) at t, t + dt/2 and t + dt of step k
+    controls = ctrl(np.stack([t, t + dt / 2.0, t + dt])).T
+    points = [y]
 
-    def f(t, state):
-        c = ctrl(t)
+    def f(c, state):
         rows = field_rows(s1, s2, state, 2)
         return c[0] * rows[0] + c[1] * rows[1]
 
-    t = 0.0
-    for k in range(n_steps):
+    for k, (c_start, c_mid, c_end) in enumerate(controls):
         try:
-            k1 = f(t, y)
-            k2 = f(t + dt / 2.0, y + dt / 2.0 * k1)
-            k3 = f(t + dt / 2.0, y + dt / 2.0 * k2)
-            k4 = f(t + dt, y + dt * k3)
+            k1 = f(c_start, y)
+            k2 = f(c_mid, y + dt / 2.0 * k1)
+            k3 = f(c_mid, y + dt / 2.0 * k2)
+            k4 = f(c_end, y + dt * k3)
             y = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            t = (k + 1) * dt
             validate_point(s1, s2, y)
         except DomainError as exc:
-            exc.last_valid = Trajectory(np.array(times), np.array(points), ctrl, dt)
+            exc.last_valid = Trajectory(times[: k + 1], np.array(points), ctrl, dt)
             raise
-        times.append(t)
-        points.append(y.copy())
-    return Trajectory(times=np.array(times), points=np.array(points), control=ctrl, dt=dt)
+        points.append(y)
+    return Trajectory(times=times, points=np.array(points), control=ctrl, dt=dt)
 
 
 class Diagnostics(NamedTuple):

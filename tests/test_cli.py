@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -663,6 +664,18 @@ class TestRollInputs:
         assert text == ""
         assert err == (f"error: control file {ctrl}: line 4: time 0.5 does not increase"
                        " on the previous row's 0.5\n")
+
+    def test_step_count_over_the_cap_exits_3_at_once(self, capsys):
+        # 1e300 steps: refused before the controls or any sample are allocated
+        t0 = time.perf_counter()
+        code = main(["roll", "--s1", "sphere:r=1", "--s2", "plane", "--start", "1.2,0,0,0,0",
+                     "--c1", "1", "--c2", "0", "--dt", "1e-300", "--T", "1"])
+        elapsed = time.perf_counter() - t0
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert out == ""
+        assert err == "error: dt = 1e-300 divides T = 1.0 into 1e+300 steps, more than 1000000\n"
+        assert elapsed < 0.25
 
     def test_chart_exit_names_last_valid_time(self, tmp_path, capsys):
         code, text = run(tmp_path, "roll", "--s1", "sphere:r=1", "--s2", "plane",

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial import Polynomial
 
 from rolling_twistor import finitediff
 from rolling_twistor.errors import QuadratureError, StepSizeError
@@ -68,19 +71,22 @@ def test_too_few_nodes_raises():
 
 
 def reference_sampled_derivative(y, dt, order, deriv):
-    # one Fornberg solve per sample, the textbook form of the shifted stencils
+    """One Fornberg solve and one dot product per sample, the textbook form
+    of the shifted stencils; and per sample the sum of the terms' moduli,
+    sum_s |w_s y_s| / dt^deriv, the size of the rounding of that sum."""
     n = y.shape[0]
     width = min(order + 1, n)
-    out = np.empty_like(y)
+    out, size = np.empty_like(y), np.empty_like(y)
     for i in range(n):
         lo = min(max(i - width // 2, 0), n - width)
         w = fd_weights(np.arange(width, dtype=float), float(i - lo), deriv)[:, deriv]
         out[i] = np.tensordot(w, y[lo : lo + width], axes=(0, 0)) / dt**deriv
-    return out
+        size[i] = np.tensordot(np.abs(w), np.abs(y[lo : lo + width]), axes=(0, 0)) / dt**deriv
+    return out, size
 
 
 def reference_cumulative_integral(y, dt, order):
-    # one moment solve per interval
+    # one moment solve and one dot product per interval
     n = y.shape[0]
     width = min(order, n)
     out = np.zeros(y.shape)
@@ -93,23 +99,77 @@ def reference_cumulative_integral(y, dt, order):
     return out
 
 
+EPS = np.finfo(float).eps
+TINY = np.finfo(float).smallest_subnormal  # the absolute rounding unit below the normals
+
+
 @pytest.mark.parametrize("n", [2, 5, 7, 8, 101])
 @pytest.mark.parametrize("shape", [(), (5,)])
 def test_stencil_tables_equal_per_sample_solves(n, shape):
+    # The weights equal the per-sample solves bit for bit
+    # (test_fd_weights_with_array_x0_equals_scalar_calls); the one batched
+    # contraction adds the terms in another order than one dot product per
+    # row, so the sums agree to rounding.  A sum of at most 7 terms rounds by
+    # at most 3.5 eps of the sum of their moduli, each way.  The running
+    # integral keeps the row order, and over 400 random cases its entry k
+    # moved by at most 0.91 eps k dt max|y|.
     rng = np.random.default_rng(n)
     y = rng.standard_normal((n, *shape))
     dt = 0.037
     for order, deriv in ((6, 1), (4, 2), (1, 1)):
         if min(order + 1, n) <= deriv:
             continue
-        assert np.array_equal(
-            sampled_derivative(y, dt, order=order, deriv=deriv),
-            reference_sampled_derivative(y, dt, order, deriv),
-        )
+        ref, size = reference_sampled_derivative(y, dt, order, deriv)
+        got = sampled_derivative(y, dt, order=order, deriv=deriv)
+        assert np.all(np.abs(got - ref) <= 8 * EPS * size)
+    k = np.arange(n).reshape((n,) + (1,) * len(shape))
     for order in (4, 2):
-        assert np.array_equal(
-            cumulative_integral(y, dt, order=order), reference_cumulative_integral(y, dt, order)
-        )
+        ref = reference_cumulative_integral(y, dt, order)
+        got = cumulative_integral(y, dt, order=order)
+        assert got[0].tolist() == np.zeros(shape).tolist()
+        assert np.all(np.abs(got - ref) <= 4 * EPS * k * dt * np.max(np.abs(y)))
+
+
+def _polynomial_samples(coeffs, n, dt):
+    """Samples p(k dt), k < n, of the polynomial with these coefficients, and
+    max_k sum_j |c_j| (k dt)^j, which bounds |p| and its rounding."""
+    p = Polynomial(coeffs)
+    t = np.arange(n) * dt
+    return p, t, Polynomial(np.abs(p.coef))(t).max()
+
+
+polynomial_cases = dict(
+    order=st.sampled_from([2, 4, 6]),
+    coeffs=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=7),
+    n=st.integers(8, 100),
+    dt=st.floats(1e-3, 1.0),
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(**polynomial_cases)
+def test_sampled_derivative_is_exact_on_polynomials_of_degree_up_to_order(order, coeffs, n, dt):
+    # an (order+1)-point stencil differentiates degree <= order exactly, so
+    # what is left is rounding: each sample's (up to order + 2 eps of the
+    # bound, or units of TINY among subnormals), amplified by the largest sum
+    # of |weights| of a stencil, over dt
+    p, t, size = _polynomial_samples(coeffs[: order + 1], n, dt)
+    nodes = np.arange(order + 1.0)
+    gain = np.abs(fd_weights(nodes, nodes, 1)[:, 1]).sum(axis=0).max()
+    err = np.abs(sampled_derivative(p(t), dt, order=order) - p.deriv()(t))
+    assert np.max(err) <= gain * (order + 2) * (EPS * size + TINY) / dt
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(**polynomial_cases)
+def test_cumulative_integral_is_exact_on_polynomials_of_degree_below_order(order, coeffs, n, dt):
+    # the interval rule integrates degree <= order - 1 exactly; the samples'
+    # and the reference's rounding add about 2 order eps per unit of the
+    # bound (or units of TINY among subnormals), and the running sum up to
+    # n / 2 eps more
+    p, t, size = _polynomial_samples(coeffs[:order], n, dt)
+    err = np.abs(cumulative_integral(p(t), dt, order=order) - p.integ()(t))
+    assert np.max(err) <= (2 * order + n) * n * (EPS * dt * size + TINY)
 
 
 def test_sampled_derivative_makes_one_fornberg_call(monkeypatch):

@@ -5,7 +5,9 @@ hyperbolic surfaces.
 Each example runs through `cli.main` with `-o` into a temporary file; the
 sha256 of the exit code and the file bytes must match the recorded value.
 A change that legitimately alters a table updates its hash here and says
-why in CHANGES.md.
+why in CHANGES.md.  A roll golden has a second digest, of its trajectory
+table alone (everything after the three summary lines): the RK4 samples,
+which a change of the diagnostics' arithmetic must leave alone.
 """
 
 import hashlib
@@ -36,7 +38,7 @@ README_EXAMPLES = {
     "roll_sphere_equator": (
         ["roll", "--s1", "sphere:r=1", "--s2", "plane", "--start", "1.5707963267948966,0,0,0,0",
          "--c1", "0", "--c2", "1", "--dt", "0.001", "--T", PI],
-        "2ba26498642488250319ed7e12b811fa246a55bd7f813226e5454ddfe8b650ce",
+        "95e2b1bfccf1fe4438ea650a4f240032013121e65a3b3a9293c58bdde88e0342",
     ),
     "oracle_sphere_plane": (
         ["oracle", "--s1", "sphere:r=1", "--s2", "plane", "--points", "5"],
@@ -59,14 +61,14 @@ MORE_EXAMPLES = {
     "roll_control_file": (
         ["roll", "--s1", "sphere:r=1", "--s2", "plane", "--start", "1.2,0.1,0,0,0",
          "--control", "{control}", "--dt", "0.01", "--T", "0.5"],
-        "63fd7b4e722333a6d58632bec276f6bc1281ec10e9f578cb5b4b86066c13ee2f",
+        "1f5a0be93765be21d47025e471aa2ef113c0a9f6878683d77af8edab27144101",
     ),
     # revolution and hyperbolic frames in roll, the oracle and growth, away
     # from the sphere/plane pair above
     "roll_g2_minus_on_hyperbolic": (
         ["roll", "--s1", "g2:eps=-1", "--s2", "hyperbolic:r=2", "--start", "1.5,0,0.7,0,1",
          "--c1", "0.6", "--c2", "-0.8", "--dt", "0.01", "--T", "0.5"],
-        "50c5649af0928a78615e1eb75b59f9962bbda521d177839c14759bc77de74d9c",
+        "c678b7237a27a836782629683661e061b5c8dbdff7251fa4e57af547063dadb6",
     ),
     "oracle_profile_on_hyperbolic": (
         ["oracle", "--s1", "profile:alpha=1,beta=-5", "--s2", "hyperbolic:r=1",
@@ -103,22 +105,43 @@ MORE_EXAMPLES = {
 }
 
 
-def golden_digest(argv, out):
-    code = main(argv + ["-o", str(out)])
-    data = out.read_bytes() if out.exists() else b""
+# sha256 of each roll golden's output after its three summary lines
+ROLL_TRAJECTORIES = {
+    "roll_control_file": "3da7b5210f4962cdf79072277416e2fe7a61fbd53daad0d13e24e2217afe1348",
+    "roll_g2_minus_on_hyperbolic":
+        "16f1c1e6d74ff87f2c2cdf966c3849615b1e3cdc70c5572034f8a5294d8552eb",
+    "roll_sphere_equator": "c9f7134e909fa07093a2dab3630151bbad858279dde987105d823581437b17c7",
+}
+
+
+def run_example(name, tmp_path):
+    """(exit code, output bytes) of one example, with "{control}" standing
+    for a control file of CONTROL_ROWS."""
+    argv, _ = {**README_EXAMPLES, **MORE_EXAMPLES}[name]
+    control = tmp_path / "control.csv"
+    control.write_text(CONTROL_ROWS)
+    out = tmp_path / f"{name}.txt"
+    code = main([str(control) if a == "{control}" else a for a in argv] + ["-o", str(out)])
+    return code, out.read_bytes() if out.exists() else b""
+
+
+def golden_digest(name, tmp_path):
+    code, data = run_example(name, tmp_path)
     return hashlib.sha256(f"{code}\n".encode() + data).hexdigest()
 
 
 @pytest.mark.parametrize("name", sorted(README_EXAMPLES))
 def test_readme_example_golden(name, tmp_path):
-    argv, expected = README_EXAMPLES[name]
-    assert golden_digest(argv, tmp_path / f"{name}.txt") == expected
+    assert golden_digest(name, tmp_path) == README_EXAMPLES[name][1]
 
 
 @pytest.mark.parametrize("name", sorted(MORE_EXAMPLES))
 def test_more_example_golden(name, tmp_path):
-    argv, expected = MORE_EXAMPLES[name]
-    control = tmp_path / "control.csv"
-    control.write_text(CONTROL_ROWS)
-    argv = [str(control) if a == "{control}" else a for a in argv]
-    assert golden_digest(argv, tmp_path / f"{name}.txt") == expected
+    assert golden_digest(name, tmp_path) == MORE_EXAMPLES[name][1]
+
+
+@pytest.mark.parametrize("name", sorted(ROLL_TRAJECTORIES))
+def test_roll_golden_trajectory_table(name, tmp_path):
+    code, data = run_example(name, tmp_path)
+    assert code == 0
+    assert hashlib.sha256(data.split(b"\n", 3)[3]).hexdigest() == ROLL_TRAJECTORIES[name]

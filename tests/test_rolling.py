@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from rolling_twistor.rolling import (
     no_slip_residual,
     no_twist_residual,
 )
-from rolling_twistor.surfaces import Plane, Sphere
+from rolling_twistor.surfaces import G2Family, Hyperbolic, Plane, Sphere
 
 SPHERE = Sphere(1.0)
 PLANE = Plane()
@@ -47,6 +48,21 @@ class TestControlCurve:
         with pytest.raises(ValueError):
             ControlCurve(times=np.array([1.0, 0.0]), values=np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("source", ["constant", "file"])
+    def test_array_call_equals_scalar_calls_bit_for_bit(self, tmp_path, source):
+        if source == "constant":
+            c = ControlCurve.constant(0.7, -0.3, t_end=0.9)
+        else:
+            path = tmp_path / "ctrl.csv"
+            path.write_text("0.0, 1.0, 0.0\n0.25, 0.9, 0.2\n0.3, -0.1, 0.7\n0.9, 0.8, 0.4\n")
+            c = ControlCurve.from_file(path)
+        # knots, points between them, and times outside the span
+        t = np.concatenate([c.times, np.linspace(-0.2, 1.1, 263), [0.1 / 3.0, 0.9 - 1e-17]])
+        got = c(t)
+        assert got.shape == (2, len(t))
+        for j, tj in enumerate(t.tolist()):
+            assert got[:, j].tobytes() == c(tj).tobytes()
+
 
 class TestIntegrate:
     def test_plane_on_plane_straight_roll(self):
@@ -77,6 +93,37 @@ class TestIntegrate:
     def test_bad_dt(self):
         with pytest.raises(Exception):
             integrate(PLANE, PLANE, np.zeros(5), ControlCurve.constant(1, 0), 0.0, 1.0)
+
+    def test_controls_read_once_at_the_stage_times_of_the_loop(self):
+        calls = []
+        ctrl = ControlCurve(times=np.array([0.0, 1.0]), values=np.array([[1.0, 0.4], [0.6, 1.0]]))
+
+        def spy(t):
+            calls.append(np.array(t))
+            return ctrl(t)
+
+        traj = integrate(SPHERE, PLANE, np.array([1.2, 0, 0, 0, 0]), spy, 0.013, 0.7)
+        dt, n = traj.dt, len(traj) - 1
+        stages, t = [], 0.0
+        for k in range(n):  # the times the RK4 loop stepped through, formed as it formed them
+            stages.append([t, t + dt / 2.0, t + dt])
+            t = (k + 1) * dt
+        assert len(calls) == 1
+        assert calls[0].T.tolist() == stages
+        assert traj.times.tolist() == [0.0] + [(k + 1) * dt for k in range(n)]
+
+    def test_step_cap_checked_before_the_run(self, monkeypatch):
+        monkeypatch.setattr(rolling, "MAX_STEPS", 10)
+        ctrl = ControlCurve.constant(1.0, 0.0)
+        assert len(integrate(PLANE, PLANE, np.zeros(5), ctrl, 0.1, 1.0)) == 11
+        with pytest.raises(StepSizeError, match=r"dt = 0\.09 divides T = 1\.0 into 11\.1 steps, more than 10$"):
+            integrate(PLANE, PLANE, np.zeros(5), ctrl, 0.09, 1.0)
+
+    @pytest.mark.parametrize("dt, t_end, steps", [(1e-300, 1.0, "1e+300"), (5e-324, 1e300, "inf")])
+    def test_huge_step_counts_raise_step_error(self, dt, t_end, steps):
+        with pytest.raises(StepSizeError, match=re.escape(f"into {steps} steps, more than 1000000")):
+            integrate(SPHERE, PLANE, np.array([1.2, 0, 0, 0, 0]), ControlCurve.constant(1, 0),
+                      dt, t_end)
 
 
 class TestNoSlip:
@@ -136,6 +183,23 @@ class TestNoTwist:
             res.append(no_twist_residual(traj, SPHERE, PLANE))
         ratio = res[0] / res[1]
         assert 13.0 <= ratio <= 19.0
+
+    @pytest.mark.parametrize(
+        "s1, s2, start",
+        [(SPHERE, PLANE, [1.2, 0.0, 0.0, 0.0, 0.0]),
+         (G2Family(-1), Hyperbolic(2.0), [1.5, 0.0, 0.7, 0.0, 1.0])],
+        ids=["sphere-plane", "g2-hyperbolic"])
+    def test_fourth_order_over_repeated_halvings(self, s1, s2, start):
+        # |c| <= 1.17 is the contact speed, the size of both terms of the
+        # residual; the rounding floor of comparing them is eps times that.
+        # The stencils' own rounding, about eps * 28 / dt at the ends, is what
+        # ends the sequence at dt = 0.0025, with the residuals still above it
+        ctrl = ControlCurve(times=np.array([0.0, 1.0]), values=np.array([[1.0, 0.4], [0.6, 1.0]]))
+        floor = np.finfo(float).eps * np.max(np.hypot(*ctrl.values.T))
+        res = [no_twist_residual(integrate(s1, s2, np.array(start), ctrl, dt, 1.0), s1, s2)
+               for dt in (0.02, 0.01, 0.005, 0.0025)]
+        assert res[-1] > 1e3 * floor
+        assert all(coarse / fine >= 12.0 for coarse, fine in zip(res, res[1:]))
 
     def test_fiber_violating_curve_has_large_residual(self, monkeypatch):
         # drop the fiber correction from the velocity fields: the motion
