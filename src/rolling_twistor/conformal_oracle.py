@@ -3,12 +3,12 @@
 For a rotationally symmetric surface rolling on a surface of constant
 curvature, the (3,2)-signature metric representing the conformal class of
 the velocity distribution has an explicit coframe in the configuration
-chart.  Differentiating that metric numerically gives Christoffel, Riemann,
-Ricci and Weyl tensors, and contracting the lowered Weyl tensor with the
-coframe duals recovers the quartic coefficients up to a common nonvanishing
-factor.  Agreement with the closed forms is therefore a genuine two-route
-consistency check, and the vanishing of the full Weyl tensor (conformal
-flatness) is an independent maximal-symmetry detector.
+chart.  Its first and second derivatives, taken numerically, give the
+lowered Riemann, Ricci and Weyl tensors in closed form, and contracting the
+Weyl tensor with the coframe duals recovers the quartic coefficients up to
+a common nonvanishing factor.  Agreement with the closed forms is therefore
+a genuine two-route consistency check, and the vanishing of the full Weyl
+tensor (conformal flatness) is an independent maximal-symmetry detector.
 
 The coframes, the metric, the curvature and the Weyl quartic take one
 chart point or an (m, 5) stack of points through one code path (a point is
@@ -295,14 +295,14 @@ class CurvatureBundle:
     """Curvature tensors of a metric at a point, all indices coordinate, or
     at each point of a stack, with a leading axis of points.
 
-    `riemann` and `weyl` are fully lowered and Richardson extrapolated;
-    `weyl_tiers` holds the Weyl tensors of the step-h and step-h/2
-    derivatives, whose difference is the finite-difference noise floor.
+    `riemann` and `weyl` are fully lowered, exactly antisymmetric in their
+    last two indices and computed from the Richardson extrapolated metric
+    derivatives; `weyl_tiers` holds the Weyl tensors of the step-h and
+    step-h/2 derivatives, whose difference is the finite-difference noise floor.
     """
 
     g: np.ndarray
     ginv: np.ndarray
-    christoffel: np.ndarray  # Gamma[..., i, j, k] = Gamma^i_{jk}
     riemann: np.ndarray
     ricci: np.ndarray
     scalar: float
@@ -320,55 +320,29 @@ def _frobenius(w):
 
 
 def _assemble_curvature(d):
-    """(g0, ginv, Gamma, Riemann, Ricci, scalar, Weyl) from the metric and its
-    derivatives d, with any leading axes (one entry per point and tier)."""
+    """(g0, ginv, Riemann, Ricci, scalar, Weyl) from the metric and its
+    derivatives d, with any leading axes (one entry per point and tier).
+
+    R_ijkl = a_ijkl - a_ijlk with a_ijkl = 1/2 (d_j d_k g_il + d_i d_l g_jk)
+    + Gamma_{m,il} Gamma^m_{jk}, and W = R minus the Kulkarni-Nomizu product
+    of the Schouten tensor P with g, also written m_ijkl - m_ijlk: both are
+    antisymmetric in (k, l) by construction."""
     g0, dg, ddg = d
     n = g0.shape[-1]
     ginv = np.linalg.inv(g0)
-    dginv = -np.einsum("...ia,...kab,...bj->...kij", ginv, dg, ginv)
-
-    # T[s, m, v] = d_m g_{s v} + d_v g_{s m} - d_s g_{m v}
+    # T[s, m, v] = d_m g_{s v} + d_v g_{s m} - d_s g_{m v} = 2 Gamma_{s,mv}
     T = np.einsum("...msv->...smv", dg) + np.einsum("...vsm->...smv", dg) - dg
-    gamma = 0.5 * np.einsum("...ls,...smv->...lmv", ginv, T)
-    # dT[k, s, m, v] from the second derivatives
-    dT = (
-        np.einsum("...kmsv->...ksmv", ddg)
-        + np.einsum("...kvsm->...ksmv", ddg)
-        - np.einsum("...ksmv->...ksmv", ddg)
-    )
-    dgamma = 0.5 * (
-        np.einsum("...kls,...smv->...klmv", dginv, T)
-        + np.einsum("...ls,...ksmv->...klmv", ginv, dT)
-    )
-
-    # R^i_{jkl} = d_k Gamma^i_{lj} - d_l Gamma^i_{kj}
-    #             + Gamma^i_{km} Gamma^m_{lj} - Gamma^i_{lm} Gamma^m_{kj}
-    riem_up = (
-        np.einsum("...kilj->...ijkl", dgamma)
-        - np.einsum("...likj->...ijkl", dgamma)
-        + np.einsum("...ikm,...mlj->...ijkl", gamma, gamma)
-        - np.einsum("...ilm,...mkj->...ijkl", gamma, gamma)
-    )
-    riem = np.einsum("...im,...mjkl->...ijkl", g0, riem_up)
-    ricci = np.einsum("...kjkl->...jl", riem_up)
+    gamma = 0.5 * np.einsum("...ls,...smv->...lmv", ginv, T)  # Gamma^l_{mv}
+    a = 0.5 * (np.einsum("...jkil->...ijkl", ddg) + np.einsum("...iljk->...ijkl", ddg)
+               + np.einsum("...mil,...mjk->...ijkl", T, gamma))
+    riem = a - np.swapaxes(a, -1, -2)
+    ricci = np.einsum("...ik,...ijkl->...jl", ginv, riem)
     scalar = np.einsum("...jl,...jl->...", ginv, ricci)
-
-    w = (
-        riem
-        - (1.0 / (n - 2))
-        * (
-            np.einsum("...ik,...jl->...ijkl", g0, ricci)
-            - np.einsum("...il,...jk->...ijkl", g0, ricci)
-            - np.einsum("...jk,...il->...ijkl", g0, ricci)
-            + np.einsum("...jl,...ik->...ijkl", g0, ricci)
-        )
-        + (scalar[..., None, None, None, None] / ((n - 1) * (n - 2)))
-        * (
-            np.einsum("...ik,...jl->...ijkl", g0, g0)
-            - np.einsum("...il,...jk->...ijkl", g0, g0)
-        )
-    )
-    return g0, ginv, gamma, riem, ricci, scalar, w
+    schouten = (ricci - (scalar[..., None, None] / (2 * (n - 1))) * g0) / (n - 2)
+    m = (np.einsum("...ik,...jl->...ijkl", schouten, g0)
+         + np.einsum("...ik,...jl->...ijkl", g0, schouten))
+    w = riem - (m - np.swapaxes(m, -1, -2))
+    return g0, ginv, riem, ricci, scalar, w
 
 
 def _curvature_tiers(metric, a):
@@ -405,10 +379,10 @@ def curvature(metric, p):
     kept as well.
     """
     a, single = _as_stack5(p)
-    g0, ginv, gamma, riem, ricci, scalar, w = _by_blocks(lambda b: _curvature_tiers(metric, b), a)
+    g0, ginv, riem, ricci, scalar, w = _by_blocks(lambda b: _curvature_tiers(metric, b), a)
     at = (lambda x, tier: x[0, tier]) if single else (lambda x, tier: x[:, tier])
     return CurvatureBundle(
-        *(at(x, 0) for x in (g0, ginv, gamma, riem, ricci)),
+        *(at(x, 0) for x in (g0, ginv, riem, ricci)),
         scalar=float(scalar[0, 0]) if single else scalar[:, 0],
         weyl=at(w, 0),
         weyl_tiers=(at(w, 1), at(w, 2)),

@@ -4,7 +4,8 @@ No command of the package runs these: the constant-curvature quartic in
 factored form and the necessary condition of the 9:1 ratio, `g2_check`
 written one grid point at a time, the root classifier written one quartic
 at a time in Python arithmetic, the pair
-symmetries and Weyl traces of a curvature bundle, the residuals of the
+symmetries and Weyl traces of a curvature bundle, the curvature tensors
+by the long route through the raised Riemann tensor, the residuals of the
 profile equations, and the mesh checks (the algebraic identity of the
 eps = +-1 surfaces, the induced metric and the Gauss curvature by finite
 differences, and a reader of the mesh text).  The test modules import this
@@ -147,6 +148,62 @@ def weyl_trace_residual(bundle):
     """Largest trace of the Weyl tensor (zero for the exact tensor)."""
     tr = np.einsum("ik,ijkl->jl", bundle.ginv, bundle.weyl)
     return float(np.max(np.abs(tr)))
+
+
+def curvature_by_raised_riemann(g0, dg, ddg):
+    """(ginv, Gamma, Riemann, Ricci, scalar, Weyl) of the metric g0 with
+    derivatives dg[..., k, :, :] = d_k g and ddg[..., k, l, :, :] = d_k d_l g,
+    any leading axes: the long route through the derivatives of the inverse
+    metric and of the Christoffel symbols and the raised Riemann tensor
+    R^i_{jkl}, lowered with g0 at the end.  The oracle's assembly once took
+    this route; its Riemann and Weyl tensors are fully lowered, with Ricci
+    R^k_{jkl} and Gamma[..., i, j, k] = Gamma^i_{jk}."""
+    n = g0.shape[-1]
+    ginv = np.linalg.inv(g0)
+    dginv = -np.einsum("...ia,...kab,...bj->...kij", ginv, dg, ginv)
+
+    # T[s, m, v] = d_m g_{s v} + d_v g_{s m} - d_s g_{m v}
+    T = np.einsum("...msv->...smv", dg) + np.einsum("...vsm->...smv", dg) - dg
+    gamma = 0.5 * np.einsum("...ls,...smv->...lmv", ginv, T)
+    # dT[k, s, m, v] from the second derivatives
+    dT = (
+        np.einsum("...kmsv->...ksmv", ddg)
+        + np.einsum("...kvsm->...ksmv", ddg)
+        - np.einsum("...ksmv->...ksmv", ddg)
+    )
+    dgamma = 0.5 * (
+        np.einsum("...kls,...smv->...klmv", dginv, T)
+        + np.einsum("...ls,...ksmv->...klmv", ginv, dT)
+    )
+
+    # R^i_{jkl} = d_k Gamma^i_{lj} - d_l Gamma^i_{kj}
+    #             + Gamma^i_{km} Gamma^m_{lj} - Gamma^i_{lm} Gamma^m_{kj}
+    riem_up = (
+        np.einsum("...kilj->...ijkl", dgamma)
+        - np.einsum("...likj->...ijkl", dgamma)
+        + np.einsum("...ikm,...mlj->...ijkl", gamma, gamma)
+        - np.einsum("...ilm,...mkj->...ijkl", gamma, gamma)
+    )
+    riem = np.einsum("...im,...mjkl->...ijkl", g0, riem_up)
+    ricci = np.einsum("...kjkl->...jl", riem_up)
+    scalar = np.einsum("...jl,...jl->...", ginv, ricci)
+
+    w = (
+        riem
+        - (1.0 / (n - 2))
+        * (
+            np.einsum("...ik,...jl->...ijkl", g0, ricci)
+            - np.einsum("...il,...jk->...ijkl", g0, ricci)
+            - np.einsum("...jk,...il->...ijkl", g0, ricci)
+            + np.einsum("...jl,...ik->...ijkl", g0, ricci)
+        )
+        + (scalar[..., None, None, None, None] / ((n - 1) * (n - 2)))
+        * (
+            np.einsum("...ik,...jl->...ijkl", g0, g0)
+            - np.einsum("...il,...jk->...ijkl", g0, g0)
+        )
+    )
+    return ginv, gamma, riem, ricci, scalar, w
 
 
 def profile_ode_residual(rho, d1, d2, d3):

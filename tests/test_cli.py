@@ -738,11 +738,11 @@ class TestHugeCurvature:
                                       "(x, y, u, v, phi) = (3.89210064e-139, ")
 
     def test_oracle_weyl_norm_overflow_is_an_error(self):
-        # the Weyl tensor is finite, but the sum of its squares overflows; a
-        # child process shows any numpy warning on stderr as a user sees it
+        # at alpha = 1e78 the Weyl tensor is no longer finite; a child process
+        # shows any numpy warning on stderr as a user sees it
         proc = subprocess.run(
             [sys.executable, "-m", "rolling_twistor", "oracle", "--s1",
-             "profile:alpha=1e60,beta=1", "--s2", "sphere:r=1", "--points", "3"],
+             "profile:alpha=1e78,beta=1", "--s2", "sphere:r=1", "--points", "3"],
             capture_output=True, text=True, env=subprocess_env(), timeout=120,
         )
         assert proc.returncode == 3
@@ -750,3 +750,32 @@ class TestHugeCurvature:
         assert proc.stderr.count("\n") == 1
         assert proc.stderr.startswith("error: the Weyl tensor of the oracle metric or its norm")
         assert "lambda = 1.0" in proc.stderr
+
+    def test_oracle_finite_weyl_tensor_with_overflowing_norm_is_an_error(self):
+        # at theta = 150 the hyperbolic chart's Weyl tensor is finite, but the
+        # sum of its squares overflows
+        proc = subprocess.run(
+            [sys.executable, "-m", "rolling_twistor", "oracle", "--s1", "hyperbolic:r=1",
+             "--s2", "plane", "--rho", "150:160:2"],
+            capture_output=True, text=True, env=subprocess_env(), timeout=120,
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == ("error: the Weyl tensor of the oracle metric or its norm is not"
+                               " finite at kappa = -1.0, lambda = 0.0\n")
+
+    def test_oracle_answers_at_large_curvature(self):
+        # alpha = 1e60: every coframe entry and Weyl component is finite, and
+        # the two routes agree as they do at alpha = 1
+        proc = subprocess.run(
+            [sys.executable, "-m", "rolling_twistor", "oracle", "--s1",
+             "profile:alpha=1e60,beta=1", "--s2", "sphere:r=1", "--points", "3"],
+            capture_output=True, text=True, env=subprocess_env(), timeout=120,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        rows = [l.split(",") for l in proc.stdout.splitlines() if not l.startswith("#")]
+        assert len(rows) == 3
+        for row in rows:
+            assert np.isfinite(float(row[5]))
+            assert 0.0 < float(row[-2]) < 1e-8

@@ -42,7 +42,7 @@ README_EXAMPLES = {
     ),
     "oracle_sphere_plane": (
         ["oracle", "--s1", "sphere:r=1", "--s2", "plane", "--points", "5"],
-        "83261353a483dca06a681aee653a33c3d9a68d098152c5a90a0bfcbe83465106",
+        "b99803b03b80b7d33446df1ab290d2184f31769dea178efe9bd5e6ffcd7a75ea",
     ),
     "embed_g2_plus": (
         ["embed", "--family", "g2:eps=1", "--rho-range", "0:2", "--nr", "32", "--nphi", "32"],
@@ -73,13 +73,13 @@ MORE_EXAMPLES = {
     "oracle_profile_on_hyperbolic": (
         ["oracle", "--s1", "profile:alpha=1,beta=-5", "--s2", "hyperbolic:r=1",
          "--rho=0.5:1.9:3", "--points", "3", "--phi", "2"],
-        "79ed41e1c5b5f9140e7ef8da402ede9b5621ccaffd305d74db6ad8e61e2200ec",
+        "db3a728e1dae502c6dc533af5e51af682163e727d250fdefba9b44d0bcd11778",
     ),
     # both constant-curvature frames through a stencil of several points
     "oracle_sphere_on_hyperbolic": (
         ["oracle", "--s1", "sphere:r=1.3", "--s2", "hyperbolic:r=1.1", "--rho=0.4:2.5:4",
          "--points", "4", "--phi=0.7"],
-        "2088e0d3f3e8a80ae716937386d6177ecef940705a0588659ded728473ed75e3",
+        "bdba3d9b910b664cbeb1201a71307c82c561e171f5ec7b3004aba117624f4d8e",
     ),
     "growth_g2_zero_on_sphere": (
         ["growth", "--s1", "g2:eps=0", "--s2", "sphere:r=2", "--rho=0.6:2.5:6", "--phi", "4"],

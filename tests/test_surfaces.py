@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from references import profile_ode_residual, reciprocal_ode_residual
+from test_distribution5 import _symbolic_frame
 
 from rolling_twistor.errors import DomainError, SpecParseError
 from rolling_twistor.finitediff import fd_weights
@@ -161,6 +162,49 @@ class TestAnalyticVsFiniteDifferenceJets:
             assert abs(k11f(rho) - jet.kappa11) < 1e-6 * max(1.0, abs(jet.kappa11))
             assert abs(k111f(rho) - jet.kappa111) < 2e-6 * max(1.0, abs(jet.kappa111))
             assert abs(k1111f(rho) - jet.kappa1111) < 1e-4 * max(1.0, abs(jet.kappa1111))
+
+
+class TestSymbolicJets:
+    """The jet of each catalog family against sympy's exact e1-chain: the
+    frame and a2 from the metric alone, the Gauss curvature of the metric,
+    then kappa -> f1 kappa'(t) (kappa'(rho)/h for a revolution family) four
+    times.  The parameters and t are dyadic rationals, so the floats the
+    package reads are exact."""
+
+    @pytest.mark.parametrize(
+        "fam, t0",
+        [
+            (RevolutionProfile(0.5, -3.0), "11/4"),
+            (RevolutionProfile(0.75, 0.125), "3/2"),
+            (RevolutionProfile(-1.25, 4.0), "5/8"),
+            (RevolutionProfile(3.0, -0.5), "3/8"),
+            (G2Family(-1), "3/2"),
+            (G2Family(0), "3/4"),
+            (G2Family(1), "5/4"),
+            (Sphere(1.5), "3/4"),
+            (Hyperbolic(0.75), "5/4"),
+            (Plane(), "1/2"),
+        ],
+        ids=lambda v: v if isinstance(v, str) else v.spec_string(),
+    )
+    def test_jet_equals_the_exact_chain(self, fam, t0):
+        sp = pytest.importorskip("sympy")
+        t = sp.symbols("t", positive=True)
+        f1, f2 = _symbolic_frame(sp, fam, t)
+        sqrt_e, sqrt_g = 1 / f1, 1 / f2
+        chain = [f1, f2, f1 * sp.diff(f2, t) / f2,
+                 -sp.diff(sp.diff(sqrt_g, t) / sqrt_e, t) / (sqrt_e * sqrt_g)]
+        for _ in range(4):
+            chain.append(f1 * sp.diff(chain[-1], t))
+        r = sp.Rational(t0)
+        jet = fam.jet((float(r), 0.0))
+        for name, value, expr in zip(jet._fields, jet, chain):
+            exact = sp.simplify(expr.subs(t, r))
+            if exact == 0:
+                assert value == 0.0, name
+            else:
+                error = abs((sp.Rational(float(value)) - exact) / exact).evalf(30)
+                assert error <= 8 * np.finfo(float).eps, name
 
 
 class TestGaussianCurvatureProfile:
