@@ -765,8 +765,8 @@ class TestHugeCurvature:
                                " finite at kappa = -1.0, lambda = 0.0\n")
 
     def test_oracle_answers_at_large_curvature(self):
-        # alpha = 1e60: every coframe entry and Weyl component is finite, and
-        # the two routes agree as they do at alpha = 1
+        # alpha = 1e60: the Weyl tensor and its norm are finite, and the two
+        # routes to the quartic agree
         proc = subprocess.run(
             [sys.executable, "-m", "rolling_twistor", "oracle", "--s1",
              "profile:alpha=1e60,beta=1", "--s2", "sphere:r=1", "--points", "3"],
