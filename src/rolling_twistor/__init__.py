@@ -19,16 +19,13 @@ from .cartan_invariants import (
     vanishing_scale,
 )
 from .conformal_oracle import (
-    CurvatureBundle,
     cartan_from_weyl,
-    curvature,
     metric_components,
     omega_coframe,
     proportionality_residual,
     theta_coframe,
 )
 from .distribution5 import (
-    frame_fields,
     growth_vector,
     lie_bracket,
     velocity_fields,

@@ -284,6 +284,15 @@ def vanishing_scale(kappa, lam):
     return _ipow(kappa - lam, 4) * _ipow(curvature_scale(kappa, lam), 2)
 
 
+def scaled_vanishing(coeffs, kappa, lam, tol=VANISH_TOL):
+    """(max|A_i| / `vanishing_scale`, whether it is below tol) of each quartic
+    of a (5, m) coefficient stack: the one vanishing rule of the closed form,
+    which `g2_check` and the oracle table both read."""
+    with np.errstate(all="ignore"):
+        scaled = np.max(np.abs(coeffs), axis=0) / vanishing_scale(kappa, lam)
+    return scaled, scaled < tol
+
+
 class G2Row(NamedTuple):
     point: tuple
     kappa: float
@@ -325,14 +334,13 @@ def g2_check(s1, lam, grid, tol=VANISH_TOL):
         for p in grid:
             quartic_killing_case(s1.jet(p), lam)
         raise
-    with np.errstate(all="ignore"):
-        scaled = np.max(np.abs(coeffs), axis=0) / vanishing_scale(jets.kappa, lam)
-    loud = ~(scaled < tol)
+    scaled, vanishes = scaled_vanishing(coeffs, jets.kappa, lam, tol)
+    loud = ~vanishes
     keys = np.zeros(len(grid), dtype=int)  # _TAGS[0] is "zero"
     if loud.any():
         inverse, _, mults = _classified(CartanQuartic(*coeffs[:, loud]).poly_coefficients().T)
         keys[loud] = _tag_keys(mults)[inverse]
     quartics = map(CartanQuartic._make, coeffs.T.tolist())
     rows = tuple(map(G2Row, grid, jets.kappa.tolist(), quartics, scaled.tolist(), _TAGS[keys]))
-    worst = float(np.max(scaled))
-    return G2Report(rows=rows, max_scaled=worst, is_g2=worst < tol, tol=tol)
+    return G2Report(rows=rows, max_scaled=float(np.max(scaled)), is_g2=bool(vanishes.all()),
+                    tol=tol)

@@ -207,12 +207,10 @@ def _both_vanish(weyl_quartic, noise, weyl_norm, closed, kappa, lam):
     """Whether both routes say the quartic vanishes at each oracle row: the
     closed form by g2check's rule, and the Weyl quartic within ten times its
     noise floor plus a rounding allowance of the Weyl tensor's size."""
+    closed_vanishes = ci.scaled_vanishing(closed.T, kappa, lam)[1]
     with np.errstate(all="ignore"):
-        return (
-            (np.max(np.abs(closed), axis=1) < ci.VANISH_TOL * ci.vanishing_scale(kappa, lam))
-            & (np.max(np.abs(weyl_quartic), axis=1)
-               <= 10.0 * noise + 1e-12 * np.maximum(weyl_norm, 1.0))
-        )
+        return closed_vanishes & (np.max(np.abs(weyl_quartic), axis=1)
+                                  <= 10.0 * noise + 1e-12 * np.maximum(weyl_norm, 1.0))
 
 
 def cmd_oracle(args):

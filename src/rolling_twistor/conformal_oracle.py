@@ -10,23 +10,23 @@ a common nonvanishing factor.  Agreement with the closed forms is therefore
 a genuine two-route consistency check, and the vanishing of the full Weyl
 tensor (conformal flatness) is an independent maximal-symmetry detector.
 
-The coframes, the metric, the curvature and the Weyl quartic take one
-chart point or an (m, 5) stack of points through one code path (a point is
-a stack of one), and each row rounds as it does on its own: squares go
-through `cartan_invariants._ipow`, the C library's pow, as a float's **
-does.  The metric is called once per table (once per block of
-POINTS_PER_PASS points), on the finite-difference stencils of every point
-at both steps (FD_STEP and its half); the derivatives, the curvature of the
-Richardson blend and of each step, and the contractions are array passes
-over a leading (point, tier) axis.  A stack that fails raises the error of
-its first failing row, as that row raises on its own.
+The coframes, the metric and the Weyl quartic take one chart point or an
+(m, 5) stack of points through one code path (a point is a stack of one),
+and each row rounds as it does on its own: squares go through
+`cartan_invariants._ipow`, the C library's pow, as a float's ** does.  The
+curvature has one path, `_curvature_tiers`, which `cartan_from_weyl` runs
+once per block of POINTS_PER_PASS points: one metric call on the
+finite-difference stencils of every point at both steps (FD_STEP and its
+half), then array passes over a leading (point, tier) axis for the
+derivatives, the curvature of the Richardson blend and of each step, and
+the contractions.  A stack that fails raises the error of its first
+failing row, as that row raises on its own.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -290,30 +290,6 @@ def _metric_derivatives(g):
     return _Derivs(g0=g0, dg=dg, ddg=ddg)
 
 
-@dataclass(frozen=True)
-class CurvatureBundle:
-    """Curvature tensors of a metric at a point, all indices coordinate, or
-    at each point of a stack, with a leading axis of points.
-
-    `riemann` and `weyl` are fully lowered, exactly antisymmetric in their
-    last two indices and computed from the Richardson extrapolated metric
-    derivatives; `weyl_tiers` holds the Weyl tensors of the step-h and
-    step-h/2 derivatives, whose difference is the finite-difference noise floor.
-    """
-
-    g: np.ndarray
-    ginv: np.ndarray
-    riemann: np.ndarray
-    ricci: np.ndarray
-    scalar: float
-    weyl: np.ndarray
-    weyl_tiers: tuple
-
-    @property
-    def weyl_norm(self):
-        return _frobenius(self.weyl)
-
-
 def _frobenius(w):
     """Frobenius norm of the trailing 4-index tensors of w."""
     return np.sqrt(np.sum((w**2).reshape(*w.shape[:-4], -1), axis=-1))
@@ -367,28 +343,6 @@ def _by_blocks(fn, a):
     return tuple(np.concatenate(x) for x in zip(*parts))
 
 
-def curvature(metric, p):
-    """Curvature bundle of a metric field at p, or at each point of an
-    (m, 5) stack, by central differences.
-
-    `metric` maps an (r, 5) stack of points to the (r, 5, 5) stack of its
-    components there; it is called once per table (once per block of
-    POINTS_PER_PASS points): on the stencil rows of every point, step
-    h = FD_STEP followed by step h/2.  The metric derivatives of the two
-    steps are Richardson extrapolated, and the Weyl tensor of each step is
-    kept as well.
-    """
-    a, single = _as_stack5(p)
-    g0, ginv, riem, ricci, scalar, w = _by_blocks(lambda b: _curvature_tiers(metric, b), a)
-    at = (lambda x, tier: x[0, tier]) if single else (lambda x, tier: x[:, tier])
-    return CurvatureBundle(
-        *(at(x, 0) for x in (g0, ginv, riem, ricci)),
-        scalar=float(scalar[0, 0]) if single else scalar[:, 0],
-        weyl=at(w, 0),
-        weyl_tiers=(at(w, 1), at(w, 2)),
-    )
-
-
 class OracleQuartic(NamedTuple):
     """Quartic coefficients extracted from the numerical Weyl tensor.
 
@@ -424,8 +378,8 @@ def cartan_from_weyl(s1, s2, p):
     The five contractions pair the null directions spanning the distribution
     with their orthogonal partners in the transverse null plane, both taken
     from the duals of the theta coframe.  A Weyl tensor, Weyl norm or
-    quartic that is not finite raises DomainError naming the curvatures, and
-    a theta coframe that is singular in floating point one naming the point.
+    quartic that is not finite raises DomainError naming the curvatures and
+    the point; a theta coframe singular in floating point names the point.
     A stack is one pass (one per block of POINTS_PER_PASS points): one
     coframe call on its points and one metric call on all their stencil
     rows.  A stack that fails is replayed point by point, so the first
@@ -449,10 +403,7 @@ def _weyl_quartics(s1, s2, a):
     try:
         Y = np.linalg.inv(theta)  # <theta^j, Y_i> = delta^j_i
     except np.linalg.LinAlgError:  # `_replayed` retries a stack point by point
-        point = ", ".join(repr(float(x)) for x in a[0])
-        raise DomainError(
-            f"the oracle's theta coframe is singular at (x, y, u, v, phi) = ({point})"
-        ) from None
+        raise DomainError(f"the oracle's theta coframe is singular at {_where(a[0])}") from None
     w = _curvature_tiers(lambda rows: metric_components(s1, s2, rows), a)[-1]
     A = _contract_quartic(w, Y[:, None])  # (m, 3, 5): blend, step h, step h/2
     norms = _frobenius(w)
@@ -465,9 +416,14 @@ def _weyl_quartics(s1, s2, a):
         lam = s2.frame_data((a[i, 2], a[i, 3])).kappa
         raise DomainError(
             "the Weyl tensor of the oracle metric or its norm is not finite"
-            f" at kappa = {float(kappa)!r}, lambda = {float(lam)!r}"
+            f" at kappa = {float(kappa)!r}, lambda = {float(lam)!r}, {_where(a[i])}"
         )
     return A[:, 0], np.abs(A[:, 1] - A[:, 2]), norm, weyl_noise
+
+
+def _where(p):
+    """The chart point p, as the oracle's errors name it."""
+    return f"(x, y, u, v, phi) = ({', '.join(repr(float(x)) for x in p)})"
 
 
 def proportionality_residual(qa, qb):

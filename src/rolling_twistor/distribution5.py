@@ -9,7 +9,7 @@ from curvature-matching points the five fields frame the space (rank growth
 2, 3, 5).  `field_rows` writes the rows X1..Xn at a point from one read per
 surface, and is defined at equal curvatures too; rolling
 integrates its first two rows and `growth_vector` ranks all five.
-`velocity_fields` and `frame_fields` view the rows as callables, and the
+`velocity_fields` views the first two rows as callables, and the
 finite-difference `lie_bracket` is the tests' numerical reference for the
 closed forms.
 """
@@ -82,21 +82,9 @@ def field_rows(s1, s2, p, n=5):
     return rows
 
 
-def _row_field(s1, s2, n, i):
-    def X(p):
-        return field_rows(s1, s2, p, n)[i]
-
-    return X
-
-
 def velocity_fields(s1, s2):
     """The velocity fields (X1, X2) of `field_rows` as callables."""
-    return _row_field(s1, s2, 2, 0), _row_field(s1, s2, 2, 1)
-
-
-def frame_fields(s1, s2):
-    """The fields (X1, ..., X5) of `field_rows` as callables."""
-    return tuple(_row_field(s1, s2, 5, i) for i in range(5))
+    return tuple(lambda p, i=i: field_rows(s1, s2, p, 2)[i] for i in range(2))
 
 
 def curvature_scale(kappa, lam):

@@ -11,6 +11,7 @@ square-root branch points at an endpoint.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -73,19 +74,36 @@ def sampled_derivative(values, dt, order=6, deriv=1):
     Uses centered (order+1)-point stencils in the interior and shifted
     stencils of the same width near the boundary, so the accuracy order is
     uniform across the sample range.  One array pass: every sample's window
-    is gathered at once and contracted with its row of the stencil table.
+    is gathered at once and contracted with its row of the stencil table,
+    which is built once per (width, deriv) and kept read-only.
     """
     y = np.asarray(values, dtype=float)
     n = y.shape[0]
     width = min(order + 1, n)
     if width <= deriv:
         raise ValueError("not enough samples for the requested derivative")
-    offsets = np.arange(width, dtype=float)
-    stencils = fd_weights(offsets, offsets, deriv)[:, deriv]  # column s: window offset s
     i = np.arange(n)
     lo = np.clip(i - width // 2, 0, n - width)
     windows = sliding_window_view(y, width, axis=0)[lo]  # windows[i, ..., s] = y[lo[i] + s]
-    return np.einsum("i...s,is->i...", windows, stencils.T[i - lo]) / dt**deriv
+    return np.einsum("i...s,is->i...", windows, _stencil_table(width, deriv).T[i - lo]) / dt**deriv
+
+
+@functools.cache
+def _stencil_table(width, deriv):
+    """Column s: `fd_weights` of the deriv-th derivative at node s of 0..width-1."""
+    offsets = np.arange(width, dtype=float)
+    table = fd_weights(offsets, offsets, deriv)[:, deriv]
+    table.flags.writeable = False
+    return table
+
+
+@functools.cache
+def _interval_table(width):
+    """Row s: `_interval_weights` over [s, s + 1] for the nodes 0..width-1."""
+    x = np.arange(width, dtype=float)
+    table = np.reshape([_interval_weights(x, s, s + 1.0) for s in range(width - 1)], (-1, width))
+    table.flags.writeable = False
+    return table
 
 
 def _interval_weights(nodes, a, b):
@@ -109,12 +127,10 @@ def cumulative_integral(values, dt, order=4):
     y = np.asarray(values, dtype=float)
     n = y.shape[0]
     width = min(order, n)
-    nodes = np.arange(width, dtype=float)
-    weights = np.array([_interval_weights(nodes, s, s + 1.0) for s in range(width - 1)])
     k = np.arange(n - 1)
     lo = np.clip(k - (width - 1) // 2, 0, n - width)
     windows = sliding_window_view(y, width, axis=0)[lo]
-    steps = dt * np.einsum("i...s,is->i...", windows, weights.reshape(-1, width)[k - lo])
+    steps = dt * np.einsum("i...s,is->i...", windows, _interval_table(width)[k - lo])
     return np.concatenate([np.zeros((1,) + y.shape[1:]), np.cumsum(steps, axis=0)])
 
 

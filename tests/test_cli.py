@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import rolling_twistor
+from rolling_twistor import cartan_invariants as ci
 from rolling_twistor.cli import main
 
 
@@ -328,6 +329,31 @@ class TestOracleFlatRows:
         rows = [line.split(",") for line in text.splitlines() if not line.startswith("#")]
         assert len(rows) == 5
         assert [row[16] for row in rows] == ["0"] * 5
+
+    @pytest.mark.parametrize("s1, s2", [
+        ("g2:eps=1", "plane"),
+        ("sphere:r=1", "sphere:r=3"),
+        ("sphere:r=45", "sphere:r=135.06747943659716"),  # scaled max 8.7e-9, tol 1e-8
+        ("sphere:r=1", "plane"),
+        ("profile:alpha=1,beta=1", "sphere:r=2"),
+    ])
+    def test_closed_form_vanishes_where_g2check_tags_zero(self, tmp_path, monkeypatch, s1, s2):
+        # the oracle table and g2check read one vanishing rule: at the same
+        # points the oracle's closed form vanishes on exactly the rows that
+        # g2check tags "zero"
+        seen, rule = [], ci.scaled_vanishing
+
+        def recording(*args, **kwargs):
+            seen.append(rule(*args, **kwargs))
+            return seen[-1]
+
+        monkeypatch.setattr(ci, "scaled_vanishing", recording)
+        grid = ("--s1", s1, "--s2", s2, "--rho", "0.6:1.4:6")
+        assert run(tmp_path, "oracle", *grid, "--points", "6")[0] == 0
+        (_, closed_vanishes), = seen
+        _, text = run(tmp_path, "g2check", *grid)
+        tags = [line.split(",", 9)[9] for line in text.splitlines() if not line.startswith("#")]
+        assert closed_vanishes.tolist() == [tag == "zero" for tag in tags]
 
 
 class TestColdStart:
@@ -762,7 +788,8 @@ class TestHugeCurvature:
         assert proc.returncode == 3
         assert proc.stdout == ""
         assert proc.stderr == ("error: the Weyl tensor of the oracle metric or its norm is not"
-                               " finite at kappa = -1.0, lambda = 0.0\n")
+                               " finite at kappa = -1.0, lambda = 0.0,"
+                               " (x, y, u, v, phi) = (150.0, 0.0, 0.0, 0.0, 0.3)\n")
 
     def test_oracle_answers_at_large_curvature(self):
         # alpha = 1e60: the Weyl tensor and its norm are finite, and the two

