@@ -6,9 +6,11 @@ restricted velocity space is spanned by two fields X1, X2; their iterated
 commutators X3 = [X1, X2], X4 = [X1, X3], X5 = [X2, X3] have closed forms in
 terms of the surface frame data (X1, X2, X3) and jets (X4, X5), and away
 from curvature-matching points the five fields frame the space (rank growth
-2, 3, 5).  `field_rows` writes the rows X1..Xn at a point from one read per
-surface, and is defined at equal curvatures too; rolling
-integrates its first two rows and `growth_vector` ranks all five.
+2, 3, 5).  `velocity_rows` is the one formula of X1, X2: two tuples of
+floats from the two surfaces' frame data and phi, which the RK4 stage of
+rolling calls directly.  `field_rows` writes the rows X1..Xn at a point
+from one read per surface, taking its first two rows from `velocity_rows`,
+and is defined at equal curvatures too; `growth_vector` ranks all five.
 `velocity_fields` views the first two rows as callables, and the
 finite-difference `lie_bracket` is the tests' numerical reference for the
 closed forms.
@@ -16,6 +18,7 @@ closed forms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +44,17 @@ def validate_point(s1, s2, p):
     s2.validate((a[2], a[3]))
 
 
+def velocity_rows(d1, d2, phi):
+    """The rows X1, X2 as two 5-tuples of floats, from the frame data
+    d1 = (f1, f2, a2, ...) and d2 = (f3, f4, a4, ...) of the two contact
+    points and the angle phi (see `field_rows`).  cos and sin come from the
+    math module; the tests pin that they round as numpy's do."""
+    f1, f2, a2 = d1[:3]
+    f3, f4, a4 = d2[:3]
+    c, s = math.cos(phi), math.sin(phi)
+    return (f1, 0.0, c * f3, s * f4, a4 * s), (0.0, f2, -s * f3, c * f4, -a2 + a4 * c)
+
+
 def field_rows(s1, s2, p, n=5):
     """Rows X1..Xn (n = 2, 3 or 5) of the derived frame at p.
 
@@ -55,7 +69,8 @@ def field_rows(s1, s2, p, n=5):
     the curvatures meet; they use that the e2-derivatives of both curvatures
     vanish and that e1(a2) = kappa + a2^2 (the structure identity of the
     curvature).  The rows read one jet per surface for n = 5, whose leading
-    fields are the frame data, and one `frame_data` per surface otherwise.
+    fields are the frame data, and one `frame_data` per surface otherwise;
+    rows 0 and 1 are those of `velocity_rows`.
     """
     if n not in (2, 3, 5):
         raise ValueError(f"field_rows writes 2, 3 or 5 rows, not {n}")
@@ -63,16 +78,16 @@ def field_rows(s1, s2, p, n=5):
     q1, q2 = (a[0], a[1]), (a[2], a[3])
     d1 = s1.jet(q1) if n == 5 else s1.frame_data(q1)
     d2 = s2.jet(q2) if n == 5 else s2.frame_data(q2)
-    f1, f2, a2, kappa = d1[:4]
-    f3, f4, a4, lam = d2[:4]
-    c, s = np.cos(a[4]), np.sin(a[4])
     rows = np.zeros((n, 5))
-    rows[0] = f1, 0.0, c * f3, s * f4, a4 * s
-    rows[1] = 0.0, f2, -s * f3, c * f4, -a2 + a4 * c
-    if n > 2:
-        rows[2] = a2 * rows[1]
-        rows[2, 4] += lam - kappa
+    rows[0], rows[1] = velocity_rows(d1, d2, a[4])
+    if n == 2:
+        return rows
+    a2, kappa = d1[2:4]
+    f3, f4, a4, lam = d2[:4]
+    rows[2] = a2 * rows[1]
+    rows[2, 4] += lam - kappa
     if n == 5:
+        c, s = math.cos(a[4]), math.sin(a[4])
         k1, lam1 = d1.kappa1, d2.kappa1
         dl = lam - kappa
         # the X3-coefficient a2 comes from expanding a2 [X1, X2]

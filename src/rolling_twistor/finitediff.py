@@ -73,19 +73,39 @@ def sampled_derivative(values, dt, order=6, deriv=1):
 
     Uses centered (order+1)-point stencils in the interior and shifted
     stencils of the same width near the boundary, so the accuracy order is
-    uniform across the sample range.  One array pass: every sample's window
-    is gathered at once and contracted with its row of the stencil table,
-    which is built once per (width, deriv) and kept read-only.
+    uniform across the sample range.  Every sample's window is contracted
+    with its row of the stencil table, which is built once per
+    (width, deriv) and kept read-only (see `_windowed_sums`).
     """
     y = np.asarray(values, dtype=float)
     n = y.shape[0]
     width = min(order + 1, n)
     if width <= deriv:
         raise ValueError("not enough samples for the requested derivative")
-    i = np.arange(n)
-    lo = np.clip(i - width // 2, 0, n - width)
-    windows = sliding_window_view(y, width, axis=0)[lo]  # windows[i, ..., s] = y[lo[i] + s]
-    return np.einsum("i...s,is->i...", windows, _stencil_table(width, deriv).T[i - lo]) / dt**deriv
+    out = _windowed_sums(y, n, width, width // 2, _stencil_table(width, deriv).T)
+    out /= dt**deriv
+    return out
+
+
+BLOCK_ROWS = 4096  # output rows per window gather: bounds the gathered copy
+
+
+def _windowed_sums(y, m, width, back, table):
+    """out[i] = sum_s y[lo + s] * table[i - lo, s] for i < m, where the
+    window start lo = clip(i - back, 0, n - width) keeps it inside the n
+    samples.  One window gather and one einsum per block of BLOCK_ROWS
+    rows: each row's sum does not depend on the block it falls in, so the
+    result is that of one pass over all rows, bit for bit, while the
+    gathered copy stays BLOCK_ROWS windows long."""
+    n = y.shape[0]
+    view = sliding_window_view(y, width, axis=0)  # view[j, ..., s] = y[j + s]
+    out = np.empty((m,) + y.shape[1:])
+    for start in range(0, m, BLOCK_ROWS):
+        stop = min(start + BLOCK_ROWS, m)
+        i = np.arange(start, stop)
+        lo = np.clip(i - back, 0, n - width)
+        out[start:stop] = np.einsum("i...s,is->i...", view[lo], table[i - lo])
+    return out
 
 
 @functools.cache
@@ -121,17 +141,17 @@ def cumulative_integral(values, dt, order=4):
     """Cumulative integral of uniformly sampled data (4th-order accurate).
 
     Each interval [t_k, t_{k+1}] is integrated with the local degree-(order-1)
-    interpolant through `order` neighbouring samples: one array pass over
-    all intervals, then one running sum.
+    interpolant through `order` neighbouring samples (`_windowed_sums` over
+    all intervals), then one running sum.
     """
     y = np.asarray(values, dtype=float)
     n = y.shape[0]
     width = min(order, n)
-    k = np.arange(n - 1)
-    lo = np.clip(k - (width - 1) // 2, 0, n - width)
-    windows = sliding_window_view(y, width, axis=0)[lo]
-    steps = dt * np.einsum("i...s,is->i...", windows, _interval_table(width)[k - lo])
-    return np.concatenate([np.zeros((1,) + y.shape[1:]), np.cumsum(steps, axis=0)])
+    steps = _windowed_sums(y, n - 1, width, (width - 1) // 2, _interval_table(width))
+    steps *= dt
+    out = np.zeros((n,) + y.shape[1:])
+    np.cumsum(steps, axis=0, out=out[1:])
+    return out
 
 
 TANH_SINH_TOL = 1e-13  # relative change between levels that counts as converged

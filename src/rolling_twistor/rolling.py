@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distribution5 import _as_point5, field_rows, validate_point
+from .distribution5 import _as_point5, validate_point, velocity_rows
 from .errors import DomainError, SpecParseError, StepSizeError
 from .finitediff import check_step, cumulative_integral, sampled_derivative
 
@@ -101,42 +101,52 @@ class Trajectory:
 
 def integrate(s1, s2, start, ctrl, dt, t_end):
     """Fixed-step RK4 of an admissible rolling motion of s1 on s2:
-    ydot = c1(t) X1(y) + c2(t) X2(y) with the rows (X1, X2) of `field_rows`,
-    one frame read per surface per stage; the controls are read in one array
-    call at all stage times first.  More than MAX_STEPS steps is a
-    StepSizeError.  Each accepted sample is checked against both charts; a
-    DomainError aborts with the partial trajectory attached as `last_valid`.
+    ydot = c1(t) X1(y) + c2(t) X2(y) with the rows (X1, X2) of
+    `velocity_rows`.  Each stage reads one frame per surface and works in
+    Python floats, with the operations and their order of the array form
+    c1 X1 + c2 X2 (the products with the zero entries included), so it
+    rounds as that form does.  The controls are read in one array call at
+    all stage times first, and converted to floats one step at a time.
+    Each accepted sample is written into one preallocated (n + 1, 5) array
+    and checked against both charts; a DomainError aborts with the partial
+    trajectory attached as `last_valid`.  More than MAX_STEPS steps is a
+    StepSizeError.
     """
     check_step(dt)
     steps = t_end / dt
     if not steps <= MAX_STEPS:
         raise StepSizeError(f"dt = {dt!r} divides T = {t_end!r} into {steps:.3g} steps,"
                             f" more than {MAX_STEPS}")
-    y = _as_point5(start)
     n_steps = max(1, int(round(steps)))
     dt = t_end / n_steps  # land on t_end exactly
     times = np.arange(n_steps + 1) * dt
     t = times[:-1]  # controls[k]: (c1, c2) at t, t + dt/2 and t + dt of step k
     controls = ctrl(np.stack([t, t + dt / 2.0, t + dt])).T
-    points = [y]
+    points = np.empty((n_steps + 1, 5))
+    points[0] = _as_point5(start)
+    y = points[0].tolist()
+    half, sixth = dt / 2.0, dt / 6.0
 
-    def f(c, state):
-        rows = field_rows(s1, s2, state, 2)
-        return c[0] * rows[0] + c[1] * rows[1]
+    def f(c, q):
+        x1, x2 = velocity_rows(s1.frame_data((q[0], q[1])), s2.frame_data((q[2], q[3])), q[4])
+        c1, c2 = c
+        return [c1 * a + c2 * b for a, b in zip(x1, x2)]
 
-    for k, (c_start, c_mid, c_end) in enumerate(controls):
+    for k in range(n_steps):
+        c_start, c_mid, c_end = controls[k].tolist()
         try:
             k1 = f(c_start, y)
-            k2 = f(c_mid, y + dt / 2.0 * k1)
-            k3 = f(c_mid, y + dt / 2.0 * k2)
-            k4 = f(c_end, y + dt * k3)
-            y = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            validate_point(s1, s2, y)
+            k2 = f(c_mid, [a + half * b for a, b in zip(y, k1)])
+            k3 = f(c_mid, [a + half * b for a, b in zip(y, k2)])
+            k4 = f(c_end, [a + dt * b for a, b in zip(y, k3)])
+            y = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                 for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+            points[k + 1] = y
+            validate_point(s1, s2, points[k + 1])
         except DomainError as exc:
-            exc.last_valid = Trajectory(times[: k + 1], np.array(points), ctrl, dt)
+            exc.last_valid = Trajectory(times[: k + 1], points[: k + 1], ctrl, dt)
             raise
-        points.append(y)
-    return Trajectory(times=times, points=np.array(points), control=ctrl, dt=dt)
+    return Trajectory(times=times, points=points, control=ctrl, dt=dt)
 
 
 class Diagnostics(NamedTuple):

@@ -4,7 +4,8 @@ No command of the package runs these: the constant-curvature quartic in
 factored form and the necessary condition of the 9:1 ratio, `g2_check`
 written one grid point at a time, the root classifier written one quartic
 at a time in Python arithmetic, the rows of the derived frame as the
-callables the numerical brackets differentiate, the pair symmetries and
+callables the numerical brackets differentiate, the RK4 roll with its stage
+in numpy arrays, the pair symmetries and
 Weyl traces of the oracle's curvature tensors, the curvature tensors by the
 long route through the raised Riemann tensor, the residuals of the profile
 equations, and the mesh checks (the algebraic identity of the eps = +-1
@@ -29,8 +30,10 @@ from rolling_twistor.cartan_invariants import (
     quartic_killing_case,
     root_type,
 )
-from rolling_twistor.distribution5 import field_rows
-from rolling_twistor.finitediff import fd_weights, sampled_derivative
+from rolling_twistor.distribution5 import _as_point5, field_rows, validate_point
+from rolling_twistor.errors import DomainError, StepSizeError
+from rolling_twistor.finitediff import check_step, fd_weights, sampled_derivative
+from rolling_twistor.rolling import MAX_STEPS, Trajectory
 from rolling_twistor.surfaces import Surface
 
 
@@ -138,6 +141,55 @@ def row_fields(s1, s2):
     """The rows X1..X5 of `field_rows` as callables of the chart point, for
     the finite-difference `lie_bracket`."""
     return tuple(lambda p, i=i: field_rows(s1, s2, p)[i] for i in range(5))
+
+
+def velocity_rows_by_arrays(s1, s2, y):
+    """The rows X1, X2 at the chart point y as a (2, 5) array, with cos phi
+    and sin phi from numpy."""
+    f1, f2, a2, _ = s1.frame_data((y[0], y[1]))
+    f3, f4, a4, _ = s2.frame_data((y[2], y[3]))
+    c, s = np.cos(y[4]), np.sin(y[4])
+    rows = np.zeros((2, 5))
+    rows[0] = f1, 0.0, c * f3, s * f4, a4 * s
+    rows[1] = 0.0, f2, -s * f3, c * f4, -a2 + a4 * c
+    return rows
+
+
+def integrate_by_arrays(s1, s2, start, ctrl, dt, t_end):
+    """`rolling.integrate` with its RK4 stage in numpy arrays: each stage
+    forms c1 X1 + c2 X2 from the (2, 5) rows of `velocity_rows_by_arrays`
+    and adds 5-vectors as arrays, and the accepted samples are kept in a
+    list."""
+    check_step(dt)
+    steps = t_end / dt
+    if not steps <= MAX_STEPS:
+        raise StepSizeError(f"dt = {dt!r} divides T = {t_end!r} into {steps:.3g} steps,"
+                            f" more than {MAX_STEPS}")
+    y = _as_point5(start)
+    n_steps = max(1, int(round(steps)))
+    dt = t_end / n_steps
+    times = np.arange(n_steps + 1) * dt
+    t = times[:-1]
+    controls = ctrl(np.stack([t, t + dt / 2.0, t + dt])).T
+    points = [y]
+
+    def f(c, state):
+        rows = velocity_rows_by_arrays(s1, s2, state)
+        return c[0] * rows[0] + c[1] * rows[1]
+
+    for k, (c_start, c_mid, c_end) in enumerate(controls):
+        try:
+            k1 = f(c_start, y)
+            k2 = f(c_mid, y + dt / 2.0 * k1)
+            k3 = f(c_mid, y + dt / 2.0 * k2)
+            k4 = f(c_end, y + dt * k3)
+            y = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            validate_point(s1, s2, y)
+        except DomainError as exc:
+            exc.last_valid = Trajectory(times[: k + 1], np.array(points), ctrl, dt)
+            raise
+        points.append(y)
+    return Trajectory(times=times, points=np.array(points), control=ctrl, dt=dt)
 
 
 def riemann_symmetry_residual(bundle):

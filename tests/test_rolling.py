@@ -1,8 +1,14 @@
 import math
 import re
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from references import integrate_by_arrays
 
 from rolling_twistor import rolling
 from rolling_twistor.errors import DomainError, SpecParseError, StepSizeError
@@ -10,12 +16,13 @@ from rolling_twistor.rolling import (
     ControlCurve,
     Trajectory,
     contact_arclengths,
+    diagnostics,
     export_trajectory,
     integrate,
     no_slip_residual,
     no_twist_residual,
 )
-from rolling_twistor.surfaces import G2Family, Hyperbolic, Plane, Sphere
+from rolling_twistor.surfaces import G2Family, Hyperbolic, Plane, RevolutionProfile, Sphere
 
 SPHERE = Sphere(1.0)
 PLANE = Plane()
@@ -126,6 +133,131 @@ class TestIntegrate:
                       dt, t_end)
 
 
+SURFACES = st.one_of(
+    st.builds(Plane, st.floats(0.5, 2.0)),
+    st.builds(Sphere, st.floats(0.5, 3.0)),
+    st.builds(Hyperbolic, st.floats(0.5, 3.0)),
+    st.builds(RevolutionProfile, st.floats(0.1, 2.0) | st.floats(-2.0, -0.1), st.floats(-1.0, 1.0)),
+    st.builds(G2Family, st.sampled_from((-1, 0, 1))),
+)
+ANGLES = st.floats(-math.pi, math.pi)
+SPEEDS = st.floats(-1.5, 1.5)
+
+
+@st.composite
+def chart_points(draw, surface):
+    """A chart point whose profile coordinate lies in the surface's default
+    range (which may still miss the chart of a profile surface)."""
+    lo, hi = surface.profile_range()
+    return [lo + draw(st.floats(0.0, 1.0)) * (hi - lo), draw(ANGLES)]
+
+
+@st.composite
+def rolls(draw):
+    """(s1, s2, start, controls, dt, T): the controls are ("constant", c1, c2)
+    or ("file", rows) with rows (c1, c2) at evenly spaced knots over [0, T]."""
+    s1, s2 = draw(SURFACES), draw(SURFACES)
+    start = draw(chart_points(s1)) + draw(chart_points(s2)) + [draw(ANGLES)]
+    t_end, dt = draw(st.floats(0.05, 0.6)), draw(st.floats(2e-3, 5e-2))
+    if draw(st.booleans()):
+        controls = ("constant", draw(SPEEDS), draw(SPEEDS))
+    else:
+        controls = ("file", draw(st.lists(st.tuples(SPEEDS, SPEEDS), min_size=2, max_size=21)))
+    return s1, s2, start, controls, dt, t_end
+
+
+def _control_curve(controls, t_end, folder):
+    if controls[0] == "constant":
+        return ControlCurve.constant(*controls[1:], t_end=t_end)
+    rows = controls[1]
+    path = Path(folder) / "ctrl.csv"
+    path.write_text("".join(f"{t_end * k / (len(rows) - 1)!r}, {c1!r}, {c2!r}\n"
+                            for k, (c1, c2) in enumerate(rows)))
+    return ControlCurve.from_file(path)
+
+
+def _outcome(integrator, *args):
+    """(trajectory, None) of a run, or (last_valid, (error type, message))
+    of a run that leaves a chart."""
+    try:
+        return integrator(*args), None
+    except DomainError as exc:
+        return exc.last_valid, (type(exc), str(exc))
+
+
+def _assert_same_trajectory(traj, ref):
+    assert traj.times.tobytes() == ref.times.tobytes()
+    assert traj.points.shape == ref.points.shape
+    assert traj.points.tobytes() == ref.points.tobytes()
+    assert traj.dt == ref.dt
+
+
+class TestFloatStage:
+    """The RK4 stage in Python floats rounds as the stage in numpy arrays."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(rolls())
+    def test_trajectory_equals_array_stage_bit_for_bit(self, roll):
+        s1, s2, start, controls, dt, t_end = roll
+        with tempfile.TemporaryDirectory() as folder:
+            ctrl = _control_curve(controls, t_end, folder)
+            args = (s1, s2, np.array(start), ctrl, dt, t_end)
+            traj, error = _outcome(integrate, *args)
+            ref, ref_error = _outcome(integrate_by_arrays, *args)
+        assert error == ref_error
+        _assert_same_trajectory(traj, ref)
+
+    def test_leaving_the_chart_stops_at_the_same_sample(self):
+        # rolling toward the pole leaves the sphere's polar chart mid-run
+        args = (SPHERE, PLANE, np.array([0.75, 0.2, 0.1, -0.3, 0.4]),
+                ControlCurve.constant(-1.0, 0.3), 1e-3, 1.0)
+        traj, error = _outcome(integrate, *args)
+        ref, ref_error = _outcome(integrate_by_arrays, *args)
+        assert error is not None and error == ref_error
+        assert 500 < len(ref) < 1000
+        _assert_same_trajectory(traj, ref)
+
+    def test_math_cos_sin_round_as_numpy(self):
+        # the hinge of the float stage: phi's cos and sin come from the math
+        # module, where the array stage took numpy's, on scalars and arrays
+        rng = np.random.default_rng(22)
+        x = np.concatenate([rng.uniform(-50.0, 50.0, 100_000),  # the angles a roll meets
+                            np.ldexp(rng.uniform(-1.0, 1.0, 100_000),  # every binade
+                                     rng.integers(-1074, 1024, 100_000))])
+        for f, g in ((math.cos, np.cos), (math.sin, np.sin)):
+            exact = np.array([f(v) for v in x.tolist()])
+            assert exact.tobytes() == g(x).tobytes()
+            assert exact.tobytes() == np.array([g(v) for v in x]).tobytes()
+
+
+class TestMemory:
+    SAMPLES = 40_000
+
+    def test_peak_bytes_per_sample(self):
+        # tracemalloc peaks of a sphere/plane roll: the float stage writes
+        # each sample into one (n + 1, 5) array (128 B per sample measured;
+        # 289 B with the array stage's list of samples) and the diagnostics
+        # gather their finite-difference windows in blocks (224 B measured;
+        # 456 B with one gather over all samples)
+        ctrl = ControlCurve.constant(0.3, 0.5)
+        start = np.array([1.2, 0.0, 0.0, 0.0, 0.0])
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            traj = integrate(SPHERE, PLANE, start, ctrl, 1.0 / self.SAMPLES, 1.0)
+            held, peak = tracemalloc.get_traced_memory()
+            integrate_bytes = peak - base
+            tracemalloc.reset_peak()
+            diagnostics(traj, SPHERE, PLANE)
+            diagnostics_bytes = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert len(traj) == self.SAMPLES + 1
+        assert integrate_bytes / len(traj) < 160.0
+        assert diagnostics_bytes / len(traj) < 300.0
+
+
 class TestNoSlip:
     def test_plane_on_plane_exact(self):
         traj = integrate(PLANE, PLANE, np.zeros(5), ControlCurve.constant(1.0, 0.3), 1e-2, 1.0)
@@ -204,14 +336,12 @@ class TestNoTwist:
     def test_fiber_violating_curve_has_large_residual(self, monkeypatch):
         # drop the fiber correction from the velocity fields: the motion
         # slides the contact frames against parallel transport
-        field_rows = rolling.field_rows
+        velocity_rows = rolling.velocity_rows
 
-        def bad(s1, s2, p, n):
-            rows = field_rows(s1, s2, p, n)
-            rows[:, 4] = 0.0
-            return rows
+        def bad(d1, d2, phi):
+            return tuple(row[:4] + (0.0,) for row in velocity_rows(d1, d2, phi))
 
-        monkeypatch.setattr(rolling, "field_rows", bad)
+        monkeypatch.setattr(rolling, "velocity_rows", bad)
         ctrl = ControlCurve.constant(0.0, 1.0)
         start = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
         traj = integrate(SPHERE, PLANE, start, ctrl, 1e-2, 1.0)
