@@ -25,7 +25,7 @@ from .distribution5 import _as_point5, validate_point, velocity_rows
 from .errors import DomainError, SpecParseError, StepSizeError
 from .finitediff import check_step, cumulative_integral, sampled_derivative
 
-MAX_STEPS = 10**6  # RK4 steps of one run; at the cap about a minute and 0.5 GB
+MAX_STEPS = 10**6  # RK4 steps of one run; a `roll` at the cap takes about 30 s and 0.5 GB
 
 
 @dataclass(frozen=True)
