@@ -306,7 +306,6 @@ class G2Report:
     rows: tuple
     max_scaled: float
     is_g2: bool
-    tol: float
 
     @property
     def verdict(self):
@@ -342,5 +341,4 @@ def g2_check(s1, lam, grid, tol=VANISH_TOL):
         keys[loud] = _tag_keys(mults)[inverse]
     quartics = map(CartanQuartic._make, coeffs.T.tolist())
     rows = tuple(map(G2Row, grid, jets.kappa.tolist(), quartics, scaled.tolist(), _TAGS[keys]))
-    return G2Report(rows=rows, max_scaled=float(np.max(scaled)), is_g2=bool(vanishes.all()),
-                    tol=tol)
+    return G2Report(rows=rows, max_scaled=float(np.max(scaled)), is_g2=bool(vanishes.all()))

@@ -68,7 +68,8 @@ def _parse_range(spec, name):
 
 @contextlib.contextmanager
 def _output(path):
-    """The -o file, or stdout when none is given."""
+    """The -o file, or stdout when none is given: the one place a command
+    opens its output, after it has computed what it writes."""
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             yield fh
@@ -258,7 +259,9 @@ def cmd_embed(args):
         lo, hi = (_finite(t) for t in args.rho_range.split(":"))
     except (ValueError, argparse.ArgumentTypeError):
         raise SpecParseError(f"--rho-range expects numeric lo:hi, got {args.rho_range!r}") from None
-    emb.emit_mesh(family, (lo, hi), args.nr, args.nphi, args.output or sys.stdout)
+    mesh = emb.build_mesh(family, (lo, hi), args.nr, args.nphi)  # fails before -o is opened
+    with _output(args.output) as fh:
+        emb.emit_mesh(mesh, fh)
     return EXIT_OK
 
 

@@ -8,12 +8,12 @@ terms of the surface frame data (X1, X2, X3) and jets (X4, X5), and away
 from curvature-matching points the five fields frame the space (rank growth
 2, 3, 5).  `velocity_rows` is the one formula of X1, X2: two tuples of
 floats from the two surfaces' frame data and phi, which the RK4 stage of
-rolling calls directly.  `field_rows` writes the rows X1..Xn at a point
-from one read per surface, taking its first two rows from `velocity_rows`,
-and is defined at equal curvatures too; `growth_vector` ranks all five.
-`velocity_fields` views the first two rows as callables, and the
-finite-difference `lie_bracket` is the tests' numerical reference for the
-closed forms.
+rolling calls directly.  `field_rows` writes the five rows X1..X5 at a
+point from one jet per surface, taking its first two rows from
+`velocity_rows`, and is defined at equal curvatures too; `growth_vector`
+ranks them.  `velocity_fields` views the first two rows as callables, and
+the finite-difference `lie_bracket` is the tests' numerical reference for
+the closed forms.
 """
 
 from __future__ import annotations
@@ -55,8 +55,8 @@ def velocity_rows(d1, d2, phi):
     return (f1, 0.0, c * f3, s * f4, a4 * s), (0.0, f2, -s * f3, c * f4, -a2 + a4 * c)
 
 
-def field_rows(s1, s2, p, n=5):
-    """Rows X1..Xn (n = 2, 3 or 5) of the derived frame at p.
+def field_rows(s1, s2, p):
+    """Rows X1..X5 of the derived frame at p.
 
     The surfaces' frame data give the orthonormal frames e1 = f1 d/dx,
     e2 = f2 d/dy with [e1, e2] = a2 e2 and curvature kappa, and e3 = f3 d/du,
@@ -68,38 +68,30 @@ def field_rows(s1, s2, p, n=5):
     expanded with no division by lambda - kappa, so they stay defined where
     the curvatures meet; they use that the e2-derivatives of both curvatures
     vanish and that e1(a2) = kappa + a2^2 (the structure identity of the
-    curvature).  The rows read one jet per surface for n = 5, whose leading
-    fields are the frame data, and one `frame_data` per surface otherwise;
-    rows 0 and 1 are those of `velocity_rows`.
+    curvature).  The rows read one jet per surface, whose leading fields are
+    the frame data; rows 0 and 1 are those of `velocity_rows`.
     """
-    if n not in (2, 3, 5):
-        raise ValueError(f"field_rows writes 2, 3 or 5 rows, not {n}")
     a = _as_point5(p)
-    q1, q2 = (a[0], a[1]), (a[2], a[3])
-    d1 = s1.jet(q1) if n == 5 else s1.frame_data(q1)
-    d2 = s2.jet(q2) if n == 5 else s2.frame_data(q2)
-    rows = np.zeros((n, 5))
+    d1, d2 = s1.jet((a[0], a[1])), s2.jet((a[2], a[3]))
+    rows = np.zeros((5, 5))
     rows[0], rows[1] = velocity_rows(d1, d2, a[4])
-    if n == 2:
-        return rows
     a2, kappa = d1[2:4]
     f3, f4, a4, lam = d2[:4]
     rows[2] = a2 * rows[1]
     rows[2, 4] += lam - kappa
-    if n == 5:
-        c, s = math.cos(a[4]), math.sin(a[4])
-        k1, lam1 = d1.kappa1, d2.kappa1
-        dl = lam - kappa
-        # the X3-coefficient a2 comes from expanding a2 [X1, X2]
-        rows[3] = (kappa + a2 * a2) * rows[1] + a2 * rows[2]
-        rows[3, 2:] += dl * (s * f3), dl * (-c * f4), c * lam1 - k1 - dl * a4 * c
-        rows[4, 2:] = dl * (c * f3), dl * (s * f4), (dl * a4 - lam1) * s
+    c, s = math.cos(a[4]), math.sin(a[4])
+    k1, lam1 = d1.kappa1, d2.kappa1
+    dl = lam - kappa
+    # the X3-coefficient a2 comes from expanding a2 [X1, X2]
+    rows[3] = (kappa + a2 * a2) * rows[1] + a2 * rows[2]
+    rows[3, 2:] += dl * (s * f3), dl * (-c * f4), c * lam1 - k1 - dl * a4 * c
+    rows[4, 2:] = dl * (c * f3), dl * (s * f4), (dl * a4 - lam1) * s
     return rows
 
 
 def velocity_fields(s1, s2):
     """The velocity fields (X1, X2) of `field_rows` as callables."""
-    return tuple(lambda p, i=i: field_rows(s1, s2, p, 2)[i] for i in range(2))
+    return tuple(lambda p, i=i: field_rows(s1, s2, p)[i] for i in range(2))
 
 
 def curvature_scale(kappa, lam):

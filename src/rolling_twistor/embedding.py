@@ -12,10 +12,10 @@ the range without a substitution; a mesh integrates each row interval once
 and accumulates.
 
 `build_mesh` samples the embedded surface on a grid, one height per profile
-row, and `emit_mesh` writes it as text; these are what the `embed` command
-runs.  The checks of a mesh (the algebraic identity, the induced metric and
-the Gauss curvature by finite differences) are test references and live
-with the tests.
+row, and `emit_mesh` writes a built mesh as text to an open handle; these
+are what the `embed` command runs.  The checks of a mesh (the algebraic
+identity, the induced metric and the Gauss curvature by finite differences)
+are test references and live with the tests.
 """
 
 from __future__ import annotations
@@ -144,39 +144,26 @@ def build_mesh(family, rho_range, nr, nphi):
     return RevolutionMesh(family_tag=family.kind, eps=eps, rho=rho, phi=phi, xyz=xyz)
 
 
-def emit_mesh(family, rho_range, nr, nphi, destination):
-    """Write the mesh in the plain-text grid format.
+def emit_mesh(mesh, fh):
+    """Write the mesh in the plain-text grid format to the open text handle fh.
 
     Header `# family=<tag> eps=<v> nr=<n> nphi=<m>`, vertex rows `i j X Y Z`,
     then quad rows `q i1 i2 i3 i4` (flat vertex index = i * nphi + j).
-    Domain errors are raised before anything is written.
     """
-    mesh = build_mesh(family, rho_range, nr, nphi)
-    close = False
-    if isinstance(destination, (str, bytes)):
-        fh = open(destination, "w", encoding="utf-8")
-        close = True
-    else:
-        fh = destination
-    try:
-        eps = mesh.eps if mesh.eps is not None else "none"
-        fh.write(f"# family={mesh.family_tag} eps={eps} nr={nr} nphi={nphi}\n")
-        # one write per profile row.  Z is constant along a row and i, j come
-        # from the grid, so they are written into the row template and only X
-        # and Y go through %.17g
-        cells = [f" {j} %.17g %.17g" for j in range(nphi)]
-        for i, z in enumerate(mesh.xyz[:, 0, 2].tolist()):
-            tail = f" {z:.17g}\n"
-            row = f"{i}" + f"{tail}{i}".join(cells) + tail
-            fh.write(row % tuple(mesh.xyz[i, :, :2].ravel().tolist()))
-        # quad (i, j) is [v, v + nphi, v + nphi + 1, v + 1] with v = i * nphi + j
-        j = np.arange(nphi - 1)
-        stencil = np.stack([j, j + nphi, j + nphi + 1, j + 1], axis=1).ravel()
-        quad_row = "q %d %d %d %d\n" * (nphi - 1)
-        for i in range(nr - 1):
-            fh.write(quad_row % tuple((stencil + i * nphi).tolist()))
-    finally:
-        if close:
-            fh.close()
-    return mesh
-
+    nr, nphi = mesh.xyz.shape[:2]
+    eps = mesh.eps if mesh.eps is not None else "none"
+    fh.write(f"# family={mesh.family_tag} eps={eps} nr={nr} nphi={nphi}\n")
+    # one write per profile row.  Z is constant along a row and i, j come
+    # from the grid, so they are written into the row template and only X
+    # and Y go through %.17g
+    cells = [f" {j} %.17g %.17g" for j in range(nphi)]
+    for i, z in enumerate(mesh.xyz[:, 0, 2].tolist()):
+        tail = f" {z:.17g}\n"
+        row = f"{i}" + f"{tail}{i}".join(cells) + tail
+        fh.write(row % tuple(mesh.xyz[i, :, :2].ravel().tolist()))
+    # quad (i, j) is [v, v + nphi, v + nphi + 1, v + 1] with v = i * nphi + j
+    j = np.arange(nphi - 1)
+    stencil = np.stack([j, j + nphi, j + nphi + 1, j + 1], axis=1).ravel()
+    quad_row = "q %d %d %d %d\n" * (nphi - 1)
+    for i in range(nr - 1):
+        fh.write(quad_row % tuple((stencil + i * nphi).tolist()))

@@ -30,11 +30,5 @@ class QuadratureError(RollingTwistorError):
 
 class SpecParseError(RollingTwistorError, ValueError):
     """A surface spec string, control file, or CLI grid spec failed to parse.
-
-    `position` carries the character index (or line number for files) of the
-    offending token when known.
-    """
-
-    def __init__(self, message, position=None):
-        super().__init__(message)
-        self.position = position
+    The message names the offending token and, when known, its character
+    position in the spec or its line in the file."""

@@ -1,10 +1,11 @@
 """Finite differences and quadrature for the whole package.
 
 Fornberg stencils let the trajectory diagnostics differentiate sampled data
-well below the integrator's own error order (the tests' mesh checks use
-them too); the integrator checks its step with `check_step`, and the
-oracle's metric derivatives and the reference brackets of `distribution5`
-use `richardson`.  `tanh_sinh` integrates functions given in closed form,
+well below the integrator's own error order: `sampled_derivative` is a fixed
+7-point first derivative and `cumulative_integral` a fixed 4-point rule (the
+tests' mesh checks use them too).  The integrator checks its step with
+`check_step`, and the oracle's metric derivatives and the reference brackets
+of `distribution5` use `richardson`.  `tanh_sinh` integrates functions given in closed form,
 such as the embedding heights, to near machine precision, including
 square-root branch points at an endpoint.
 """
@@ -68,22 +69,20 @@ def fd_weights(nodes, x0, m):
     return c
 
 
-def sampled_derivative(values, dt, order=6, deriv=1):
-    """Derivative of uniformly sampled data along axis 0.
+def sampled_derivative(values, dt):
+    """First derivative of uniformly sampled data along axis 0.
 
-    Uses centered (order+1)-point stencils in the interior and shifted
+    Uses centered 7-point stencils (6th order) in the interior and shifted
     stencils of the same width near the boundary, so the accuracy order is
     uniform across the sample range.  Every sample's window is contracted
-    with its row of the stencil table, which is built once per
-    (width, deriv) and kept read-only (see `_windowed_sums`).
+    with its row of the stencil table, which is built once per width and
+    kept read-only (see `_windowed_sums`).
     """
     y = np.asarray(values, dtype=float)
     n = y.shape[0]
-    width = min(order + 1, n)
-    if width <= deriv:
-        raise ValueError("not enough samples for the requested derivative")
-    out = _windowed_sums(y, n, width, width // 2, _stencil_table(width, deriv).T)
-    out /= dt**deriv
+    width = min(7, n)  # fewer than 2 samples: `fd_weights` raises ValueError
+    out = _windowed_sums(y, n, width, width // 2, _stencil_table(width).T)
+    out /= dt
     return out
 
 
@@ -109,10 +108,10 @@ def _windowed_sums(y, m, width, back, table):
 
 
 @functools.cache
-def _stencil_table(width, deriv):
-    """Column s: `fd_weights` of the deriv-th derivative at node s of 0..width-1."""
+def _stencil_table(width):
+    """Column s: `fd_weights` of the first derivative at node s of 0..width-1."""
     offsets = np.arange(width, dtype=float)
-    table = fd_weights(offsets, offsets, deriv)[:, deriv]
+    table = fd_weights(offsets, offsets, 1)[:, 1]
     table.flags.writeable = False
     return table
 
@@ -137,16 +136,16 @@ def _interval_weights(nodes, a, b):
     return np.linalg.solve(vand, moments)
 
 
-def cumulative_integral(values, dt, order=4):
+def cumulative_integral(values, dt):
     """Cumulative integral of uniformly sampled data (4th-order accurate).
 
-    Each interval [t_k, t_{k+1}] is integrated with the local degree-(order-1)
-    interpolant through `order` neighbouring samples (`_windowed_sums` over
-    all intervals), then one running sum.
+    Each interval [t_k, t_{k+1}] is integrated with the local cubic
+    interpolant through 4 neighbouring samples (`_windowed_sums` over all
+    intervals), then one running sum.
     """
     y = np.asarray(values, dtype=float)
     n = y.shape[0]
-    width = min(order, n)
+    width = min(4, n)
     steps = _windowed_sums(y, n - 1, width, (width - 1) // 2, _interval_table(width))
     steps *= dt
     out = np.zeros((n,) + y.shape[1:])

@@ -132,17 +132,7 @@ def _check_scale(s0):
 
 def _is_stack(p):
     """True for a stack of chart points: a pair of 1-D coordinate arrays."""
-    if isinstance(p, np.ndarray):
-        return p.ndim == 2
     return isinstance(p, (tuple, list)) and isinstance(p[0], np.ndarray)
-
-
-def _profile_coordinate(p):
-    """First coordinate of a chart point; a bare number is that coordinate."""
-    try:
-        return p[0]
-    except (TypeError, IndexError):
-        return float(p)
 
 
 def _each_point(p, fn):
@@ -310,7 +300,7 @@ class _RevolutionBase(Surface):
         return self.beta + self.alpha * rho * rho
 
     def validate(self, p):
-        rho = float(_profile_coordinate(p))  # a float overflows to inf without a warning
+        rho = float(p[0])  # a float overflows to inf without a warning
         if rho <= 0:
             raise DomainError(f"revolution chart requires rho > 0, got {rho}")
         h = self.h(rho)
@@ -345,7 +335,7 @@ class _RevolutionBase(Surface):
                 _each_point(p, self.validate)  # the first point outside raises
             return rho
         self.validate(p)
-        return _profile_coordinate(p)
+        return p[0]
 
     def _frame(self, rho):
         """Frame data at the profile coordinate rho of a valid chart point, or
@@ -425,7 +415,7 @@ class G2Family(_RevolutionBase):
         return super()._inside(rho) & ((self.eps != -1) | (rho > 1.0))
 
     def validate(self, p):
-        rho = _profile_coordinate(p)
+        rho = p[0]
         if self.eps == -1 and rho <= 1.0:
             raise DomainError(
                 f"the eps=-1 family is restricted to rho > 1 (frame degenerates at 1), got {rho}"
@@ -509,10 +499,10 @@ def parse_surface(spec):
     """
     m = _SPEC_RE.match(spec.strip())
     if not m:
-        raise SpecParseError(f"unparseable surface spec {spec!r}", position=0)
+        raise SpecParseError(f"unparseable surface spec {spec!r}")
     kind = m.group("kind")
     if kind not in _SPEC_KEYS:
-        raise SpecParseError(f"unknown surface family {kind!r} in {spec!r}", position=0)
+        raise SpecParseError(f"unknown surface family {kind!r} in {spec!r}")
     allowed = _SPEC_KEYS[kind]
     kv = {}
     tokens = []  # (item, position, value) per key=value
@@ -521,30 +511,22 @@ def parse_surface(spec):
         pos = len(kind) + 1
         for item in args.split(","):
             if "=" not in item:
-                raise SpecParseError(
-                    f"expected key=value at position {pos} in {spec!r}", position=pos
-                )
+                raise SpecParseError(f"expected key=value at position {pos} in {spec!r}")
             key, _, val = item.partition("=")
             key = key.strip()
             if key not in allowed:
                 raise SpecParseError(
-                    f"unknown key {key!r} for family {kind!r} at position {pos} in {spec!r}",
-                    position=pos,
-                )
+                    f"unknown key {key!r} for family {kind!r} at position {pos} in {spec!r}")
             if key in kv:
-                raise SpecParseError(
-                    f"repeated key in {item!r} at position {pos} in {spec!r}", position=pos
-                )
+                raise SpecParseError(f"repeated key in {item!r} at position {pos} in {spec!r}")
             try:
                 kv[key] = float(val)
             except ValueError:
                 raise SpecParseError(
-                    f"bad numeric value {val!r} at position {pos} in {spec!r}", position=pos
-                ) from None
+                    f"bad numeric value {val!r} at position {pos} in {spec!r}") from None
             if not math.isfinite(kv[key]):
                 raise SpecParseError(
-                    f"non-finite value in {item!r} at position {pos} in {spec!r}", position=pos
-                )
+                    f"non-finite value in {item!r} at position {pos} in {spec!r}")
             tokens.append((item, pos, kv[key]))
             pos += len(item) + 1
     try:
@@ -562,14 +544,14 @@ def parse_surface(spec):
                 raise ValueError("eps must be an integer")
             surface = G2Family(int(eps))
     except KeyError as exc:
-        raise SpecParseError(f"missing key {exc.args[0]!r} in {spec!r}", position=0) from None
+        raise SpecParseError(f"missing key {exc.args[0]!r} in {spec!r}") from None
     except ValueError as exc:
-        raise SpecParseError(f"invalid parameters in {spec!r}: {exc}", position=0) from None
+        raise SpecParseError(f"invalid parameters in {spec!r}: {exc}") from None
     if tokens and kind != "plane" and not _curvature_representable(surface):
         # name the value of the largest binary exponent in magnitude
         item, pos, _ = max(tokens, key=lambda t: abs(math.frexp(t[2])[1]))
-        msg = f"curvature overflows or underflows for {item!r} at position {pos} in {spec!r}"
-        raise SpecParseError(msg, position=pos)
+        raise SpecParseError(
+            f"curvature overflows or underflows for {item!r} at position {pos} in {spec!r}")
     return surface
 
 

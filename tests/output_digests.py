@@ -67,10 +67,10 @@ def digest(code, stdout, stderr):
     return hashlib.sha256(json.dumps([code, stdout, stderr]).encode()).hexdigest()
 
 
-def digests(workloads, seeds, rounds=1):
-    """{job id: digest} of every job of the workloads and seeds."""
+def run_jobs(workloads, seeds, rounds=1):
+    """(job id, (exit code, stdout, stderr)) of every job of the workloads
+    and seeds, in order, each run by `run_job` in a temporary directory."""
     wl = load_workloads()
-    out = {}
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
@@ -81,11 +81,14 @@ def digests(workloads, seeds, rounds=1):
                         for i, job in enumerate(jobs):
                             for name, text in job.files.items():
                                 Path(name).write_text(text, encoding="utf-8")
-                            job_id = f"{workload}:{seed}:{r}:{i}:{job.template}"
-                            out[job_id] = digest(*run_job(job.argv))
+                            yield f"{workload}:{seed}:{r}:{i}:{job.template}", run_job(job.argv)
         finally:
             os.chdir(cwd)
-    return out
+
+
+def digests(workloads, seeds, rounds=1):
+    """{job id: digest} of every job of the workloads and seeds."""
+    return {job_id: digest(*result) for job_id, result in run_jobs(workloads, seeds, rounds)}
 
 
 def compare(a, b):

@@ -76,7 +76,7 @@ def g2_check_by_rows(s1, lam, grid, tol=VANISH_TOL):
         tag = "zero" if scaled < tol else root_type(q).tag
         rows.append(G2Row(point=tuple(p), kappa=kappa, quartic=q, scaled_max=scaled,
                           root_tag=tag))
-    return G2Report(rows=tuple(rows), max_scaled=worst, is_g2=worst < tol, tol=tol)
+    return G2Report(rows=tuple(rows), max_scaled=worst, is_g2=worst < tol)
 
 
 def classify_roots(roots, inf_mult):
@@ -281,7 +281,7 @@ def reciprocal_ode_residual(x1, x2, x3, rho):
     return x3 * rho**2 + x2 * rho - x1
 
 
-RHO_ORDER = 6  # centered 7-point stencil along the profile direction
+RHO_ORDER = 6  # of the centred 7-point stencil of `sampled_derivative`, along the profile
 RHO_MARGIN = RHO_ORDER // 2
 PHI_STENCIL = 13  # periodic stencil along the angle, exact to high order
 
@@ -316,13 +316,13 @@ def _mesh_phi_derivative(mesh, values):
     dphi = float(mesh.phi[1] - mesh.phi[0])
     if abs((mesh.phi[-1] - mesh.phi[0]) - 2.0 * math.pi) < 1e-12:  # full circle
         return _phi_derivative(values, dphi)
-    return np.swapaxes(sampled_derivative(np.swapaxes(values, 0, 1), dphi, order=RHO_ORDER), 0, 1)
+    return np.swapaxes(sampled_derivative(np.swapaxes(values, 0, 1), dphi), 0, 1)
 
 
 def _grid_partials(mesh):
     """FD tangents X_rho, X_phi over the grid."""
     drho = float(mesh.rho[1] - mesh.rho[0])
-    return sampled_derivative(mesh.xyz, drho, order=RHO_ORDER), _mesh_phi_derivative(mesh, mesh.xyz)
+    return sampled_derivative(mesh.xyz, drho), _mesh_phi_derivative(mesh, mesh.xyz)
 
 
 def induced_metric_residual(mesh, h_of_rho):
@@ -354,8 +354,8 @@ def mesh_gauss_curvature(mesh, margin=2 * RHO_MARGIN):
     centered nested stencils."""
     drho = float(mesh.rho[1] - mesh.rho[0])
     x_r, x_p = _grid_partials(mesh)
-    x_rr = sampled_derivative(x_r, drho, order=RHO_ORDER)
-    x_rp = sampled_derivative(x_p, drho, order=RHO_ORDER)
+    x_rr = sampled_derivative(x_r, drho)
+    x_rp = sampled_derivative(x_p, drho)
     x_pp = _mesh_phi_derivative(mesh, x_p)
     normal = np.cross(x_r, x_p)
     normal = normal / np.linalg.norm(normal, axis=2, keepdims=True)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import sympy as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from references import necessary_condition_residual, quartic_constant
@@ -109,7 +110,6 @@ class TestSymbolicQuartic:
         return sp.simplify(sp.nsimplify(expr, rational=True))
 
     def test_revolution_profile_on_plane_vanishes_identically(self):
-        sp = pytest.importorskip("sympy")
         alpha, beta, rho = sp.symbols("alpha beta rho")
         h = beta + alpha * rho**2
         derivs = [2 * alpha / h**3]
@@ -120,7 +120,6 @@ class TestSymbolicQuartic:
             assert self._exact(sp, A) == 0
 
     def test_constant_curvature_factorisation(self):
-        sp = pytest.importorskip("sympy")
         kappa, lam, a2 = sp.symbols("kappa lambda a2")
         quartic = _killing_coefficients(SurfaceJet(1.0, 1.0, a2, kappa, 0.0, 0.0, 0.0, 0.0), lam)
         P = (kappa - 9 * lam) * (kappa - lam) ** 4 * (9 * kappa - lam)

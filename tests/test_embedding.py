@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from references import algebraic_residual, induced_metric_residual, load_mesh, mesh_gauss_curvature
 
+from rolling_twistor.cli import main
 from rolling_twistor.embedding import RevolutionMesh, build_mesh, emit_mesh
 from rolling_twistor.errors import DomainError
 from rolling_twistor.surfaces import G2Family, RevolutionProfile
@@ -229,10 +230,18 @@ class TestMeshes:
         assert np.all(K < 0)
 
 
+def write_mesh(path, family, rho_range, nr, nphi):
+    """`build_mesh` of the arguments, written by `emit_mesh` to the file at path."""
+    mesh = build_mesh(family, rho_range, nr, nphi)
+    with open(path, "w", encoding="utf-8") as fh:
+        emit_mesh(mesh, fh)
+    return mesh
+
+
 class TestEmitMesh:
     def test_file_format_and_vertex_count(self, tmp_path):
         out = tmp_path / "mesh.txt"
-        mesh = emit_mesh(G2Family(1), (0.0, 2.0), 32, 32, str(out))
+        mesh = write_mesh(out, G2Family(1), (0.0, 2.0), 32, 32)
         assert mesh.n_vertices == 1024
         lines = out.read_text().splitlines()
         assert lines[0] == "# family=g2 eps=1 nr=32 nphi=32"
@@ -243,23 +252,26 @@ class TestEmitMesh:
 
     def test_round_trip(self, tmp_path):
         out = tmp_path / "mesh.txt"
-        mesh = emit_mesh(G2Family(-1), (1.5, 2.5), 8, 6, str(out))
+        mesh = write_mesh(out, G2Family(-1), (1.5, 2.5), 8, 6)
         fields, verts, quads = load_mesh(str(out))
         assert fields["family"] == "g2"
         assert np.allclose(verts, mesh.xyz, rtol=1e-15)
         assert len(quads) == 7 * 5
 
     def test_domain_error_writes_nothing(self, tmp_path):
+        # the mesh fails to build, and `embed` builds it before it opens -o
         out = tmp_path / "nope.txt"
         with pytest.raises(DomainError):
-            emit_mesh(G2Family(-1), (1.0, 2.0), 8, 8, str(out))
+            build_mesh(G2Family(-1), (1.0, 2.0), 8, 8)
+        assert main(["embed", "--family", "g2:eps=-1", "--rho-range", "1:2", "--nr", "8",
+                     "--nphi", "8", "-o", str(out)]) == 3
         assert not out.exists()
 
     def test_figure_family_mesh(self, tmp_path):
         # the negative-curvature portion rho in [0.5, 2] of the homothetic
         # family; the upper endpoint is the branch point of the height
         out = tmp_path / "neg.txt"
-        emit_mesh(NEGATIVE, (0.5, 2.0), 16, 16, str(out))
+        write_mesh(out, NEGATIVE, (0.5, 2.0), 16, 16)
         fields, verts, _ = load_mesh(str(out))
         assert fields["family"] == "profile"
         assert verts.shape == (16, 16, 3)
@@ -268,7 +280,7 @@ class TestEmitMesh:
         # build_mesh integrates heights from the range start; the dedicated
         # origin-based embedding must agree up to that constant offset
         out = tmp_path / "neg2.txt"
-        mesh = emit_mesh(NEGATIVE, (0.5, 1.9), 9, 4, str(out))
+        mesh = write_mesh(out, NEGATIVE, (0.5, 1.9), 9, 4)
         z0 = heights(NEGATIVE, 0.0, 0.5)[-1]
         for i, rho in enumerate(mesh.rho):
             z_origin = heights(NEGATIVE, 0.0, rho)[-1]
@@ -287,7 +299,8 @@ class TestEmitMesh:
     def test_rows_equal_one_line_per_vertex_and_quad(self, family, rho_range, nr, nphi):
         # reference: every vertex and quad line formatted on its own
         out = io.StringIO()
-        mesh = emit_mesh(family, rho_range, nr, nphi, out)
+        mesh = build_mesh(family, rho_range, nr, nphi)
+        emit_mesh(mesh, out)
         eps = "none" if mesh.eps is None else mesh.eps
         lines = [f"# family={mesh.family_tag} eps={eps} nr={nr} nphi={nphi}"]
         for i in range(nr):
@@ -303,6 +316,6 @@ class TestEmitMesh:
     def test_byte_determinism(self, tmp_path):
         a = tmp_path / "a.txt"
         b = tmp_path / "b.txt"
-        emit_mesh(G2Family(0), (1.1, 2.0), 12, 10, str(a))
-        emit_mesh(G2Family(0), (1.1, 2.0), 12, 10, str(b))
+        write_mesh(a, G2Family(0), (1.1, 2.0), 12, 10)
+        write_mesh(b, G2Family(0), (1.1, 2.0), 12, 10)
         assert a.read_bytes() == b.read_bytes()

@@ -32,7 +32,7 @@ def test_sampled_derivative_accuracy():
     dt = 1e-2
     t = np.arange(0.0, 2.0 + dt / 2, dt)
     y = np.sin(3.0 * t)
-    dy = sampled_derivative(y, dt, order=6)
+    dy = sampled_derivative(y, dt)
     assert np.max(np.abs(dy - 3.0 * np.cos(3.0 * t))) < 1e-9
 
 
@@ -40,7 +40,7 @@ def test_sampled_derivative_vector_valued():
     dt = 1e-2
     t = np.arange(0.0, 1.0 + dt / 2, dt)
     y = np.stack([t**3, np.exp(t)], axis=1)
-    dy = sampled_derivative(y, dt, order=6)
+    dy = sampled_derivative(y, dt)
     assert np.max(np.abs(dy[:, 0] - 3 * t**2)) < 1e-11
     assert np.max(np.abs(dy[:, 1] - np.exp(t))) < 1e-10
 
@@ -70,25 +70,25 @@ def test_too_few_nodes_raises():
         fd_weights(np.array([0.0, 1.0]), 0.0, 2)
 
 
-def reference_sampled_derivative(y, dt, order, deriv):
+def reference_sampled_derivative(y, dt):
     """One Fornberg solve and one dot product per sample, the textbook form
-    of the shifted stencils; and per sample the sum of the terms' moduli,
-    sum_s |w_s y_s| / dt^deriv, the size of the rounding of that sum."""
+    of the shifted 7-point stencils; and per sample the sum of the terms'
+    moduli, sum_s |w_s y_s| / dt, the size of the rounding of that sum."""
     n = y.shape[0]
-    width = min(order + 1, n)
+    width = min(7, n)
     out, size = np.empty_like(y), np.empty_like(y)
     for i in range(n):
         lo = min(max(i - width // 2, 0), n - width)
-        w = fd_weights(np.arange(width, dtype=float), float(i - lo), deriv)[:, deriv]
-        out[i] = np.tensordot(w, y[lo : lo + width], axes=(0, 0)) / dt**deriv
-        size[i] = np.tensordot(np.abs(w), np.abs(y[lo : lo + width]), axes=(0, 0)) / dt**deriv
+        w = fd_weights(np.arange(width, dtype=float), float(i - lo), 1)[:, 1]
+        out[i] = np.tensordot(w, y[lo : lo + width], axes=(0, 0)) / dt
+        size[i] = np.tensordot(np.abs(w), np.abs(y[lo : lo + width]), axes=(0, 0)) / dt
     return out, size
 
 
-def reference_cumulative_integral(y, dt, order):
-    # one moment solve and one dot product per interval
+def reference_cumulative_integral(y, dt):
+    # one moment solve and one dot product per interval of the 4-point rule
     n = y.shape[0]
-    width = min(order, n)
+    width = min(4, n)
     out = np.zeros(y.shape)
     acc = np.zeros(y.shape[1:]) if y.ndim > 1 else 0.0
     for k in range(n - 1):
@@ -116,18 +116,14 @@ def test_stencil_tables_equal_per_sample_solves(n, shape):
     rng = np.random.default_rng(n)
     y = rng.standard_normal((n, *shape))
     dt = 0.037
-    for order, deriv in ((6, 1), (4, 2), (1, 1)):
-        if min(order + 1, n) <= deriv:
-            continue
-        ref, size = reference_sampled_derivative(y, dt, order, deriv)
-        got = sampled_derivative(y, dt, order=order, deriv=deriv)
-        assert np.all(np.abs(got - ref) <= 8 * EPS * size)
+    ref, size = reference_sampled_derivative(y, dt)
+    got = sampled_derivative(y, dt)
+    assert np.all(np.abs(got - ref) <= 8 * EPS * size)
     k = np.arange(n).reshape((n,) + (1,) * len(shape))
-    for order in (4, 2):
-        ref = reference_cumulative_integral(y, dt, order)
-        got = cumulative_integral(y, dt, order=order)
-        assert got[0].tolist() == np.zeros(shape).tolist()
-        assert np.all(np.abs(got - ref) <= 4 * EPS * k * dt * np.max(np.abs(y)))
+    ref = reference_cumulative_integral(y, dt)
+    got = cumulative_integral(y, dt)
+    assert got[0].tolist() == np.zeros(shape).tolist()
+    assert np.all(np.abs(got - ref) <= 4 * EPS * k * dt * np.max(np.abs(y)))
 
 
 def _polynomial_samples(coeffs, n, dt):
@@ -139,7 +135,6 @@ def _polynomial_samples(coeffs, n, dt):
 
 
 polynomial_cases = dict(
-    order=st.sampled_from([2, 4, 6]),
     coeffs=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=7),
     n=st.integers(8, 100),
     dt=st.floats(1e-3, 1.0),
@@ -148,27 +143,29 @@ polynomial_cases = dict(
 
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(**polynomial_cases)
-def test_sampled_derivative_is_exact_on_polynomials_of_degree_up_to_order(order, coeffs, n, dt):
-    # an (order+1)-point stencil differentiates degree <= order exactly, so
+def test_sampled_derivative_is_exact_on_polynomials_of_degree_up_to_order(coeffs, n, dt):
+    # the 7-point stencil differentiates degree <= order = 6 exactly, so
     # what is left is rounding: each sample's (up to order + 2 eps of the
     # bound, or units of TINY among subnormals), amplified by the largest sum
     # of |weights| of a stencil, over dt
+    order = 6
     p, t, size = _polynomial_samples(coeffs[: order + 1], n, dt)
     nodes = np.arange(order + 1.0)
     gain = np.abs(fd_weights(nodes, nodes, 1)[:, 1]).sum(axis=0).max()
-    err = np.abs(sampled_derivative(p(t), dt, order=order) - p.deriv()(t))
+    err = np.abs(sampled_derivative(p(t), dt) - p.deriv()(t))
     assert np.max(err) <= gain * (order + 2) * (EPS * size + TINY) / dt
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(**polynomial_cases)
-def test_cumulative_integral_is_exact_on_polynomials_of_degree_below_order(order, coeffs, n, dt):
-    # the interval rule integrates degree <= order - 1 exactly; the samples'
-    # and the reference's rounding add about 2 order eps per unit of the
-    # bound (or units of TINY among subnormals), and the running sum up to
-    # n / 2 eps more
+def test_cumulative_integral_is_exact_on_polynomials_of_degree_below_order(coeffs, n, dt):
+    # the 4-point interval rule integrates degree <= order - 1 = 3 exactly;
+    # the samples' and the reference's rounding add about 2 order eps per
+    # unit of the bound (or units of TINY among subnormals), and the running
+    # sum up to n / 2 eps more
+    order = 4
     p, t, size = _polynomial_samples(coeffs[:order], n, dt)
-    err = np.abs(cumulative_integral(p(t), dt, order=order) - p.integ()(t))
+    err = np.abs(cumulative_integral(p(t), dt) - p.integ()(t))
     assert np.max(err) <= (2 * order + n) * n * (EPS * dt * size + TINY)
 
 
@@ -182,7 +179,7 @@ def test_sampled_derivative_makes_one_fornberg_call(monkeypatch):
 
     monkeypatch.setattr(finitediff, "fd_weights", counting)
     finitediff._stencil_table.cache_clear()  # an earlier test may have built the table
-    sampled_derivative(np.zeros(101), 0.1, order=6)
+    sampled_derivative(np.zeros(101), 0.1)
     assert len(calls) == 1
     assert np.array_equal(calls[0], np.arange(7.0))
 
@@ -210,7 +207,7 @@ def test_stencil_tables_are_built_once_and_read_only(monkeypatch):
     assert calls == []
     for a, b in zip(first, second):
         assert np.array_equal(a, b)
-    for table in (finitediff._stencil_table(7, 1), finitediff._interval_table(4)):
+    for table in (finitediff._stencil_table(7), finitediff._interval_table(4)):
         with pytest.raises(ValueError, match="read-only"):
             table[0, 0] = 1.0
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from references import profile_ode_residual, reciprocal_ode_residual
@@ -188,7 +189,6 @@ class TestSymbolicJets:
         ids=lambda v: v if isinstance(v, str) else v.spec_string(),
     )
     def test_jet_equals_the_exact_chain(self, fam, t0):
-        sp = pytest.importorskip("sympy")
         t = sp.symbols("t", positive=True)
         f1, f2 = _symbolic_frame(sp, fam, t)
         sqrt_e, sqrt_g = 1 / f1, 1 / f2
@@ -376,15 +376,13 @@ class TestSpecStrings:
             parse_surface("torus:r=1")
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(SpecParseError) as exc:
+        with pytest.raises(SpecParseError, match="unknown key 'radius'.* at position 7 "):
             parse_surface("sphere:radius=1")
-        assert exc.value.position is not None
 
     def test_profile_constant_is_not_a_key(self):
         # the additive constant of the profile does not enter the metric
-        with pytest.raises(SpecParseError, match="unknown key 'gamma'.* at position 24") as exc:
+        with pytest.raises(SpecParseError, match="unknown key 'gamma'.* at position 24 "):
             parse_surface("profile:alpha=1,beta=-5,gamma=7")
-        assert exc.value.position == 24
 
     def test_bad_value(self):
         with pytest.raises(SpecParseError):
