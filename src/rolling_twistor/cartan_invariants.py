@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .distribution5 import _integrable, _require_noninteg, curvature_scale
-from .errors import DomainError
+from .errors import DomainError, first_failing_row
 
 VANISH_TOL = 1e-8  # relative threshold for "all A_i vanish"
 ROOT_CLUSTER_RADIUS = 1e-6  # multiplicity clustering, scaled by 1 + |root|
@@ -293,17 +293,17 @@ def scaled_vanishing(coeffs, kappa, lam, tol=VANISH_TOL):
     return scaled, scaled < tol
 
 
-class G2Row(NamedTuple):
-    point: tuple
-    kappa: float
-    quartic: CartanQuartic
-    scaled_max: float
-    root_tag: str
-
-
 @dataclass(frozen=True)
 class G2Report:
-    rows: tuple
+    """The quartic over a grid of m points, as columns: the chart stack, the
+    curvatures, the (m, 5) A1..A5, max|A_i| / `vanishing_scale` and the
+    root types ("zero" where the quartic vanishes)."""
+
+    points: tuple
+    kappa: np.ndarray
+    quartics: np.ndarray
+    scaled: np.ndarray
+    tags: list
     max_scaled: float
     is_g2: bool
 
@@ -313,32 +313,29 @@ class G2Report:
 
 
 def g2_check(s1, lam, grid, tol=VANISH_TOL):
-    """Evaluate the quartic over a grid of chart points of s1 (rolling on
-    constant curvature lam) and decide whether it vanishes identically.
+    """Evaluate the quartic over the chart stack `grid` (t, psi) of s1 rolling
+    on constant curvature lam, and decide whether it vanishes identically.
 
     One array pass: one `s1.jet` call, one stacked `quartic_killing_case`,
     the scaled maxima as arrays, and, if any row does not vanish, one
-    classifying pass (`_classified`) on those rows, whose tags the rows read
-    directly.  An invalid grid raises the error of its first failing point:
-    the grid is replayed point by point.
+    classifying pass (`_classified`) on those rows, whose tags the report
+    reads directly.  An invalid grid raises the error of its first failing
+    point (`first_failing_row`).
     """
-    grid = [tuple(p) for p in grid]
-    if not grid:
+    if not len(grid[0]):
         raise ValueError("g2_check needs a nonempty grid")
-    try:
-        jets = s1.jet(tuple(np.array(c, dtype=float) for c in zip(*grid)))
-        coeffs = np.array(quartic_killing_case(jets, lam))  # (5, points)
-    except DomainError:
-        # a point's quartic may fail before a later point leaves the chart
-        for p in grid:
-            quartic_killing_case(s1.jet(p), lam)
-        raise
-    scaled, vanishes = scaled_vanishing(coeffs, jets.kappa, lam, tol)
+
+    def quartics(t, psi):
+        jets = s1.jet((t, psi))
+        return jets.kappa, np.array(quartic_killing_case(jets, lam))  # (5, points)
+
+    kappa, coeffs = first_failing_row(quartics, *grid)
+    scaled, vanishes = scaled_vanishing(coeffs, kappa, lam, tol)
     loud = ~vanishes
-    keys = np.zeros(len(grid), dtype=int)  # _TAGS[0] is "zero"
+    keys = np.zeros(len(kappa), dtype=int)  # _TAGS[0] is "zero"
     if loud.any():
         inverse, _, mults = _classified(CartanQuartic(*coeffs[:, loud]).poly_coefficients().T)
         keys[loud] = _tag_keys(mults)[inverse]
-    quartics = map(CartanQuartic._make, coeffs.T.tolist())
-    rows = tuple(map(G2Row, grid, jets.kappa.tolist(), quartics, scaled.tolist(), _TAGS[keys]))
-    return G2Report(rows=rows, max_scaled=float(np.max(scaled)), is_g2=bool(vanishes.all()))
+    return G2Report(points=grid, kappa=kappa, quartics=coeffs.T, scaled=scaled,
+                    tags=_TAGS[keys].tolist(), max_scaled=float(np.max(scaled)),
+                    is_g2=bool(vanishes.all()))

@@ -26,7 +26,7 @@ from . import conformal_oracle as oracle_mod
 from . import distribution5 as dist
 from . import embedding as emb
 from . import rolling as roll_mod
-from .errors import DomainError, RollingTwistorError, SpecParseError
+from .errors import DomainError, RollingTwistorError, SpecParseError, first_failing_row
 from .surfaces import parse_surface
 
 EXIT_OK = 0
@@ -34,6 +34,10 @@ EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 EXIT_BROKEN_PIPE = 141
+
+# points of one --grid or --rho grid; a g2check at the cap peaks at about 0.73 GB
+# (g2:eps=1 on sphere:r=1, every quartic distinct)
+MAX_GRID_POINTS = 5 * 10**5
 
 
 def _fmt(x):
@@ -82,13 +86,26 @@ def _emit(lines, output):
         fh.write("\n".join(lines) + "\n")
 
 
+def _rows(table, *text):
+    """The rows of the 2-D array `table` as comma-separated lines, its numbers
+    in %.17g, each followed by its entries of the `text` columns."""
+    row_text = ",".join(["%.17g"] * table.shape[1] + ["%s"] * len(text))
+    return [row_text % row for row in zip(*table.T.tolist(), *text)]
+
+
 def _grid_for(surface, args):
-    if args.rho:
-        lo, hi, count = _parse_range(args.rho, "rho")
-        return surface.profile_grid(count, lo, hi)
-    if args.grid < 1:
-        raise SpecParseError(f"--grid needs a positive count, got {args.grid}")
-    return surface.profile_grid(args.grid)
+    """The chart stack (t, psi) of --rho, or else of --grid."""
+    lo, hi, count = _parse_range(args.rho, "rho") if args.rho else (None, None, args.grid)
+    if count < 1:  # not a --rho count: `_parse_range` checks those
+        raise SpecParseError(f"--grid needs a positive count, got {count}")
+    if count > MAX_GRID_POINTS:
+        raise DomainError(f"a grid of {count} points is more than {MAX_GRID_POINTS}")
+    return surface.profile_grid(count, lo, hi)
+
+
+def _configurations(grid, s2, phi):
+    """The (m, 5) points (x, y, u, v, phi) at the chart stack grid, s2's mid point and phi."""
+    return np.column_stack([*grid, np.tile([*_mid_point(s2), phi], (len(grid[0]), 1))])
 
 
 def _mid_point(surface):
@@ -118,7 +135,7 @@ def _quartic_table(args, verdict):
     report = ci.g2_check(s1, lam, grid, tol=args.tol)
     lines = [
         f"# rolling-twistor {args.command}",
-        f"# s1={s1.spec_string()} s2={s2.spec_string()} lambda={_fmt(lam)} points={len(grid)}",
+        f"# s1={s1.spec_string()} s2={s2.spec_string()} lambda={_fmt(lam)} points={len(grid[0])}",
     ]
     if verdict:
         lines.append(f"# verdict: {report.verdict} (max scaled |A_i| = "
@@ -127,9 +144,8 @@ def _quartic_table(args, verdict):
         "# columns: coord1,coord2,kappa,A1,A2,A3,A4,A5,scaled_max,root_type",
         "# note: root_type is the final column and may itself contain commas, e.g. [2,2]",
     ]
-    row_text = "%.17g," * 9 + "%s"  # coord1, coord2, kappa, A1..A5, scaled_max, root_type
-    lines += [row_text % (*row.point, row.kappa, *row.quartic, row.scaled_max, row.root_tag)
-              for row in report.rows]
+    table = np.column_stack([*report.points, report.kappa, report.quartics, report.scaled])
+    lines += _rows(table, report.tags)
     _emit(lines, args.output)
     return report
 
@@ -147,20 +163,15 @@ def cmd_g2check(args):
 def cmd_growth(args):
     s1 = parse_surface(args.s1)
     s2 = parse_surface(args.s2)
-    grid = _grid_for(s1, args)
-    p2 = _mid_point(s2)
+    points = _configurations(_grid_for(s1, args), s2, args.phi)
     lines = [
         "# rolling-twistor growth",
-        f"# s1={s1.spec_string()} s2={s2.spec_string()} points={len(grid)}",
+        f"# s1={s1.spec_string()} s2={s2.spec_string()} points={len(points)}",
         "# columns: x,y,u,v,phi,n1,n2,n3,ill_conditioned",
     ]
-    for p1 in grid:
-        point = np.array([p1[0], p1[1], p2[0], p2[1], args.phi])
-        res = dist.growth_vector(s1, s2, point)
-        coords = ",".join(_fmt(c) for c in point)
-        n1, n2, n3 = res.ranks
-        lines.append(f"{coords},{n1},{n2},{n3},{int(res.ill_conditioned)}")
-    _emit(lines, args.output)
+    results = [dist.growth_vector(s1, s2, p) for p in points]
+    table = np.column_stack([points, [(*res.ranks, res.ill_conditioned) for res in results]])
+    _emit(lines + _rows(table), args.output)
     return EXIT_OK
 
 
@@ -220,20 +231,14 @@ def cmd_oracle(args):
     if args.points < 1:
         raise SpecParseError(f"--points needs a positive count, got {args.points}")
     lam = _constant_curvature(s2)
-    grid = _grid_for(s1, args)[: args.points]
-    p2 = _mid_point(s2)
-    points = np.array([[x, y, p2[0], p2[1], args.phi] for x, y in grid])
-    try:
-        ocl = oracle_mod.cartan_from_weyl(s1, s2, points)
-        jets = s1.jet((points[:, 0], points[:, 1]))
-        closed = np.array(ci.quartic_killing_case(jets, lam)).T
-    except (RollingTwistorError, ArithmeticError, ValueError):
-        # a point's closed form may fail before a later point's oracle does:
-        # replay both on stacks of one, so the first failing point raises
-        for q in points[:, None]:
-            oracle_mod.cartan_from_weyl(s1, s2, q)
-            ci.quartic_killing_case(s1.jet((q[:, 0], q[:, 1])), lam)
-        raise
+    points = _configurations(_grid_for(s1, args), s2, args.phi)[: args.points]
+
+    def both_routes(a):  # a point's closed form may fail before a later point's oracle does
+        ocl = oracle_mod.cartan_from_weyl(s1, s2, a)
+        jets = s1.jet((a[:, 0], a[:, 1]))
+        return ocl, jets, np.array(ci.quartic_killing_case(jets, lam)).T
+
+    ocl, jets, closed = first_failing_row(both_routes, points)
     weyl_quartic = np.array(ocl.quartic).T  # one row per point, as `closed`
     noise = np.max(ocl.noise, axis=1)
     # where both routes vanish, the residual of two noises says nothing
@@ -247,9 +252,7 @@ def cmd_oracle(args):
         "# columns: x,y,u,v,phi,weyl_norm,A1_oracle..A5_oracle,"
         "A1_closed..A5_closed,prop_residual,noise_floor",
     ]
-    row_text = ",".join(["%.17g"] * table.shape[1])
-    lines += [row_text % tuple(row) for row in table.tolist()]
-    _emit(lines, args.output)
+    _emit(lines + _rows(table), args.output)
     return EXIT_OK
 
 

@@ -20,7 +20,7 @@ finite-difference stencils of every point at both steps (FD_STEP and its
 half), then array passes over a leading (point, tier) axis for the
 derivatives, the curvature of the Richardson blend and of each step, and
 the contractions.  A stack that fails raises the error of its first
-failing row, as that row raises on its own.
+failing row, as that row raises on its own (`errors.first_failing_row`).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 
 from .cartan_invariants import CartanQuartic, _ipow
 from .distribution5 import _as_point5, _require_noninteg
-from .errors import DomainError, RollingTwistorError
+from .errors import DomainError, first_failing_row
 from .finitediff import richardson
 
 # constant coefficient matrix of the metric in the theta basis:
@@ -62,26 +62,11 @@ def _as_stack5(p):
     return a, False
 
 
-def _replayed(fn, a):
-    """fn(a) for the (m, 5) stack a, with numpy's floating-point warnings
-    off: fn checks for non-finite values itself.  If fn raises, it is called
-    on each row of a as a stack of one, in order, so the error raised is
-    that of the first row that fails."""
-    with np.errstate(all="ignore"):
-        try:
-            return fn(a)
-        except (RollingTwistorError, ArithmeticError, ValueError):
-            if len(a) > 1:
-                for i in range(len(a)):
-                    fn(a[i : i + 1])
-            raise
-
-
 def _stacked(fn, p):
-    """fn of the (m, 5) stack of the chart points p (see `_replayed`), or its
-    first row if p is one point."""
+    """fn of the (m, 5) stack of the chart points p (see
+    `first_failing_row`), or its first row if p is one point."""
     a, single = _as_stack5(p)
-    out = _replayed(fn, a)
+    out = first_failing_row(fn, a)
     return out[0] if single else out
 
 
@@ -332,7 +317,10 @@ def _curvature_tiers(metric, a):
     blend = _Derivs(g0[:, 0], richardson(dg[:, 0], dg[:, 1]), richardson(ddg[:, 0], ddg[:, 1]))
     tiers = _Derivs(*(np.concatenate([x[:, None], y], axis=1)
                       for x, y in zip(blend, (g0, dg, ddg))))
-    return _assemble_curvature(tiers)
+    try:
+        return _assemble_curvature(tiers)
+    except np.linalg.LinAlgError:  # `first_failing_row` retries a stack point by point
+        raise DomainError(f"the oracle metric is singular at {_where(a[0])}") from None
 
 
 def _by_blocks(fn, a):
@@ -379,7 +367,8 @@ def cartan_from_weyl(s1, s2, p):
     with their orthogonal partners in the transverse null plane, both taken
     from the duals of the theta coframe.  A Weyl tensor, Weyl norm or
     quartic that is not finite raises DomainError naming the curvatures and
-    the point; a theta coframe singular in floating point names the point.
+    the point; a theta coframe or metric singular in floating point names
+    the point.
     A stack is one pass (one per block of POINTS_PER_PASS points): one
     coframe call on its points and one metric call on all their stencil
     rows.  A stack that fails is replayed point by point, so the first
@@ -387,7 +376,7 @@ def cartan_from_weyl(s1, s2, p):
     """
     a, single = _as_stack5(p)
     A, noise, norm, weyl_noise = _by_blocks(
-        lambda b: _replayed(lambda rows: _weyl_quartics(s1, s2, rows), b), a
+        lambda b: first_failing_row(lambda rows: _weyl_quartics(s1, s2, rows), b), a
     )
     if single:
         return OracleQuartic(quartic=CartanQuartic(*A[0].tolist()), noise=noise[0],
@@ -402,7 +391,7 @@ def _weyl_quartics(s1, s2, a):
     theta = theta_coframe(s1, s2, a)
     try:
         Y = np.linalg.inv(theta)  # <theta^j, Y_i> = delta^j_i
-    except np.linalg.LinAlgError:  # `_replayed` retries a stack point by point
+    except np.linalg.LinAlgError:  # `first_failing_row` retries a stack point by point
         raise DomainError(f"the oracle's theta coframe is singular at {_where(a[0])}") from None
     w = _curvature_tiers(lambda rows: metric_components(s1, s2, rows), a)[-1]
     A = _contract_quartic(w, Y[:, None])  # (m, 3, 5): blend, step h, step h/2

@@ -159,7 +159,8 @@ def growth_vector(s1, s2, p):
     raise DomainError: the curvature is too large for the rank test.
     """
     a = _as_point5(p)
-    rows = field_rows(s1, s2, a)
+    with np.errstate(all="ignore"):  # an overflow is caught just below
+        rows = field_rows(s1, s2, a)
     if not np.isfinite(rows).all():
         raise _growth_error(s1, s2, a, "the brackets are not finite")
 

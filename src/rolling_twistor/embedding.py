@@ -29,6 +29,10 @@ from .errors import DomainError
 from .finitediff import tanh_sinh
 from .surfaces import G2Family, RevolutionProfile
 
+# vertices of one mesh; an `embed` at the cap peaks at about 0.77 GB, at nphi = 2
+# on a family whose heights are integrated (about 3 KB per profile row)
+MAX_VERTICES = 5 * 10**5
+
 
 def _z_plus(rho):
     return (rho * rho + 2.0) ** 1.5 / 3.0
@@ -134,6 +138,9 @@ def build_mesh(family, rho_range, nr, nphi):
         raise ValueError("empty rho range")
     if nr < 2 or nphi < 2:
         raise ValueError("mesh needs at least 2 samples per direction")
+    if nr * nphi > MAX_VERTICES:
+        raise DomainError(
+            f"a {nr} x {nphi} mesh has {nr * nphi} vertices, more than {MAX_VERTICES}")
     rho = np.linspace(lo, hi, nr)
     phi = np.linspace(0.0, 2.0 * math.pi, nphi)
     heights, eps = _height_profile(family, rho)

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the replay of a failing stack."""
+
+import numpy as np
 
 
 class RollingTwistorError(Exception):
@@ -32,3 +34,20 @@ class SpecParseError(RollingTwistorError, ValueError):
     """A surface spec string, control file, or CLI grid spec failed to parse.
     The message names the offending token and, when known, its character
     position in the spec or its line in the file."""
+
+
+def first_failing_row(fn, *columns):
+    """fn(*columns) on a stack of rows (the columns share their first axis),
+    with numpy's floating-point warnings off: fn checks for non-finite values
+    itself.  If fn raises a package, arithmetic or value error, it is called
+    on each row in order, as a stack of one, so the first row that fails on
+    its own raises its own error; if none does, the stack's error is
+    raised.  A stack of one row is not replayed."""
+    with np.errstate(all="ignore"):
+        try:
+            return fn(*columns)
+        except (RollingTwistorError, ArithmeticError, ValueError):
+            if len(columns[0]) > 1:
+                for i in range(len(columns[0])):
+                    fn(*(c[i : i + 1] for c in columns))
+            raise

@@ -11,9 +11,9 @@ jet is the frame data, bit for bit, followed by the e1-derivatives of kappa
 up to fourth order: one read gives everything the quartic invariant
 formulas, the derived fields X4, X5 and the oracle's coframe consume.
 `jet` and `frame_data` also take a stack of chart
-points, a pair of 1-D coordinate arrays, and return fields that are 1-D
-arrays; each point rounds as it does on its own.  Every catalog family
-evaluates a stack in one pass: the sphere and the hyperbolic plane take
+points, a pair of 1-D coordinate arrays such as `profile_grid` builds, and
+return fields that are 1-D arrays; each point rounds as it does on its own.
+Every catalog family evaluates a stack in one pass: the sphere and the hyperbolic plane take
 their sin/cos or sinh/cosh through the math module element by element
 (numpy's vectorised ones can round differently) and do the rest in numpy
 arithmetic.  Only `CustomRevolution`, whose h takes one point, gives frame
@@ -111,12 +111,11 @@ class Surface:
         return (float(t), 0.0)
 
     def profile_grid(self, n, lo=None, hi=None):
+        """The stack of the n chart points `chart_point(t)` with t evenly
+        spaced from lo to hi (by default the ends of `profile_range`):
+        (t, psi), two 1-D arrays, psi all 0.0."""
         r0, r1 = self.profile_range()
-        if lo is not None:
-            r0 = lo
-        if hi is not None:
-            r1 = hi
-        return [self.chart_point(t) for t in np.linspace(r0, r1, n)]
+        return np.linspace(r0 if lo is None else lo, r1 if hi is None else hi, n), np.zeros(n)
 
 
 def _spec_number(x):

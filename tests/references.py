@@ -25,7 +25,6 @@ from rolling_twistor.cartan_invariants import (
     VANISH_TOL,
     CartanQuartic,
     G2Report,
-    G2Row,
     RootType,
     quartic_killing_case,
     root_type,
@@ -64,19 +63,20 @@ def necessary_condition_residual(kappa, lam):
 def g2_check_by_rows(s1, lam, grid, tol=VANISH_TOL):
     """`g2_check` one grid point at a time, in Python floats: each row's
     jet, quartic, vanishing scale and root type on its own, so the first
-    failing point raises first."""
-    rows = []
-    worst = 0.0
-    for p in grid:
+    failing point raises first.  The report's columns are gathered from the
+    rows."""
+    kappas, quartics, scaled, tags = [], [], [], []
+    for p in zip(*(c.tolist() for c in grid)):
         jet = s1.jet(p)
         q = quartic_killing_case(jet, lam)
         kappa = jet.kappa
-        scaled = q.max_abs / ((kappa - lam) ** 4 * max(kappa**2, lam**2, 1.0))
-        worst = max(worst, scaled)
-        tag = "zero" if scaled < tol else root_type(q).tag
-        rows.append(G2Row(point=tuple(p), kappa=kappa, quartic=q, scaled_max=scaled,
-                          root_tag=tag))
-    return G2Report(rows=tuple(rows), max_scaled=worst, is_g2=worst < tol)
+        kappas.append(kappa)
+        quartics.append(q)
+        scaled.append(q.max_abs / ((kappa - lam) ** 4 * max(kappa**2, lam**2, 1.0)))
+        tags.append("zero" if scaled[-1] < tol else root_type(q).tag)
+    worst = max([0.0] + scaled)
+    return G2Report(points=grid, kappa=np.array(kappas), quartics=np.array(quartics).reshape(-1, 5),
+                    scaled=np.array(scaled), tags=tags, max_scaled=worst, is_g2=worst < tol)
 
 
 def classify_roots(roots, inf_mult):

@@ -270,7 +270,7 @@ class TestG2Check:
         rep = g2_check(Sphere(1.0), 1.0 / 9.0, Sphere(1.0).profile_grid(10))
         assert rep.is_g2
         assert rep.max_scaled < 1e-10
-        assert all(row.root_tag == "zero" for row in rep.rows)
+        assert rep.tags == ["zero"] * 10
 
     def test_g2_family_on_plane(self):
         fam = G2Family(0)
@@ -280,16 +280,18 @@ class TestG2Check:
     def test_unequal_spheres_not_g2(self):
         rep = g2_check(Sphere(1.0), 0.25, Sphere(1.0).profile_grid(10))
         assert not rep.is_g2
-        assert all(row.root_tag == "[2,2]" for row in rep.rows)
+        assert rep.tags == ["[2,2]"] * 10
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
-            g2_check(Sphere(1.0), 0.0, [])
+            g2_check(Sphere(1.0), 0.0, Sphere(1.0).profile_grid(0))
 
     def test_report_rows_carry_points(self):
         grid = Sphere(1.0).profile_grid(4)
         rep = g2_check(Sphere(1.0), 0.0, grid)
-        assert [row.point for row in rep.rows] == [tuple(p) for p in grid]
+        assert rep.points is grid
+        assert rep.kappa.shape == rep.scaled.shape == (4,) and rep.quartics.shape == (4, 5)
+        assert len(rep.tags) == 4
 
 
 class TestNecessaryCondition:
@@ -319,7 +321,7 @@ class TestHomothety:
         grid = fam.profile_grid(20, 0.5, 2.5)
         for s0 in (0.5, 2.0, 10.0):
             scaled = fam.scaled(s0)
-            scaled_grid = [(p[0] * s0, p[1]) for p in grid]
+            scaled_grid = (grid[0] * s0, grid[1])
             rep = g2_check(scaled, 0.0, scaled_grid)
             assert rep.is_g2
 
@@ -329,7 +331,7 @@ class TestHomothety:
         base = g2_check(sph, 0.25, grid)
         for s0 in (0.5, 2.0, 10.0):
             rep = g2_check(sph.scaled(s0), 0.25 / s0**2, grid)
-            assert [r.root_tag for r in rep.rows] == [r.root_tag for r in base.rows]
+            assert rep.tags == base.tags
 
 
 class TestOdeSufficiency:

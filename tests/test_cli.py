@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -10,7 +11,8 @@ import pytest
 
 import rolling_twistor
 from rolling_twistor import cartan_invariants as ci
-from rolling_twistor.cli import main
+from rolling_twistor.cli import MAX_GRID_POINTS, main
+from rolling_twistor.embedding import MAX_VERTICES
 
 
 def subprocess_env():
@@ -434,7 +436,7 @@ class TestSerialFrontEnd:
         original = cli.ci.g2_check
 
         def spy(s1, lam, grid, tol):
-            calls.append(len(grid))
+            calls.append(len(grid[0]))  # the grid rows of the chart stack (t, psi)
             return original(s1, lam, grid, tol=tol)
 
         monkeypatch.setattr(cli.ci, "g2_check", spy)
@@ -552,6 +554,40 @@ class TestCountsAndSteps:
         assert code == 2
         assert text == ""
         assert f"--grid needs a positive count, got {grid}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["quartic", "g2check", "growth", "oracle"])
+    @pytest.mark.parametrize("flag, value", [("--grid", "{}"), ("--rho", "0.5:2:{}")])
+    def test_grid_above_the_cap_is_refused_before_allocating(self, tmp_path, capsys, command,
+                                                             flag, value):
+        count = MAX_GRID_POINTS + 1
+        tracemalloc.start()
+        try:
+            code, text = run(tmp_path, command, "--s1", "sphere:r=1", "--s2", "sphere:r=3",
+                             flag, value.format(count))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert text == ""
+        assert capsys.readouterr().err == (
+            f"error: a grid of {count} points is more than {MAX_GRID_POINTS}\n")
+        assert peak < 10**6  # a grid of that size takes 8 MB per coordinate
+
+    def test_mesh_above_the_cap_is_refused_before_allocating(self, tmp_path, capsys):
+        nr, nphi = 3, (MAX_VERTICES + 1) // 3
+        assert nr * nphi == MAX_VERTICES + 1
+        tracemalloc.start()
+        try:
+            code, text = run(tmp_path, "embed", "--family", "g2:eps=1", "--rho-range", "0:1",
+                             "--nr", str(nr), "--nphi", str(nphi))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert text == ""
+        assert capsys.readouterr().err == (
+            f"error: a {nr} x {nphi} mesh has {nr * nphi} vertices, more than {MAX_VERTICES}\n")
+        assert peak < 10**6
 
     @pytest.mark.parametrize("points", ["0", "-1"])
     def test_points_must_be_positive(self, tmp_path, capsys, points):
@@ -747,6 +783,31 @@ class TestHugeCurvature:
         assert text == ""
         err = capsys.readouterr().err
         assert err == "error: the oracle coframe overflows at kappa = 1e+200, lambda = 0.0\n"
+
+    @pytest.mark.parametrize("s1, x", [("sphere:r=1", "0.4"), ("g2:eps=-1", "1.2")])
+    def test_oracle_singular_metric_names_the_point(self, tmp_path, capsys, s1, x):
+        # the metric of the second surface's chart at scale 1e-300 is below
+        # the float range; numpy's LinAlgError must not read as a usage error
+        code, text = run(tmp_path, "oracle", "--s1", s1, "--s2", "plane:scale=1e-300",
+                         "--points", "2")
+        assert code == 3
+        assert text == ""
+        assert capsys.readouterr().err == ("error: the oracle metric is singular at"
+                                           f" (x, y, u, v, phi) = ({x}, 0.0, 0.0, 0.0, 0.3)\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["--s1", "profile:alpha=1,beta=-5", "--s2", "plane", "--rho=1e-300:1e-299:2"],
+        ["--s1", "sphere:r=1e-150", "--s2", "plane:scale=1e-300", "--grid", "2"],
+    ])
+    def test_growth_overflow_prints_only_its_error(self, tmp_path, capsys, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning on the way
+            code, text = run(tmp_path, "growth", *argv)
+        assert code == 3
+        assert text == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: no growth vector: the brackets are not finite at kappa = ")
+        assert err.count("\n") == 1
 
     def test_oracle_singular_coframe_names_the_point(self):
         # the theta coframe at rho = 3.9e-139 is singular in floating point;

@@ -589,6 +589,19 @@ class TestStencilErrors:
             co.cartan_from_weyl(s1, s2, stack)
 
 
+    @pytest.mark.parametrize("s1, x", [(Sphere(1.0), 0.4), (G2Family(-1), 1.2)])
+    def test_singular_metric_names_the_point(self, s1, x):
+        # at plane scale 1e-300 the metric's components fall below the
+        # float range; a stack raises the error of its first point
+        s2 = Plane(1e-300)
+        points = np.array([[x, 0.0, 0.0, 0.0, 0.3], [x + 0.1, 0.0, 0.0, 0.0, 0.3]])
+        message = (r"^the oracle metric is singular at \(x, y, u, v, phi\)"
+                   rf" = \({x}, 0.0, 0.0, 0.0, 0.3\)$")
+        for p in (points[0], points):
+            with pytest.raises(DomainError, match=message):
+                co.cartan_from_weyl(s1, s2, p)
+
+
 def _floats(lo, hi):
     return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
 

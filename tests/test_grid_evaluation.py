@@ -1,8 +1,10 @@
-"""One pass per grid: stacked surface jets, the stacked quartic, the stacked
-root classifier and `g2_check`, each against the same computation done one
-point at a time."""
+"""One pass per grid: the chart stack of `profile_grid`, stacked surface
+jets, the stacked quartic, the stacked root classifier and `g2_check`, each
+against the same computation done one point at a time, and the replay rule
+`first_failing_row` of a stack that fails."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from rolling_twistor.cartan_invariants import (
     root_type,
     root_types,
 )
-from rolling_twistor.errors import DomainError
+from rolling_twistor.errors import DomainError, IntegrablePointError, first_failing_row
 from rolling_twistor.surfaces import (
     CustomRevolution,
     G2Family,
@@ -105,6 +107,80 @@ def test_stacked_jet_raises_the_first_points_error(surface, points, index):
         surface.jet(stack(points))
     assert type(stacked.value) is type(single.value)
     assert str(stacked.value) == str(single.value)
+
+
+@pytest.mark.parametrize("surface", [G2Family(-1), Sphere(2.0), Hyperbolic(0.5), Plane(3.0),
+                                     RevolutionProfile(1.0, -5.0)])
+@pytest.mark.parametrize("n, lo, hi", [(1, None, None), (7, None, None), (5, 0.25, 1.75),
+                                       (4, 2.0, -1.0)])
+def test_profile_grid_is_the_stack_of_its_chart_points(surface, n, lo, hi):
+    r0, r1 = surface.profile_range()
+    t = np.linspace(r0 if lo is None else lo, r1 if hi is None else hi, n)
+    grid = surface.profile_grid(n, lo, hi)
+    assert len(grid) == 2
+    assert bits(grid) == bits(stack([surface.chart_point(x) for x in t]))
+    assert bits(grid[1]) == bits([0.0] * n)  # +0.0, not -0.0
+
+
+# -- the replay rule ----------------------------------------------------------
+
+
+class Rows:
+    """fn for `first_failing_row`: records the rows of each call, raises
+    `stack_error` on a stack of more than one row, and on a row named in
+    `failing` raises that row's error type."""
+
+    def __init__(self, failing, stack_error=ZeroDivisionError):
+        self.failing, self.stack_error, self.calls = failing, stack_error, []
+
+    def __call__(self, x, y):
+        self.calls.append(x.tolist())
+        if len(x) > 1:
+            raise self.stack_error("the stack fails")
+        if x[0] in self.failing:
+            raise self.failing[x[0]](f"row {x[0]}")
+        return x + y
+
+
+def test_first_failing_row_raises_the_first_failing_rows_error():
+    fn = Rows({2.0: DomainError, 4.0: ValueError})
+    x = np.arange(6.0)
+    with pytest.raises(DomainError, match=r"^row 2.0$"):
+        first_failing_row(fn, x, -x)
+    assert fn.calls == [[0.0, 1.0, 2.0, 3.0, 4.0, 5.0], [0.0], [1.0], [2.0]]
+
+
+@pytest.mark.parametrize("stack_error", [IntegrablePointError, OverflowError, ValueError])
+def test_first_failing_row_raises_the_stacks_error_when_no_row_fails(stack_error):
+    fn = Rows({}, stack_error)
+    x = np.arange(3.0)
+    with pytest.raises(stack_error, match="the stack fails"):
+        first_failing_row(fn, x, x)
+    assert fn.calls == [[0.0, 1.0, 2.0], [0.0], [1.0], [2.0]]
+
+
+@pytest.mark.parametrize("error", [DomainError, ValueError, OverflowError])
+def test_first_failing_row_does_not_replay_one_row(error):
+    fn = Rows({0.0: error})
+    with pytest.raises(error):
+        first_failing_row(fn, np.zeros(1), np.zeros(1))
+    assert fn.calls == [[0.0]]
+
+
+def test_first_failing_row_does_not_replay_other_errors():
+    fn = Rows({}, KeyError)  # not a package, arithmetic or value error
+    with pytest.raises(KeyError):
+        first_failing_row(fn, np.arange(3.0), np.arange(3.0))
+    assert fn.calls == [[0.0, 1.0, 2.0]]
+
+
+def test_first_failing_row_returns_fn_of_the_stack_without_warnings():
+    x = np.array([1.0, 0.0, 1e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = first_failing_row(lambda a, b: (a / b, a * 10.0), x, np.zeros(3))
+    np.testing.assert_array_equal(got[0], [np.inf, np.nan, np.inf])
+    np.testing.assert_array_equal(got[1], [10.0, 0.0, np.inf])
 
 
 # -- the root classifier ----------------------------------------------------
@@ -218,7 +294,7 @@ def test_a_grid_that_vanishes_is_not_classified(monkeypatch):
     s1 = G2Family(1)
     report = g2_check(s1, 0.0, s1.profile_grid(5))
     assert report.is_g2
-    assert {row.root_tag for row in report.rows} == {"zero"}
+    assert report.tags == ["zero"] * 5
 
 
 @st.composite
@@ -352,28 +428,30 @@ def g2_grids(draw):
         lam = draw(st.sampled_from((1.0, -0.5, 0.0)))  # 0.0: every other row is integrable
     else:
         s1 = draw(surfaces())
-    grid = [s1.chart_point(t) for t in rhos]
+    points = [s1.chart_point(t) for t in rhos]
     if kind == "integrable":
-        hit = draw(st.integers(0, len(grid) - 1))
-        if _valid(s1, grid[hit]):
-            lam = s1.frame_data(grid[hit]).kappa
-    return s1, lam, grid
+        hit = draw(st.integers(0, len(points) - 1))
+        if _valid(s1, points[hit]):
+            lam = s1.frame_data(points[hit]).kappa
+    return s1, lam, stack(points)
 
 
 def report_outcome(check, *args):
-    """The error's type and text, or the report's rows, largest scaled
-    coefficient and verdict as text, so -0.0 and 0.0 (and float types) differ."""
+    """The error's type and text, or the report: each column's bits (so -0.0
+    and 0.0 differ, and so do column shapes), the tags and the largest scaled
+    coefficient as text (so float types differ too), and the verdict."""
     result = outcome(check, *args)
     if isinstance(result, tuple):
         return result
-    return repr(result.rows), repr(result.max_scaled), result.verdict
+    columns = (*result.points, result.kappa, result.quartics, result.scaled)
+    return [bits(c) for c in columns], repr(result.tags), repr(result.max_scaled), result.verdict
 
 
 @PROPERTY
 @given(g2_grids())
 def test_g2_check_grid_equals_single_points(case):
-    """The rows, the largest scaled coefficient and the verdict, or the
-    error's type and text, equal those of the row-by-row reference."""
+    """The report's columns, the largest scaled coefficient and the verdict,
+    or the error's type and text, equal those of the row-by-row reference."""
     s1, lam, grid = case
     assert report_outcome(g2_check, s1, lam, grid) == report_outcome(g2_check_by_rows, s1, lam,
                                                                       grid)
@@ -388,9 +466,9 @@ def test_g2_check_grid_equals_single_points(case):
     ],
 )
 def test_g2_check_first_error_in_grid_order(s1, lam, rhos):
-    grid = [s1.chart_point(t) for t in rhos]
+    grid = stack([s1.chart_point(t) for t in rhos])
     if lam is None:
-        lam = s1.frame_data(grid[1]).kappa
+        lam = s1.frame_data(s1.chart_point(rhos[1])).kappa
     got, want = outcome(g2_check, s1, lam, grid), outcome(g2_check_by_rows, s1, lam, grid)
     assert isinstance(want, tuple)
     assert got == want
@@ -399,5 +477,5 @@ def test_g2_check_first_error_in_grid_order(s1, lam, rhos):
 def test_g2_check_constant_curvature_nine_to_one():
     report = g2_check(Sphere(1.0), 1.0 / 9.0, Sphere(1.0).profile_grid(7))
     assert report.is_g2
-    assert {row.root_tag for row in report.rows} == {"zero"}
+    assert report.tags == ["zero"] * 7
     assert not math.isnan(report.max_scaled)
