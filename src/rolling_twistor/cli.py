@@ -73,9 +73,14 @@ def _parse_range(spec, name):
 @contextlib.contextmanager
 def _output(path):
     """The -o file, or stdout when none is given: the one place a command
-    opens its output, after it has computed what it writes."""
+    opens its output, after it has computed what it writes.  A path that
+    cannot be opened for writing is a usage error naming it."""
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
+        try:
+            fh = open(path, "w", encoding="utf-8")
+        except OSError as exc:
+            raise SpecParseError(f"cannot write the output file {path!r}: {exc.strerror}") from None
+        with fh:
             yield fh
     else:
         yield sys.stdout

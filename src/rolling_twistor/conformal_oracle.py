@@ -15,12 +15,13 @@ The coframes, the metric and the Weyl quartic take one chart point or an
 and each row rounds as it does on its own: squares go through
 `cartan_invariants._ipow`, the C library's pow, as a float's ** does.  The
 curvature has one path, `_curvature_tiers`, which `cartan_from_weyl` runs
-once per block of POINTS_PER_PASS points: one metric call on the
-finite-difference stencils of every point at both steps (FD_STEP and its
-half), then array passes over a leading (point, tier) axis for the
-derivatives, the curvature of the Richardson blend and of each step, and
-the contractions.  A stack that fails raises the error of its first
-failing row, as that row raises on its own (`errors.first_failing_row`).
+once per block of POINTS_PER_PASS points: one theta coframe call on the
+stencils of every point at both steps (FD_STEP and its half), 19 rows each
+over x, u and phi, the metric's only coordinates, then array passes over a
+leading (point, tier) axis for the derivatives, the curvature of the
+Richardson blend and of each step, and the contractions.  A stack that
+fails raises the error of its first failing row, as that row raises on its
+own (`errors.first_failing_row`).
 """
 
 from __future__ import annotations
@@ -44,6 +45,8 @@ ETA5[1, 3] = ETA5[3, 1] = -1.0
 ETA5[2, 2] = 4.0 / 3.0
 
 FD_STEP = 1e-3  # central-difference step of the metric derivatives
+
+COORDINATES = ("x", "y", "u", "v", "phi")  # as the errors name them
 
 
 def _require_constant(s2):
@@ -201,7 +204,11 @@ def _theta_rows(a, j1, d2):
 def metric_components(s1, s2, p):
     """Symmetric 5x5 components of the (3,2)-signature metric at p, or one
     such matrix per point of an (m, 5) stack."""
-    T = theta_coframe(s1, s2, p)
+    return _metric_of(theta_coframe(s1, s2, p))
+
+
+def _metric_of(T):
+    """The metric T^T ETA5 T of the theta coframes T, (..., 5, 5)."""
     G = np.swapaxes(T, -1, -2) @ ETA5 @ T
     return 0.5 * (G + np.swapaxes(G, -1, -2))  # exact symmetry despite rounding asymmetries
 
@@ -212,26 +219,8 @@ class _Derivs(NamedTuple):
     ddg: np.ndarray  # ddg[..., k, l, :, :] = d^2 g / d x^k d x^l
 
 
-_PAIRS = [list(x) for x in zip(*itertools.combinations(range(5), 2))]  # the pairs k < l
-
-
-def _unit_steps():
-    """The 1 + 2n + 2n(n - 1) = 51 unit steps of the stencil rows in the
-    n = 5 chart coordinates, in order: a zero step; +e_k, -e_k for each k;
-    then +e, -e, +f, -f with e = e_k + e_l, f = e_k - e_l for each pair
-    k < l.  A step -s holds -0.0 where s holds 0.0, so p + h (-s) rounds as
-    p - h s in every coordinate, signed zeros included; the zero step is
-    -0.0, so its row is p itself."""
-    n = 5
-    unit = np.eye(n)
-    k, l = _PAIRS
-    e, f = unit[k] + unit[l], unit[k] - unit[l]
-    return np.vstack([
-        np.full((1, n), -0.0),
-        np.stack([unit, -unit], axis=1).reshape(-1, n),
-        np.stack([e, -e, f, -f], axis=1).reshape(-1, n),
-    ])
-
+_STEPPED = [0, 2, 4]  # x, u, phi: the coordinates the metric depends on
+_PAIRS = [list(x) for x in zip(*itertools.combinations(_STEPPED, 2))]  # the pairs k < l
 
 # Points per array pass.  numpy may give an elementwise result of more than
 # 32768 elements another memory layout, and a layout changes the order in
@@ -243,33 +232,52 @@ POINTS_PER_PASS = 8
 
 @functools.cache
 def _step_table():
-    """The (2, 51, 5) stencil steps of both tiers, h = FD_STEP and h/2, and
+    """The (2, 19, 5) stencil steps of both tiers, h = FD_STEP and h/2, and
     the (2, 3, 1, 1, 1) denominators 2h, h^2 and 4h^2 of their central
-    differences.  Built once, on the first call: an import that runs no
-    oracle pays nothing for it."""
+    differences.  The steps along x, u and phi are, in order: zero; +e_k,
+    -e_k for each k; then +e, -e, +f, -f with e = e_k + e_l, f = e_k - e_l
+    for each pair k < l.  A step -s holds -0.0 where s holds 0.0, so p + h
+    (-s) rounds as p - h s in every coordinate, signed zeros included; the
+    zero step is -0.0, so its row is p itself.  Built once, on the first
+    call: an import that runs no oracle pays nothing for it."""
+    unit = np.eye(5)
+    k, l = _PAIRS
+    e, f = unit[k] + unit[l], unit[k] - unit[l]
+    steps = np.vstack([np.full((1, 5), -0.0),
+                       np.stack([unit[_STEPPED], -unit[_STEPPED]], axis=1).reshape(-1, 5),
+                       np.stack([e, -e, f, -f], axis=1).reshape(-1, 5)])
     tiers = (FD_STEP, FD_STEP / 2.0)
-    steps = np.stack([_unit_steps() * h for h in tiers])
     denominators = np.array([[2.0 * h, h**2, 4.0 * h**2] for h in tiers])
-    return steps, denominators.reshape(2, 3, 1, 1, 1)
+    return np.stack([steps * h for h in tiers]), denominators.reshape(2, 3, 1, 1, 1)
 
 
 def _stencil(a):
     """The stencil rows of both tiers around each point of the (m, 5) stack
-    a, as an (m, 2, 51, 5) array."""
-    return a[:, None, None, :] + _step_table()[0]
+    a, as an (m, 2, 19, 5) array.  A point where rounding moves a step by
+    more than 1e-6 of it (from |coordinate| = 2^23 on) raises DomainError."""
+    steps = _step_table()[0]
+    rows = a[:, None, None, :] + steps
+    lost = (np.abs(rows - a[:, None, None, :] - steps) > 1e-6 * np.abs(steps)).any(axis=(1, 2))
+    if lost.any():
+        i, k = np.argwhere(lost)[0]
+        raise DomainError(f"the oracle's finite-difference steps are lost to rounding at"
+                          f" {COORDINATES[k]} = {float(a[i, k])!r}, {_where(a[i])}")
+    return rows
 
 
 def _metric_derivatives(g):
-    """Central differences of the metric values g, (..., 2, 51, n, n) on
-    `_stencil`'s rows, with the tier axis second to last of the leading ones."""
-    n = g.shape[-1]
+    """Central differences of the metric values g, (..., 2, 19, n, n) on
+    `_stencil`'s rows, with the tier axis second to last of the leading ones;
+    the derivatives along the unstepped y and v are exact zeros."""
+    n, s = g.shape[-1], len(_STEPPED)
     two_h, h2, four_h2 = (_step_table()[1][:, i] for i in range(3))
     g0 = g[..., 0, :, :]
-    gp, gm = g[..., 1 : 2 * n + 1 : 2, :, :], g[..., 2 : 2 * n + 1 : 2, :, :]
-    dg = (gp - gm) / two_h
-    ddg = np.empty(g.shape[:-3] + (n, n, n, n))
-    ddg[..., range(n), range(n), :, :] = (gp - 2.0 * g0[..., None, :, :] + gm) / h2
-    gpp, gmm, gpm, gmp = (g[..., 2 * n + 1 + i :: 4, :, :] for i in range(4))
+    gp, gm = g[..., 1 : 2 * s + 1 : 2, :, :], g[..., 2 : 2 * s + 1 : 2, :, :]
+    dg = np.zeros(g.shape[:-3] + (n, n, n))
+    dg[..., _STEPPED, :, :] = (gp - gm) / two_h
+    ddg = np.zeros(g.shape[:-3] + (n, n, n, n))
+    ddg[..., _STEPPED, _STEPPED, :, :] = (gp - 2.0 * g0[..., None, :, :] + gm) / h2
+    gpp, gmm, gpm, gmp = (g[..., 2 * s + 1 + i :: 4, :, :] for i in range(4))
     k, l = _PAIRS
     ddg[..., k, l, :, :] = ddg[..., l, k, :, :] = (gpp + gmm - gpm - gmp) / four_h2
     return _Derivs(g0=g0, dg=dg, ddg=ddg)
@@ -310,7 +318,8 @@ def _curvature_tiers(metric, a):
     """`_assemble_curvature` at each point of the (m, 5) stack a, with
     leading (m, 3) axes: the Richardson blend of the two steps' metric
     derivatives, then the step h, then the step h/2.  The metric is called
-    once, on the stencil rows of every point and both steps."""
+    once, on the stencil rows of every point and both steps, and must depend
+    on (x, u, phi) only: its derivatives along y and v are taken as zero."""
     m, n = a.shape
     g = np.asarray(metric(_stencil(a).reshape(-1, n)), dtype=float)
     g0, dg, ddg = _metric_derivatives(g.reshape(m, 2, -1, n, n))
@@ -370,9 +379,10 @@ def cartan_from_weyl(s1, s2, p):
     the point; a theta coframe or metric singular in floating point names
     the point.
     A stack is one pass (one per block of POINTS_PER_PASS points): one
-    coframe call on its points and one metric call on all their stencil
-    rows.  A stack that fails is replayed point by point, so the first
-    failing point raises its own error.
+    coframe call on all their stencil rows, which gives the metric and, at
+    the zero-step rows, the duals.  A stack that fails is replayed point by
+    point, so the first failing point raises its own error (its coframe's
+    before its stencil's).
     """
     a, single = _as_stack5(p)
     A, noise, norm, weyl_noise = _by_blocks(
@@ -388,12 +398,20 @@ def cartan_from_weyl(s1, s2, p):
 def _weyl_quartics(s1, s2, a):
     """(quartic, noise, weyl_norm, weyl_noise) of `cartan_from_weyl` at the
     (m, 5) stack a, as (m, 5), (m, 5), (m,) and (m,) arrays."""
-    theta = theta_coframe(s1, s2, a)
+    thetas = []
+
+    def metric(rows):  # the zero-step rows are the points a
+        thetas.append(theta_coframe(s1, s2, rows))
+        return _metric_of(thetas[0])
+
     try:
-        Y = np.linalg.inv(theta)  # <theta^j, Y_i> = delta^j_i
-    except np.linalg.LinAlgError:  # `first_failing_row` retries a stack point by point
-        raise DomainError(f"the oracle's theta coframe is singular at {_where(a[0])}") from None
-    w = _curvature_tiers(lambda rows: metric_components(s1, s2, rows), a)[-1]
+        w = _curvature_tiers(metric, a)[-1]
+    finally:  # a point's own coframe fails, or is singular, before its stencil does
+        theta = thetas[0].reshape(len(a), -1, 5, 5)[:, 0] if thetas else theta_coframe(s1, s2, a)
+        try:
+            Y = np.linalg.inv(theta)  # <theta^j, Y_i> = delta^j_i
+        except np.linalg.LinAlgError:  # `first_failing_row` retries a stack point by point
+            raise DomainError(f"the oracle's theta coframe is singular at {_where(a[0])}") from None
     A = _contract_quartic(w, Y[:, None])  # (m, 3, 5): blend, step h, step h/2
     norms = _frobenius(w)
     norm, weyl_noise = norms[:, 0], np.abs(norms[:, 1] - norms[:, 2])
@@ -412,7 +430,7 @@ def _weyl_quartics(s1, s2, a):
 
 def _where(p):
     """The chart point p, as the oracle's errors name it."""
-    return f"(x, y, u, v, phi) = ({', '.join(repr(float(x)) for x in p)})"
+    return f"({', '.join(COORDINATES)}) = ({', '.join(repr(float(x)) for x in p)})"
 
 
 def proportionality_residual(qa, qb):

@@ -31,9 +31,10 @@ class QuadratureError(RollingTwistorError):
 
 
 class SpecParseError(RollingTwistorError, ValueError):
-    """A surface spec string, control file, or CLI grid spec failed to parse.
-    The message names the offending token and, when known, its character
-    position in the spec or its line in the file."""
+    """A surface spec string, control file, or CLI grid spec failed to parse,
+    or the -o output file cannot be opened.  The message names the offending
+    token and, when known, its character position in the spec or its line
+    in the file."""
 
 
 def first_failing_row(fn, *columns):

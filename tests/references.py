@@ -7,19 +7,22 @@ at a time in Python arithmetic, the rows of the derived frame as the
 callables the numerical brackets differentiate, the RK4 roll with its stage
 in numpy arrays, the pair symmetries and
 Weyl traces of the oracle's curvature tensors, the curvature tensors by the
-long route through the raised Riemann tensor, the residuals of the profile
+long route through the raised Riemann tensor, the oracle on a stencil that
+also steps y and v, the residuals of the profile
 equations, and the mesh checks (the algebraic identity of the eps = +-1
 surfaces, the induced metric and the Gauss curvature by finite
 differences, and a reader of the mesh text).  The test modules import this
 one by name; pytest does not collect it.
 """
 
+import itertools
 import math
 from typing import NamedTuple
 
 import numpy as np
 
 from rolling_twistor import cartan_invariants
+from rolling_twistor import conformal_oracle as co
 from rolling_twistor.cartan_invariants import (
     DEGREE_TOL,
     VANISH_TOL,
@@ -31,7 +34,7 @@ from rolling_twistor.cartan_invariants import (
 )
 from rolling_twistor.distribution5 import _as_point5, field_rows, validate_point
 from rolling_twistor.errors import DomainError, StepSizeError
-from rolling_twistor.finitediff import check_step, fd_weights, sampled_derivative
+from rolling_twistor.finitediff import check_step, fd_weights, richardson, sampled_derivative
 from rolling_twistor.rolling import MAX_STEPS, Trajectory
 from rolling_twistor.surfaces import Surface
 
@@ -264,6 +267,65 @@ def curvature_by_raised_riemann(g0, dg, ddg):
         )
     )
     return ginv, gamma, riem, ricci, scalar, w
+
+
+def full_stencil_steps():
+    """The (2, 51, 5) steps of a stencil over all five chart coordinates, at
+    FD_STEP and its half: a zero step (-0.0), +-e_k for each k, then +-e and
+    +-f (e = e_k + e_l, f = e_k - e_l) for each pair k < l."""
+    unit = np.eye(5)
+    k, l = (list(x) for x in zip(*itertools.combinations(range(5), 2)))
+    e, f = unit[k] + unit[l], unit[k] - unit[l]
+    steps = np.vstack([np.full((1, 5), -0.0), np.stack([unit, -unit], axis=1).reshape(-1, 5),
+                       np.stack([e, -e, f, -f], axis=1).reshape(-1, 5)])
+    return np.stack([steps * h for h in (co.FD_STEP, co.FD_STEP / 2.0)])
+
+
+def full_stencil_derivatives(metric, p):
+    """(g0, dg, ddg) with a leading tier axis (step h, then h/2) of the
+    metric at the chart point p, by central differences on the 102 rows of
+    `full_stencil_steps`, every coordinate stepped: the oracle's derivatives
+    before its stencil dropped y and v."""
+    steps = full_stencil_steps()
+    g = np.asarray(metric((np.asarray(p, dtype=float) + steps).reshape(-1, 5)))
+    g = g.reshape(2, -1, 5, 5)
+    h = np.array([co.FD_STEP, co.FD_STEP / 2.0])[:, None, None, None]
+    g0, gp, gm = g[:, 0], g[:, 1:11:2], g[:, 2:11:2]
+    dg = (gp - gm) / (2.0 * h)
+    ddg = np.empty((2, 5, 5, 5, 5))
+    ddg[:, range(5), range(5)] = (gp - 2.0 * g0[:, None] + gm) / h**2
+    k, l = (list(x) for x in zip(*itertools.combinations(range(5), 2)))
+    gpp, gmm, gpm, gmp = (g[:, 11 + i :: 4] for i in range(4))
+    ddg[:, k, l] = ddg[:, l, k] = (gpp + gmm - gpm - gmp) / (4.0 * h**2)
+    return co._Derivs(g0, dg, ddg)
+
+
+def oracle_by_full_stencil(s1, s2, p):
+    """(quartic, noise, weyl_norm, weyl_noise) of `cartan_from_weyl` at the
+    one chart point p, or the error it raises, by the oracle's route before
+    its stencil dropped y and v: the duals from a coframe call on p, then
+    the metric on the 102 rows of `full_stencil_derivatives`, the Richardson
+    blend and the curvature of the blend and of each step."""
+    a = np.asarray(p, dtype=float)[None]
+    with np.errstate(all="ignore"):
+        try:
+            Y = np.linalg.inv(co.theta_coframe(s1, s2, a)[0])
+        except np.linalg.LinAlgError:
+            raise DomainError(f"the oracle's theta coframe is singular at {co._where(p)}") from None
+        d = full_stencil_derivatives(lambda rows: co.metric_components(s1, s2, rows), p)
+        blend = co._Derivs(d.g0[0], richardson(d.dg[0], d.dg[1]), richardson(d.ddg[0], d.ddg[1]))
+        tiers = co._Derivs(*(np.concatenate([x[None], y]) for x, y in zip(blend, d)))
+        try:
+            w = co._assemble_curvature(tiers)[-1]
+        except np.linalg.LinAlgError:
+            raise DomainError(f"the oracle metric is singular at {co._where(p)}") from None
+        A = co._contract_quartic(w, Y)
+        norms = co._frobenius(w)
+    if not (np.isfinite(w[0]).all() and np.isfinite(A[0]).all() and np.isfinite(norms).all()):
+        kappa, lam = s1.frame_data((p[0], p[1])).kappa, s2.frame_data((p[2], p[3])).kappa
+        raise DomainError("the Weyl tensor of the oracle metric or its norm is not finite"
+                          f" at kappa = {float(kappa)!r}, lambda = {float(lam)!r}, {co._where(p)}")
+    return A[0], np.abs(A[1] - A[2]), norms[0], abs(norms[1] - norms[2])
 
 
 def profile_ode_residual(rho, d1, d2, d3):

@@ -22,6 +22,18 @@ def subprocess_env():
     return dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
 
 
+# one small run of each subcommand
+ONE_RUN_OF_EACH = [
+    ["quartic", "--s1", "sphere:r=1", "--s2", "sphere:r=2", "--grid", "3"],
+    ["g2check", "--s1", "g2:eps=-1", "--s2", "plane", "--rho", "1.5:3:4"],
+    ["growth", "--s1", "sphere:r=1", "--s2", "plane", "--grid", "2"],
+    ["roll", "--s1", "sphere:r=1", "--s2", "plane", "--start", "1.2,0,0,0,0",
+     "--dt", "0.01", "--T", "0.2"],
+    ["oracle", "--s1", "sphere:r=1", "--s2", "plane", "--points", "1"],
+    ["embed", "--family", "g2:eps=1", "--rho-range", "0:1", "--nr", "4", "--nphi", "4"],
+]
+
+
 def run(tmp_path, *argv):
     out = tmp_path / "out.txt"
     code = main(list(argv) + ["-o", str(out)])
@@ -320,6 +332,47 @@ class TestOracleStep:
         assert "unrecognized arguments: --fd-step" in captured.err
 
 
+    @pytest.mark.parametrize("phi", ["1e8", "1e16"])
+    def test_a_step_lost_to_rounding_is_refused(self, tmp_path, capsys, phi):
+        # at these angles p + h rounds to a row that is not a step h from p;
+        # the oracle once answered there with a wrong quartic and exit 0
+        code, text = run(tmp_path, "oracle", "--s1", "sphere:r=1", "--s2", "plane",
+                         "--points", "1", "--phi", phi)
+        assert code == 3
+        assert text == ""
+        value = repr(float(phi))
+        assert capsys.readouterr().err == (
+            f"error: the oracle's finite-difference steps are lost to rounding at phi = {value},"
+            f" (x, y, u, v, phi) = (0.4, 0.0, 0.0, 0.0, {value})\n")
+
+
+class TestOutputFile:
+    @pytest.mark.parametrize("argv", ONE_RUN_OF_EACH, ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("target, reason", [("missing/out.txt", "No such file or directory"),
+                                                ("", "Is a directory")])
+    def test_an_unwritable_path_is_a_usage_error(self, tmp_path, capsys, argv, target, reason):
+        path = str(tmp_path / target) if target else str(tmp_path)
+        assert main(argv + ["-o", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot write the output file {path!r}: {reason}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["quartic", "--s1", "sphere:r=1e-100", "--s2", "plane", "--grid", "2"],
+        ["g2check", "--s1", "sphere:r=1e-100", "--s2", "plane", "--grid", "2"],
+        ["growth", "--s1", "sphere:r=1e-100", "--s2", "plane", "--grid", "2"],
+        ["roll", "--s1", "sphere:r=1", "--s2", "plane", "--start", "4,0,0,0,0"],
+        ["oracle", "--s1", "sphere:r=1", "--s2", "plane", "--points", "1", "--phi", "1e16"],
+        ["embed", "--family", "g2:eps=-1", "--rho-range", "1:2", "--nr", "4", "--nphi", "4"],
+    ], ids=lambda argv: argv[0])
+    def test_a_domain_error_leaves_no_file(self, tmp_path, capsys, argv):
+        out = tmp_path / "out.txt"
+        assert main(argv + ["-o", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+
 class TestOracleFlatRows:
     """Where both routes say the quartic vanishes, the proportionality
     residual would be a ratio of two noises; such rows print 0."""
@@ -444,19 +497,7 @@ class TestSerialFrontEnd:
             run(tmp_path, command, "--s1", "sphere:r=1", "--s2", "sphere:r=2", "--grid", "7")
         assert calls == [7, 7]
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["quartic", "--s1", "sphere:r=1", "--s2", "sphere:r=2", "--grid", "3"],
-            ["g2check", "--s1", "g2:eps=-1", "--s2", "plane", "--rho", "1.5:3:4"],
-            ["growth", "--s1", "sphere:r=1", "--s2", "plane", "--grid", "2"],
-            ["roll", "--s1", "sphere:r=1", "--s2", "plane", "--start", "1.2,0,0,0,0",
-             "--dt", "0.01", "--T", "0.2"],
-            ["oracle", "--s1", "sphere:r=1", "--s2", "plane", "--points", "1"],
-            ["embed", "--family", "g2:eps=1", "--rho-range", "0:1", "--nr", "4", "--nphi", "4"],
-        ],
-        ids=lambda argv: argv[0],
-    )
+    @pytest.mark.parametrize("argv", ONE_RUN_OF_EACH, ids=lambda argv: argv[0])
     def test_stdout_equals_output_file(self, tmp_path, capsys, argv):
         out = tmp_path / "out.txt"
         code_file = main(argv + ["-o", str(out)])

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from references import (
     curvature_by_raised_riemann,
+    full_stencil_derivatives,
+    oracle_by_full_stencil,
     riemann_symmetry_residual,
     weyl_trace_residual,
 )
@@ -260,10 +262,10 @@ class TestCartanFromWeyl:
             closed = quartic_killing_case(SPHERE.jet((p[0], p[1])), 0.0)
             assert co.proportionality_residual(ocl.quartic, closed) < 1e-3
 
-    def test_one_hundred_two_metric_evaluations(self, monkeypatch):
-        # one metric call per table, on the 102-row stencil stacks of both
-        # steps of every point; the duals Y come from one coframe call on
-        # the base points, whatever their number
+    def test_one_coframe_call_on_thirty_eight_rows_per_point(self, monkeypatch):
+        # one theta coframe call per block of POINTS_PER_PASS points, on the
+        # 38-row stencils of its points (19 rows at each step), whose zero-step
+        # rows give the duals: no call on the bare points, none of the metric
         metric_calls, theta_calls = [], []
         metric, theta = co.metric_components, co.theta_coframe
 
@@ -272,19 +274,23 @@ class TestCartanFromWeyl:
             return metric(s1, s2, p)
 
         def counting_theta(s1, s2, p):
-            theta_calls.append(np.shape(p))
+            theta_calls.append(np.array(p))
             return theta(s1, s2, p)
 
         monkeypatch.setattr(co, "metric_components", counting_metric)
         monkeypatch.setattr(co, "theta_coframe", counting_theta)
         points = np.array([[1.1, 0.0, 0.0, 0.0, 0.3], [1.3, 0.1, 0.2, 0.0, 0.4],
                            [0.9, 0.0, 0.1, 0.5, 2.0]])
-        for p, m in ((points[0], 1), (points, 3)):
+        table = _rows_in_charts(SPHERE, PLANE, co.POINTS_PER_PASS + 1, seed=29)
+        for p, blocks in ((points[0], [points[:1]]), (points, [points]),
+                          (table, [table[:-1], table[-1:]])):
             metric_calls.clear()
             theta_calls.clear()
             co.cartan_from_weyl(SPHERE, PLANE, p)
-            assert metric_calls == [(102 * m, 5)]
-            assert theta_calls == [(m, 5), (102 * m, 5)]
+            assert metric_calls == []
+            assert [np.shape(rows) for rows in theta_calls] == [(38 * len(b), 5) for b in blocks]
+            for rows, b in zip(theta_calls, blocks):
+                assert _same_bits(rows, co._stencil(b).reshape(-1, 5))
 
     def test_nine_to_one_below_noise_floor(self):
         p = np.array([1.0, 0.1, 1.3, 0.2, 0.5])
@@ -482,23 +488,26 @@ class TestStackedMetric:
         assert _same_bits(T, np.array([co.theta_coframe(s1, s2, r) for r in rows]))
 
     def test_stencil_order(self):
+        # every row of both steps: the point, +-h along x, u and phi, then
+        # +-e, +-f for the pairs (x, u), (x, phi), (u, phi), each row as
+        # the point plus or minus its step rounds, signed zeros included;
+        # y and v are never stepped
         p = np.array([1.0, -0.0, 0.5, 0.25, -0.0])
         q = np.array([0.0, 0.3, -0.0, 0.0, 1.0])
         stencils = co._stencil(np.array([p, q]))
-        assert stencils.shape == (2, 2, 51, 5)
+        assert stencils.shape == (2, 2, 19, 5)
         for point, tiers in zip((p, q), stencils):
             for h, rows in zip((co.FD_STEP, co.FD_STEP / 2.0), tiers):
+                step = {k: np.where(np.arange(5) == k, h, 0.0) for k in (0, 2, 4)}
+                expected = [point]
+                for k in (0, 2, 4):
+                    expected += [point + step[k], point - step[k]]
+                for k, l in ((0, 2), (0, 4), (2, 4)):
+                    e, f = step[k] + step[l], step[k] - step[l]
+                    expected += [point + e, point - e, point + f, point - f]
                 assert _same_bits(rows[0], point)
-                e0 = np.array([h, 0.0, 0.0, 0.0, 0.0])
-                assert _same_bits(rows[1], point + e0) and _same_bits(rows[2], point - e0)
-                e01 = np.array([h, h, 0.0, 0.0, 0.0])
-                f01 = np.array([h, -h, 0.0, 0.0, 0.0])
-                for row, expected in zip(rows[11:15],
-                                         (point + e01, point - e01, point + f01, point - f01)):
-                    assert _same_bits(row, expected)
-                e34 = np.array([0.0, 0.0, 0.0, h, h])
-                assert _same_bits(rows[47], point + e34)
-
+                assert _same_bits(rows, np.array(expected))
+                assert np.array_equal(rows[:, [1, 3]], np.broadcast_to(point[[1, 3]], (19, 2)))
 
 class TestStencilErrors:
     """A stencil that leaves the chart or meets kappa = lambda raises the
@@ -546,8 +555,8 @@ class TestStencilErrors:
     @pytest.mark.parametrize("integrable_rho, first", [(1.0 - 1e-3, IntegrablePointError),
                                                        (1.0 + 5e-4, DomainError)])
     def test_the_earlier_of_two_failing_rows_wins(self, integrable_rho, first):
-        # the second surface's chart ends inside the stencil (row p - h e_2,
-        # the sixth), and kappa = lambda at one profile row: the second row
+        # the second surface's chart ends inside the stencil (row p - h e_u,
+        # the fifth), and kappa = lambda at one profile row: the second row
         # of step h, or the second of step h/2
         s1 = G2Family(1)
         s2 = Sphere(1.0 / np.sqrt(s1.frame_data((integrable_rho, 0.0)).kappa))
@@ -684,3 +693,135 @@ def test_stacked_oracle_raises_the_first_failing_points_error(s1, s2, rho, messa
     assert message in str(error)
     for i in range(len(rows)):  # and each later stack's first failing point
         _assert_stack_is_each_point(s1, s2, rows[i:])
+
+
+class TestResolvedSteps:
+    """Far out in a coordinate, p + h rounds to a row that is not a step h
+    from p; the oracle refuses such a point rather than divide by h."""
+
+    @pytest.mark.parametrize("phi", [1e8, 1e16, -2.0**23])
+    def test_a_lost_step_names_the_coordinate(self, phi):
+        p = np.array([1.0, 0.0, 0.0, 0.0, phi])
+        message = (rf"^the oracle's finite-difference steps are lost to rounding at phi = {phi!r},"
+                   rf" \(x, y, u, v, phi\) = \(1.0, 0.0, 0.0, 0.0, {phi!r}\)$")
+        with pytest.raises(DomainError, match=message.replace("+", r"\+")):
+            co.cartan_from_weyl(SPHERE, PLANE, p)
+
+    def test_the_gate_opens_at_two_to_the_twenty_three(self):
+        # below 2^23 the rounding of p +- h/2 moves the step by less than
+        # 1e-6 of it; from 2^23 on by 0.46 ulp, 8.5e-10 or 1.7e-6 of h/2
+        below = np.nextafter(2.0**23, 0.0)
+        ocl = co.cartan_from_weyl(SPHERE, PLANE, np.array([1.0, 0.0, 0.0, 0.0, below]))
+        assert np.isfinite(np.array(ocl.quartic)).all()
+        with pytest.raises(DomainError, match="lost to rounding at phi = 8388608.0"):
+            co.cartan_from_weyl(SPHERE, PLANE, np.array([1.0, 0.0, 0.0, 0.0, 2.0**23]))
+
+    def test_y_and_v_are_not_gated(self):
+        # the stencil does not step them, so their size costs no precision
+        p = np.array([1.0, 1e300, 0.0, -1e300, 0.3])
+        q = np.array([1.0, 0.0, 0.0, 0.0, 0.3])
+        assert _fields(co.cartan_from_weyl(SPHERE, PLANE, p)) == _fields(
+            co.cartan_from_weyl(SPHERE, PLANE, q))
+
+    def test_the_points_own_error_comes_first(self):
+        # a point outside the sphere's chart, whose steps are also lost
+        with pytest.raises(DomainError, match="sphere polar chart requires 0 < theta < pi"):
+            co.cartan_from_weyl(SPHERE, PLANE, np.array([1e8, 0.0, 0.0, 0.0, 0.3]))
+
+
+@pytest.mark.parametrize("s1, s2", ORACLE_PAIRS, ids=lambda s: s.spec_string())
+def test_y_and_v_derivatives_are_exact_zeros(s1, s2):
+    # and every other derivative is the full stencil's, bit for bit
+    rows = _rows_in_charts(s1, s2, 6, seed=31)
+
+    def metric(r):
+        return co.metric_components(s1, s2, r)
+
+    d = co._metric_derivatives(metric(co._stencil(rows).reshape(-1, 5)).reshape(6, 2, 19, 5, 5))
+    zeros = np.zeros((6, 2, 5, 5, 5, 5))
+    assert _same_bits(d.dg[:, :, [1, 3]], zeros[:, :, :2, 0])
+    assert _same_bits(d.ddg[:, :, [1, 3]], zeros[:, :, :2])
+    assert _same_bits(d.ddg[:, :, :, [1, 3]], zeros[:, :, :, :2])
+    xup = np.ix_([0, 2, 4], [0, 2, 4])
+    for i, p in enumerate(rows):
+        full = full_stencil_derivatives(metric, p)
+        assert _same_bits(d.g0[i], full.g0)
+        assert _same_bits(d.dg[i][:, [0, 2, 4]], full.dg[:, [0, 2, 4]])
+        assert _same_bits(d.ddg[i][(slice(None), *xup)], full.ddg[(slice(None), *xup)])
+
+
+TRIM_PAIRS = [
+    (Sphere(1.0), PLANE),
+    (Sphere(0.6), Plane(2.0)),
+    (Sphere(1.3), Hyperbolic(1.1)),
+    (Sphere(2.0), Hyperbolic(0.5)),
+    (G2Family(-1), PLANE),
+    (G2Family(0), PLANE),
+    (G2Family(1), PLANE),
+    (G2Family(0), Sphere(2.0)),
+    (G2Family(1), Hyperbolic(1.5)),
+    (RevolutionProfile(1.0, -5.0), Hyperbolic(1.0)),
+    (RevolutionProfile(0.7, -1.3), Sphere(0.8)),
+    (RevolutionProfile(2.0, 1.0), PLANE),
+]
+
+
+def _near(*edges):
+    """A float within 2 FD_STEP of one of the edges."""
+    step = 2.0 * co.FD_STEP
+    return st.tuples(st.sampled_from(edges), _floats(-step, step)).map(sum)
+
+
+@st.composite
+def oracle_points(draw, near_ends=False):
+    """A sphere/plane, sphere/hyperbolic, g2: or profile: pair and a chart
+    point, with y and v up to 1e9.  Its profile coordinates lie in the
+    surfaces' default ranges, which the CLI's grids sample; with near_ends,
+    they may also lie outside them or within two steps of a chart's end (0,
+    1 or pi)."""
+    s1, s2 = draw(st.sampled_from(TRIM_PAIRS))
+    (x0, x1), (u0, u1) = s1.profile_range(), s2.profile_range()
+    x, u = _floats(x0, x1), _floats(u0, u1)
+    if near_ends:
+        x = st.one_of(x, _floats(x0 - 1.0, x1 + 1.0), _near(0.0, 1.0, np.pi))
+        u = st.one_of(u, _near(0.0, np.pi))
+    signed_zero = st.sampled_from((0.0, -0.0))
+    angle = st.one_of(signed_zero, _floats(-3.0, 3.0), _floats(-1e9, 1e9))
+    p = [draw(x), draw(angle), draw(u), draw(angle), draw(st.one_of(signed_zero, _floats(-7.0, 7.0)))]
+    return s1, s2, np.array(p)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args), None
+    except (RollingTwistorError, ArithmeticError, ValueError) as exc:
+        return None, (type(exc), str(exc))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(oracle_points())
+def test_trimmed_stencil_matches_the_full_stencil(case):
+    # the same error, or the same quartic to a tenth of the full stencil's
+    # noise floor (the CLI's noise_floor column)
+    s1, s2, p = case
+    full, full_error = _outcome(oracle_by_full_stencil, s1, s2, p)
+    ocl, error = _outcome(co.cartan_from_weyl, s1, s2, p)
+    assert error == full_error
+    if error is None:
+        quartic, noise = full[0], full[1]
+        assert np.all(np.abs(np.array(ocl.quartic) - quartic) <= 0.1 * np.max(noise))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(oracle_points(near_ends=True))
+def test_trimmed_stencil_fails_as_the_full_stencil(case):
+    # the first failing row of a stencil that leaves a chart is the full
+    # stencil's; a few steps from a chart's end the y and v rows of the full
+    # stencil carried rounding noise above its own noise floor, so only the
+    # outcome is compared there
+    s1, s2, p = case
+    full, full_error = _outcome(oracle_by_full_stencil, s1, s2, p)
+    ocl, error = _outcome(co.cartan_from_weyl, s1, s2, p)
+    assert error == full_error
+    if error is None:
+        assert np.isfinite(np.array(ocl.quartic)).all()

@@ -354,9 +354,9 @@ def test_oracle_builds_one_jet_per_theta_coframe(jet_calls, monkeypatch):
         thetas.clear()
         jet_calls.clear()
         conformal_oracle.cartan_from_weyl(S1, Plane(), p)
-        # the base points, then all their stencils in one stacked call
-        assert [np.shape(args[2]) for args in thetas] == [(m, 5), (102 * m, 5)]
-        assert jet_calls == [S1, S1]
+        # one stacked call on all their stencil rows, the points among them
+        assert [np.shape(args[2]) for args in thetas] == [(38 * m, 5)]
+        assert jet_calls == [S1]
 
 
 def test_oracle_reads_a_constant_curvature_first_surface_once(jet_calls, frame_data_calls):
@@ -367,5 +367,5 @@ def test_oracle_reads_a_constant_curvature_first_surface_once(jet_calls, frame_d
         jet_calls.clear()
         frame_data_calls.clear()
         conformal_oracle.cartan_from_weyl(s1, Sphere(1.0), p)
-        assert [s for s in jet_calls if s is s1] == [s1, s1]  # base points, then stencils
-        assert [s for s in frame_data_calls if s is s1] == [s1, s1]
+        assert [s for s in jet_calls if s is s1] == [s1]  # on the stencil rows
+        assert [s for s in frame_data_calls if s is s1] == [s1]

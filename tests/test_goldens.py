@@ -42,7 +42,7 @@ README_EXAMPLES = {
     ),
     "oracle_sphere_plane": (
         ["oracle", "--s1", "sphere:r=1", "--s2", "plane", "--points", "5"],
-        "b99803b03b80b7d33446df1ab290d2184f31769dea178efe9bd5e6ffcd7a75ea",
+        "93631dd08826b5a6cc6a2f2fbc57b8fb9e2d0cf0840aac10356a11df55842ab7",
     ),
     "embed_g2_plus": (
         ["embed", "--family", "g2:eps=1", "--rho-range", "0:2", "--nr", "32", "--nphi", "32"],
@@ -73,13 +73,13 @@ MORE_EXAMPLES = {
     "oracle_profile_on_hyperbolic": (
         ["oracle", "--s1", "profile:alpha=1,beta=-5", "--s2", "hyperbolic:r=1",
          "--rho=0.5:1.9:3", "--points", "3", "--phi", "2"],
-        "db3a728e1dae502c6dc533af5e51af682163e727d250fdefba9b44d0bcd11778",
+        "618e39258ec07d8abb05f548ddf40eeb57b96ae19d3152be9236a90e5b0ac8ee",
     ),
     # both constant-curvature frames through a stencil of several points
     "oracle_sphere_on_hyperbolic": (
         ["oracle", "--s1", "sphere:r=1.3", "--s2", "hyperbolic:r=1.1", "--rho=0.4:2.5:4",
          "--points", "4", "--phi=0.7"],
-        "bdba3d9b910b664cbeb1201a71307c82c561e171f5ec7b3004aba117624f4d8e",
+        "cfedd9a54b75575f22a4561768ec55481a293cb3511f3b90a44089c60af11273",
     ),
     "growth_g2_zero_on_sphere": (
         ["growth", "--s1", "g2:eps=0", "--s2", "sphere:r=2", "--rho=0.6:2.5:6", "--phi", "4"],
