@@ -707,7 +707,7 @@ class TestResolvedSteps:
         with pytest.raises(DomainError, match=message.replace("+", r"\+")):
             co.cartan_from_weyl(SPHERE, PLANE, p)
 
-    def test_the_gate_opens_at_two_to_the_twenty_three(self):
+    def test_the_gate_starts_at_two_to_the_twenty_three(self):
         # below 2^23 the rounding of p +- h/2 moves the step by less than
         # 1e-6 of it; from 2^23 on by 0.46 ulp, 8.5e-10 or 1.7e-6 of h/2
         below = np.nextafter(2.0**23, 0.0)
