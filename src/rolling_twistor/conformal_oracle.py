@@ -34,7 +34,7 @@ import numpy as np
 
 from .cartan_invariants import CartanQuartic, _ipow
 from .distribution5 import _as_point5, _require_noninteg
-from .errors import DomainError, first_failing_row
+from .errors import DomainError, RollingTwistorError, first_failing_row
 from .finitediff import richardson
 
 # constant coefficient matrix of the metric in the theta basis:
@@ -406,12 +406,10 @@ def _weyl_quartics(s1, s2, a):
 
     try:
         w = _curvature_tiers(metric, a)[-1]
-    finally:  # a point's own coframe fails, or is singular, before its stencil does
-        theta = thetas[0].reshape(len(a), -1, 5, 5)[:, 0] if thetas else theta_coframe(s1, s2, a)
-        try:
-            Y = np.linalg.inv(theta)  # <theta^j, Y_i> = delta^j_i
-        except np.linalg.LinAlgError:  # `first_failing_row` retries a stack point by point
-            raise DomainError(f"the oracle's theta coframe is singular at {_where(a[0])}") from None
+    except (RollingTwistorError, ArithmeticError, ValueError):
+        _duals(theta_coframe(s1, s2, a), a)  # a point's own coframe fails, or is singular, first
+        raise
+    Y = _duals(thetas[0].reshape(len(a), -1, 5, 5)[:, 0], a)
     A = _contract_quartic(w, Y[:, None])  # (m, 3, 5): blend, step h, step h/2
     norms = _frobenius(w)
     norm, weyl_noise = norms[:, 0], np.abs(norms[:, 1] - norms[:, 2])
@@ -426,6 +424,15 @@ def _weyl_quartics(s1, s2, a):
             f" at kappa = {float(kappa)!r}, lambda = {float(lam)!r}, {_where(a[i])}"
         )
     return A[:, 0], np.abs(A[:, 1] - A[:, 2]), norm, weyl_noise
+
+
+def _duals(theta, a):
+    """The inverses Y of the theta coframes at the (m, 5) stack a:
+    <theta^j, Y_i> = delta^j_i."""
+    try:
+        return np.linalg.inv(theta)
+    except np.linalg.LinAlgError:  # `first_failing_row` retries a stack point by point
+        raise DomainError(f"the oracle's theta coframe is singular at {_where(a[0])}") from None
 
 
 def _where(p):

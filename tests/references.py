@@ -308,10 +308,7 @@ def oracle_by_full_stencil(s1, s2, p):
     blend and the curvature of the blend and of each step."""
     a = np.asarray(p, dtype=float)[None]
     with np.errstate(all="ignore"):
-        try:
-            Y = np.linalg.inv(co.theta_coframe(s1, s2, a)[0])
-        except np.linalg.LinAlgError:
-            raise DomainError(f"the oracle's theta coframe is singular at {co._where(p)}") from None
+        Y = co._duals(co.theta_coframe(s1, s2, a), a)[0]
         d = full_stencil_derivatives(lambda rows: co.metric_components(s1, s2, rows), p)
         blend = co._Derivs(d.g0[0], richardson(d.dg[0], d.dg[1]), richardson(d.ddg[0], d.ddg[1]))
         tiers = co._Derivs(*(np.concatenate([x[None], y]) for x, y in zip(blend, d)))
