@@ -11,11 +11,9 @@ revolution surfaces.
 from .cartan_invariants import (
     CartanQuartic,
     G2Report,
-    RootType,
     g2_check,
     quartic_killing_case,
     root_type,
-    root_types,
     vanishing_scale,
 )
 from .conformal_oracle import (

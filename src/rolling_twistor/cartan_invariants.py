@@ -123,53 +123,15 @@ def _killing_coefficients(jet, lam):
     return CartanQuartic(A1, A2, A3, A4, A5)
 
 
-@dataclass(frozen=True)
-class RootType:
-    """Multiplicity partition of the quartic's complex roots.
-
-    `tag` is "zero" or a bracketed partition like "[2,2]"; roots at infinity
-    (degree drop) are folded into the partition and listed as None.
-    """
-
-    tag: str
-    roots: tuple
-    multiplicities: tuple
-
-
 def root_type(quartic):
-    """Classify the quartic over the complex numbers with multiplicity
-    clustering (radius ROOT_CLUSTER_RADIUS); an (approximately) vanishing
-    leading coefficient contributes a root at infinity."""
-    return root_types([quartic])[0]
-
-
-def root_types(quartics):
-    """`root_type` of each quartic (a CartanQuartic or five ascending
-    polynomial coefficients, or an (m, 5) array of such rows).
-
-    The RootType of each distinct quartic is built from the arrays of one
-    classifying pass (`_classified`, the pass `g2_check` reads its tags
-    from): its clusters ordered by multiplicity, ties in the order they
-    opened, and the roots at infinity (None) last among their ties.  A
-    quartic's duplicates share its RootType.
-    """
-    if not isinstance(quartics, np.ndarray):
-        quartics = [q.poly_coefficients() if isinstance(q, CartanQuartic) else q for q in quartics]
-    inverse, reps, mults = _classified(quartics)
-    kinds = _root_kinds(reps, mults)
-    return [kinds[i] for i in inverse.tolist()]
-
-
-def _root_kinds(reps, mults):
-    """The RootType of each row of `_clusters`' (reps, mults)."""
-    order = np.argsort(-mults, axis=1, kind="stable")
-    kinds = []
-    for key, rep, mult, slots in zip(_tag_keys(mults).tolist(), reps.tolist(),
-                                     mults.astype(int).tolist(), order.tolist()):
-        slots = [s for s in slots if mult[s]]
-        kinds.append(RootType(tag=_TAGS[key], roots=tuple(rep[s] if s < 4 else None for s in slots),
-                              multiplicities=tuple(mult[s] for s in slots)))
-    return kinds
+    """The tag of a CartanQuartic or of five ascending coefficients: "zero",
+    or the multiplicities of its complex roots, clustered within
+    ROOT_CLUSTER_RADIUS (a dropped leading coefficient is a root at
+    infinity), largest first, like "[2,2]"."""
+    if isinstance(quartic, CartanQuartic):
+        quartic = quartic.poly_coefficients()
+    _, mults = _classified(quartic)
+    return _TAGS[_tag_keys(mults)[0]]
 
 
 # the tag of each partition of 4 at the sum of its squared parts, which tells
@@ -186,9 +148,9 @@ def _tag_keys(mults):
 
 
 def _classified(quartics):
-    """Root clusters of each distinct quartic of an (m, 5) stack of ascending
-    coefficients, as (inverse, reps, mults): row i of the stack is distinct
-    quartic inverse[i], and reps and mults are `_clusters` of the distinct
+    """Root multiplicities of each distinct quartic of an (m, 5) stack of
+    ascending coefficients, as (inverse, mults): row i of the stack is
+    distinct quartic inverse[i], and mults are `_clusters` of the distinct
     quartics (a quartic that vanishes has no roots: its mults are all 0).
 
     Each distinct quartic is solved once, keyed on its coefficients' bits
@@ -208,7 +170,6 @@ def _classified(quartics):
     trailing = np.cumprod(desc[:, :0:-1] == 0.0, axis=1).sum(axis=1)
     zero = scale == 0.0  # all its coefficients count as dropped
     roots = np.zeros((len(desc), 4), dtype=complex)  # the split-off roots stay 0j
-    floats = np.zeros(roots.shape, dtype=bool)
     group = np.where(zero, -1, 5 * lead + trailing)
     for key in np.flatnonzero(np.bincount(group + 1)[1:]).tolist():
         lo, tz = divmod(key, 5)
@@ -218,49 +179,33 @@ def _classified(quartics):
         if d:
             companion = np.tile(np.eye(d, k=-1), (len(rows), 1, 1))
             companion[:, 0, :] = -c[:, 1:] / c[:, :1]
-            w = np.linalg.eigvals(companion)
-            roots[rows, :d] = w
-            floats[rows, :d] = not np.iscomplexobj(w)
-    reps, mults = _clusters(roots, 4 - lead, floats)
+            roots[rows, :d] = np.linalg.eigvals(companion)
+    mults = _clusters(roots, 4 - lead)
     mults[zero, 4] = 0.0
-    return inverse, reps, mults
+    return inverse, mults
 
 
-def _clusters(roots, n_finite, floats):
+def _clusters(roots, n_finite):
     """Multiplicity clusters of the roots of each row of an (m, 4) complex
     array, whose first n_finite[i] entries in row i are its finite roots and
-    whose other 4 - n_finite[i] roots are at infinity.  The (m, 4) bool
-    array `floats` marks the roots that are real numbers, not complex ones
-    (`np.linalg.eigvals` gives a real array when every eigenvalue is real).
+    whose other 4 - n_finite[i] roots are at infinity.
 
-    The greedy rule in a fixed number of array steps, bit for bit as Python
-    runs it one root at a time: the finite roots are taken in (real, imag)
-    order, ties in slot order; each joins the first open cluster c, of n
-    roots, with |z - c| <= ROOT_CLUSTER_RADIUS * (1 + |c|), whose
-    representative becomes (c*n + z)/(n + 1) in Python's complex (or, for
-    two real numbers, float) arithmetic, or else opens the next cluster.
-    Returns (reps, mults): reps (m, 4), the representatives in the order
-    the clusters opened, and mults (m, 5), their sizes (0 where no cluster
-    opened) followed by the number of roots at infinity.
+    The greedy rule in a fixed number of array steps: the finite roots are
+    taken in (real, imag) order, ties in slot order; each joins the first
+    open cluster c, of n roots, with |z - c| <= ROOT_CLUSTER_RADIUS *
+    (1 + |c|), whose mean becomes (c*n + z)/(n + 1), or else opens the next
+    cluster.  Each part of the mean rounds as Python's complex / int rounds
+    it, so every join is the one-root-at-a-time rule's.  Returns the (m, 5)
+    multiplicities: the cluster sizes in the order they opened (0 where no
+    cluster opened), then the number of roots at infinity.
     """
     radius = ROOT_CLUSTER_RADIUS  # read per call
     n_finite = np.asarray(n_finite)
     m = len(n_finite)
-    rows = np.arange(m)[:, None]
     # a root at infinity is nan here: it sorts last, joins and opens nothing
     z = np.where(_SLOTS < n_finite[:, None], roots, np.nan)
-    order = np.lexsort((z.imag, z.real))  # stable
-    z = z[rows, order]
-    # Python divides x + yi by the int d as ((x + y*0.0)/d, (y - x*0.0)/d)
-    # (Smith's rule with ratio 0), and a float x as x/d, which is
-    # (x + y*-0.0)/d as y is 0.0.  So the quotient is ((x + y*g)/d, (y +
-    # x*-0.0)/d), where g is -0.0 if the cluster and the root are floats and
-    # 0.0 if not: q holds (g, -0.0) of each root and cq of each cluster, and
-    # cq + q is -0.0 only where both are -0.0
-    q = np.full((m, 4, 2), -0.0)
-    q[..., 0] = np.where(floats[rows, order], -0.0, 0.0)
+    z = z[np.arange(m)[:, None], np.lexsort((z.imag, z.real))]  # stable
     c = np.where(_FIRST, z, np.nan)  # slot s: the s-th cluster opened, nan until then
-    cq = np.where(_FIRST[..., None], q, -0.0)
     n = _FIRST * 1.0
     for k in range(1, 4):
         zk = z[:, k, None]
@@ -268,14 +213,13 @@ def _clusters(roots, n_finite, floats):
         near = np.hypot(dz.real, dz.imag) <= radius * (1.0 + np.hypot(c.real, c.imag))
         unopened = np.isnan(c.real)
         hit = _SLOTS == (near | unopened).argmax(axis=1)[:, None]  # first near, or new
-        a = (c * n + zk).view(float).reshape(m, 4, 2)  # numpy's c*n rounds as Python's
-        g = cq + q[:, k, None]
-        mean = ((a + a[..., ::-1] * g) / (n + 1.0)[..., None]).view(complex)[..., 0]
+        # numpy's c*n rounds as Python's; its complex / would multiply by 1/(n + 1)
+        a = (c * n + zk).view(float).reshape(m, 4, 2)
+        mean = (a / (n + 1.0)[..., None]).view(complex)[..., 0]
         c = np.where(hit, np.where(unopened, zk, mean), c)
-        cq = np.where(hit[..., None], g, cq)
         n = n + hit
     mults = np.where(np.isnan(c.real), 0.0, n)
-    return c, np.concatenate([mults, 4.0 - n_finite[:, None]], axis=1)
+    return np.concatenate([mults, 4.0 - n_finite[:, None]], axis=1)
 
 
 def vanishing_scale(kappa, lam):
@@ -297,7 +241,7 @@ def scaled_vanishing(coeffs, kappa, lam, tol=VANISH_TOL):
 class G2Report:
     """The quartic over a grid of m points, as columns: the chart stack, the
     curvatures, the (m, 5) A1..A5, max|A_i| / `vanishing_scale` and the
-    root types ("zero" where the quartic vanishes)."""
+    root-type tags ("zero" where the quartic vanishes)."""
 
     points: tuple
     kappa: np.ndarray
@@ -334,7 +278,7 @@ def g2_check(s1, lam, grid, tol=VANISH_TOL):
     loud = ~vanishes
     keys = np.zeros(len(kappa), dtype=int)  # _TAGS[0] is "zero"
     if loud.any():
-        inverse, _, mults = _classified(CartanQuartic(*coeffs[:, loud]).poly_coefficients().T)
+        inverse, mults = _classified(CartanQuartic(*coeffs[:, loud]).poly_coefficients().T)
         keys[loud] = _tag_keys(mults)[inverse]
     return G2Report(points=grid, kappa=kappa, quartics=coeffs.T, scaled=scaled,
                     tags=_TAGS[keys].tolist(), max_scaled=float(np.max(scaled)),

@@ -53,10 +53,15 @@ class ControlCurve:
     @classmethod
     def from_file(cls, path):
         """Rows `t, c1, c2`; comma or whitespace delimited, '#' comments.
-        Every entry must be a finite number and the times must increase."""
+        Every entry must be a finite number and the times must increase.  A
+        path that cannot be opened for reading is a usage error naming it."""
         times = []
         values = []
-        with open(path, "r", encoding="utf-8") as fh:
+        try:
+            fh = open(path, "r", encoding="utf-8")
+        except OSError as exc:
+            raise SpecParseError(f"cannot read the control file {path!r}: {exc.strerror}") from None
+        with fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.strip()
                 if not line or line.startswith("#"):
@@ -93,7 +98,7 @@ class Trajectory:
 
     times: np.ndarray
     points: np.ndarray  # shape (n, 5)
-    control: ControlCurve | None
+    control: ControlCurve
     dt: float
 
     def __len__(self):
@@ -208,6 +213,5 @@ def export_trajectory(traj, fh):
     fh.write("# t,x,y,u,v,phi,c1,c2\n")
     for start in range(0, len(traj), EXPORT_ROWS):
         t = traj.times[start : start + EXPORT_ROWS]
-        c = traj.control(t).T if traj.control is not None else np.zeros((len(t), 2))
-        block = np.column_stack((t, traj.points[start : start + EXPORT_ROWS], c))
+        block = np.column_stack((t, traj.points[start : start + EXPORT_ROWS], traj.control(t).T))
         fh.writelines(row_text % tuple(row) for row in block.tolist())

@@ -24,11 +24,9 @@ import numpy as np
 from rolling_twistor import cartan_invariants
 from rolling_twistor import conformal_oracle as co
 from rolling_twistor.cartan_invariants import (
-    DEGREE_TOL,
     VANISH_TOL,
     CartanQuartic,
     G2Report,
-    RootType,
     quartic_killing_case,
     root_type,
 )
@@ -76,17 +74,18 @@ def g2_check_by_rows(s1, lam, grid, tol=VANISH_TOL):
         kappas.append(kappa)
         quartics.append(q)
         scaled.append(q.max_abs / ((kappa - lam) ** 4 * max(kappa**2, lam**2, 1.0)))
-        tags.append("zero" if scaled[-1] < tol else root_type(q).tag)
+        tags.append("zero" if scaled[-1] < tol else root_type(q))
     worst = max([0.0] + scaled)
     return G2Report(points=grid, kappa=np.array(kappas), quartics=np.array(quartics).reshape(-1, 5),
                     scaled=np.array(scaled), tags=tags, max_scaled=worst, is_g2=worst < tol)
 
 
 def classify_roots(roots, inf_mult):
-    """RootType of the finite roots and inf_mult roots at infinity: the
-    greedy clustering one root at a time, in the arithmetic of the roots'
-    own Python types (a float root averages as a float), with the radius
-    `cartan_invariants.ROOT_CLUSTER_RADIUS` read per call."""
+    """(tag, multiplicities) of the finite roots and inf_mult roots at
+    infinity: the greedy clustering one root at a time, in the arithmetic of
+    the roots' own Python types (a float root averages as a float), with the
+    radius `cartan_invariants.ROOT_CLUSTER_RADIUS` read per call; the
+    multiplicities largest first."""
     clusters = []  # list of [representative, count]
     for z in sorted(roots, key=lambda w: (w.real, w.imag)):
         for c in clusters:
@@ -96,48 +95,9 @@ def classify_roots(roots, inf_mult):
                 break
         else:
             clusters.append([z, 1])
-    mults = [c[1] for c in clusters]
-    reps = [complex(c[0]) for c in clusters]
-    if inf_mult:
-        mults.append(inf_mult)
-        reps.append(None)
-    order = sorted(range(len(mults)), key=lambda i: -mults[i])  # stable: ties keep their order
-    mults = tuple(int(mults[i]) for i in order)
-    reps = tuple(reps[i] for i in order)
-    tag = "[" + ",".join(str(m) for m in mults) + "]"
-    return RootType(tag=tag, roots=reps, multiplicities=mults)
-
-
-def root_types_by_rows(quartics):
-    """`root_types` with each distinct quartic classified on its own by
-    `classify_roots`: the same solve (one `np.linalg.eigvals` call per
-    (dropped, split) group of distinct quartics, whose Python values, float
-    or complex, are the roots) and one RootType per distinct quartic."""
-    if not isinstance(quartics, np.ndarray):
-        quartics = [q.poly_coefficients() if isinstance(q, CartanQuartic) else q for q in quartics]
-    p = np.ascontiguousarray(quartics, dtype=float).reshape(-1, 5)
-    _, first, inverse = np.unique(p.view("V40").ravel(), return_index=True, return_inverse=True)
-    p = p[first]
-    desc = p[:, ::-1]
-    scale = np.max(np.abs(p), axis=1)
-    lead = np.cumprod(np.abs(desc[:, :4]) <= DEGREE_TOL * scale[:, None], axis=1).sum(axis=1)
-    trailing = np.cumprod(desc[:, :0:-1] == 0.0, axis=1).sum(axis=1)
-    groups = {}  # (lead, trailing) -> rows
-    for i, key in enumerate(zip(lead.tolist(), trailing.tolist())):
-        if scale[i] != 0.0:
-            groups.setdefault(key, []).append(i)
-    kinds = [RootType(tag="zero", roots=(), multiplicities=())] * len(p)
-    for (lo, tz), rows in groups.items():
-        c = desc[rows, lo : 5 - tz]
-        d = c.shape[1] - 1
-        finite = [[]] * len(rows)
-        if d:
-            companion = np.tile(np.eye(d, k=-1), (len(rows), 1, 1))
-            companion[:, 0, :] = -c[:, 1:] / c[:, :1]
-            finite = np.linalg.eigvals(companion).tolist()
-        for i, w in zip(rows, finite):
-            kinds[i] = classify_roots(w + [0j] * tz, lo)
-    return [kinds[i] for i in inverse.tolist()]
+    mults = tuple(sorted([c[1] for c in clusters] + ([inf_mult] if inf_mult else []),
+                         reverse=True))
+    return "[" + ",".join(str(m) for m in mults) + "]", mults
 
 
 def row_fields(s1, s2):

@@ -205,49 +205,27 @@ class TestNineToOneProperty:
 
 class TestRootType:
     def test_constant_quartic_is_double_double(self):
-        rt = root_type(quartic_constant(1.0, 0.0).quartic)
-        assert rt.tag == "[2,2]"
-        roots = sorted(rt.roots, key=lambda z: z.imag)
-        assert roots[0] == pytest.approx(complex(-0.5, -0.5), abs=1e-6)
-        assert roots[1] == pytest.approx(complex(-0.5, 0.5), abs=1e-6)
+        assert root_type(quartic_constant(1.0, 0.0).quartic) == "[2,2]"
 
     def test_zero_quartic(self):
-        assert root_type(CartanQuartic(0, 0, 0, 0, 0)).tag == "zero"
+        assert root_type(CartanQuartic(0, 0, 0, 0, 0)) == "zero"
 
     def test_leading_only_gives_quadruple(self):
-        assert root_type(CartanQuartic(0, 0, 0, 0, 1.0)).tag == "[4]"
+        assert root_type(CartanQuartic(0, 0, 0, 0, 1.0)) == "[4]"
 
     def test_constant_only_gives_root_at_infinity(self):
-        rt = root_type(CartanQuartic(1.0, 0, 0, 0, 0))
-        assert rt.tag == "[4]"
-        assert rt.roots == (None,)
-
-    @pytest.mark.parametrize(
-        "roots, tag, order",
-        [
-            ([-2.0, 1.0, 1.0, 3.0], "[2,1,1]", [1.0, -2.0, 3.0]),
-            ([-1.0, 2.0, 4.0], "[1,1,1,1]", [-1.0, 2.0, 4.0, None]),  # z^4 coefficient 0
-        ],
-    )
-    def test_tied_clusters_keep_ascending_order(self, roots, tag, order):
-        # the largest multiplicity first, ties in ascending order and the root
-        # at infinity last, whatever numpy's sort kernel does with ties
-        poly = np.append(np.poly(roots)[::-1], [0.0] * (5 - len(roots) - 1))  # ascending
-        rt = root_type(CartanQuartic(poly[0], poly[1] / 4, poly[2] / 6, poly[3] / 4, poly[4]))
-        assert rt.tag == tag
-        got = [None if z is None else z.real for z in rt.roots]
-        assert got == [None if r is None else pytest.approx(r, abs=1e-6) for r in order]
+        assert root_type(CartanQuartic(1.0, 0, 0, 0, 0)) == "[4]"
 
     def test_simple_roots(self):
         # (z-1)(z-2)(z+3)(z+5) expanded into the weighted coefficients
         poly = np.poly([1.0, 2.0, -3.0, -5.0])[::-1]  # ascending
         q = CartanQuartic(poly[0], poly[1] / 4, poly[2] / 6, poly[3] / 4, poly[4])
-        assert root_type(q).tag == "[1,1,1,1]"
+        assert root_type(q) == "[1,1,1,1]"
 
     def test_double_pair(self):
         poly = np.poly([1.0, 1.0, -2.0, 3.0])[::-1]
         q = CartanQuartic(poly[0], poly[1] / 4, poly[2] / 6, poly[3] / 4, poly[4])
-        assert root_type(q).tag == "[2,1,1]"
+        assert root_type(q) == "[2,1,1]"
 
     def test_triple_root_with_relaxed_clustering(self, monkeypatch):
         # eigenvalue splitting of a triple root is ~ eps^(1/3), above the
@@ -255,14 +233,14 @@ class TestRootType:
         monkeypatch.setattr(cartan_invariants, "ROOT_CLUSTER_RADIUS", 1e-4)
         poly = np.poly([1.0, 1.0, 1.0, -2.0])[::-1]
         q = CartanQuartic(poly[0], poly[1] / 4, poly[2] / 6, poly[3] / 4, poly[4])
-        assert root_type(q).tag == "[3,1]"
+        assert root_type(q) == "[3,1]"
 
     def test_nonzero_constant_quartics_always_double_double(self):
         for _ in range(30):
             k, lam = RNG.uniform(-5, 5, 2)
             if abs((k - 9 * lam) * (9 * k - lam)) < 1e-3 or abs(k - lam) < 1e-3:
                 continue
-            assert root_type(quartic_constant(k, lam).quartic).tag == "[2,2]"
+            assert root_type(quartic_constant(k, lam).quartic) == "[2,2]"
 
 
 class TestG2Check:

@@ -129,6 +129,15 @@ class TestRoll:
                       "--control", str(ctrl))
         assert code == 2
 
+    @pytest.mark.parametrize("target, reason", [("missing/c.txt", "No such file or directory"),
+                                                ("", "Is a directory")])
+    def test_an_unreadable_control_file_is_a_usage_error(self, tmp_path, capsys, target, reason):
+        path = str(tmp_path / target) if target else str(tmp_path)
+        assert main(["roll", "--s1", "sphere:r=1", "--s2", "plane", "--control", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot read the control file {path!r}: {reason}\n"
+
     def test_domain_exit_reported(self, tmp_path):
         code, _ = run(tmp_path, "roll", "--s1", "sphere:r=1", "--s2", "plane",
                       "--start", "3.0,0,0,0,0", "--dt", "0.01", "--T", "1.0")

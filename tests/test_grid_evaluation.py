@@ -8,9 +8,9 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from references import classify_roots, g2_check_by_rows, root_types_by_rows
+from references import classify_roots, g2_check_by_rows
 
 from rolling_twistor import cartan_invariants
 from rolling_twistor.cartan_invariants import (
@@ -18,7 +18,6 @@ from rolling_twistor.cartan_invariants import (
     g2_check,
     quartic_killing_case,
     root_type,
-    root_types,
 )
 from rolling_twistor.errors import DomainError, IntegrablePointError, first_failing_row
 from rolling_twistor.surfaces import (
@@ -242,16 +241,29 @@ def quartics(draw):
     return coeffs
 
 
+def tags_and_mults(mults):
+    """(tag, multiplicities largest first) of each row of `_clusters`' mults."""
+    tags = cartan_invariants._TAGS[cartan_invariants._tag_keys(mults)]
+    return [(tag, tuple(sorted(filter(None, row), reverse=True)))
+            for tag, row in zip(tags.tolist(), mults.astype(int).tolist())]
+
+
+def classified_tags(rows):
+    """`tags_and_mults` of each row of a stack, from one stacked `_classified`
+    pass."""
+    inverse, mults = cartan_invariants._classified(rows)
+    distinct = tags_and_mults(mults)
+    return [distinct[i] for i in inverse.tolist()]
+
+
 @PROPERTY
 @given(st.lists(quartics(), min_size=1, max_size=12))
 def test_stacked_classifier_matches_np_roots(rows):
-    kinds = root_types(rows)
+    kinds = classified_tags(rows)
     assert len(kinds) == len(rows)
     for q, kind in zip(rows, kinds):
-        tag, mults = reference_root_type(q)
-        assert kind.tag == tag
-        assert kind.multiplicities == mults
-        assert root_type(q) == kind
+        assert kind == reference_root_type(q)
+        assert root_type(q) == kind[0]
 
 
 @pytest.mark.parametrize(
@@ -266,7 +278,7 @@ def test_stacked_classifier_matches_np_roots(rows):
     ],
 )
 def test_classifier_examples(coeffs, tag):
-    assert root_types([coeffs])[0].tag == tag == reference_root_type(coeffs)[0]
+    assert root_type(coeffs) == tag == reference_root_type(coeffs)[0]
 
 
 def test_each_distinct_quartic_is_classified_once(monkeypatch):
@@ -281,12 +293,10 @@ def test_each_distinct_quartic_is_classified_once(monkeypatch):
     square = [1.0, 4.0, 8.0, 8.0, 4.0]
     simple = [0.0, 1.0, -2.0, 3.0, 1.0]
     signed = [-0.0, 1.0, -2.0, 3.0, 1.0]  # the same quartic with -0.0
-    kinds = root_types([square, simple, square, signed, square, simple])
+    kinds = classified_tags([square, simple, square, signed, square, simple])
     assert len(solved) == 3  # square, simple and signed: -0.0 keys apart from 0.0
-    assert kinds[0] is kinds[2] is kinds[4]
-    assert kinds[1] is kinds[5]
-    assert kinds[3].tag == kinds[1].tag == reference_root_type(simple)[0]
-    assert kinds[0].tag == "[2,2]"
+    assert [tag for tag, _ in kinds] == ["[2,2]", "[1,1,1,1]"] * 3
+    assert kinds[3] == kinds[1] == reference_root_type(simple)
 
 
 def test_a_grid_that_vanishes_is_not_classified(monkeypatch):
@@ -336,19 +346,13 @@ def root_rows(draw):
 
 @PROPERTY
 @given(st.lists(root_rows(), min_size=1, max_size=8))
-@example([([-0.0, 2.5, -1.0, -0.0], 0)])  # two floats -0.0 average to -0.0 as floats
-@example([([complex(-0.0, 1.0), complex(-1.0, -0.0)] * 2, 0)])  # ... complex ones to 0.0
 def test_cluster_step_matches_the_reference(rows):
-    m = len(rows)
-    roots = np.zeros((m, 4), dtype=complex)
-    floats = np.zeros((m, 4), dtype=bool)
+    roots = np.zeros((len(rows), 4), dtype=complex)
     for i, (finite, _) in enumerate(rows):
         roots[i, : len(finite)] = finite
-        floats[i, : len(finite)] = [isinstance(z, float) for z in finite]
     n_finite = np.array([4 - inf for _, inf in rows])
-    kinds = cartan_invariants._root_kinds(*cartan_invariants._clusters(roots, n_finite, floats))
-    for (finite, inf), kind in zip(rows, kinds):
-        assert repr(kind) == repr(classify_roots(finite, inf))
+    got = tags_and_mults(cartan_invariants._clusters(roots, n_finite))
+    assert got == [classify_roots(finite, inf) for finite, inf in rows]
 
 
 @st.composite
@@ -369,9 +373,8 @@ def quartic_stacks(draw):
 
 @PROPERTY
 @given(quartic_stacks())
-def test_root_types_match_the_reference_bit_for_bit(rows):
-    kinds = root_types(rows)
-    assert repr(kinds) == repr(root_types_by_rows(rows))
+def test_stacked_tags_match_the_per_row_reference(rows):
+    assert classified_tags(rows) == [reference_root_type(q) for q in rows]
 
 
 # -- the stacked quartic ------------------------------------------------------

@@ -297,7 +297,8 @@ class TestNoSlip:
         times = np.arange(0.0, 1.0 + dt / 2, dt)
         points = np.zeros((len(times), 5))
         points[:, 0] = times  # x(t) = t on the plane, u frozen
-        traj = Trajectory(times=times, points=points, control=None, dt=dt)
+        traj = Trajectory(times=times, points=points, control=ControlCurve.constant(0.0, 0.0),
+                          dt=dt)
         assert no_slip_residual(traj, PLANE, PLANE) == pytest.approx(1.0, abs=1e-10)
 
     def test_fourth_order_convergence(self):
