@@ -1,5 +1,5 @@
-"""The paper's facts over the whole domain the command line accepts, not only
-the benchmark-like ranges of the other property tests.
+"""The paper's facts over wide stretches of the domain the command line
+accepts, not only the benchmark-like ranges of the other property tests.
 
 A constant-curvature pair off the 9:1 ratio has the quartic
 (kappa - 9 lambda)(9 kappa - lambda)(kappa - lambda)^4 (1 + 2 z + 2 z^2)^2,
@@ -15,7 +15,7 @@ from rolling_twistor.surfaces import Hyperbolic, Plane, Sphere
 
 PROPERTY = settings(derandomize=True, max_examples=400, deadline=None)
 
-# radii log-uniform over the range the catalog specs keep representable
+# twelve decades of radius: curvatures from 1e-12 to 1e12
 RADII = st.floats(-6.0, 6.0).map(lambda e: 10.0**e)
 
 
