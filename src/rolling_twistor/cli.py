@@ -21,6 +21,7 @@ import sys
 
 import numpy as np
 
+from . import __version__
 from . import cartan_invariants as ci
 from . import conformal_oracle as oracle_mod
 from . import distribution5 as dist
@@ -92,10 +93,29 @@ def _emit(lines, output):
 
 
 def _rows(table, *text):
-    """The rows of the 2-D array `table` as comma-separated lines, its numbers
-    in %.17g, each followed by its entries of the `text` columns."""
-    row_text = ",".join(["%.17g"] * table.shape[1] + ["%s"] * len(text))
-    return [row_text % row for row in zip(*table.T.tolist(), *text)]
+    """The rows of the 2-D float64 array `table` as comma-separated lines, its
+    numbers in %.17g, each followed by its entries of the `text` columns.
+
+    A column that is the same on every row is formatted once, into the row
+    template, and only the other columns go through `%`.  A number column is
+    the same when its bits are, so 0.0 and -0.0, or two NaNs, are never
+    merged; a text column when its strings are equal.  The lines are those
+    of formatting every cell, since the same bits give the same text."""
+    bits = table.view(np.int64)
+    same = (bits == bits[0]).all(axis=0).tolist()
+    columns = [*((col, s, "%.17g") for col, s in zip(table.T.tolist(), same)),
+               *((col, len(set(col)) == 1, "%s") for col in text)]
+    cells, varying = [], []
+    for col, constant, fmt in columns:
+        if constant:
+            cells.append((fmt % col[0]).replace("%", "%%"))
+        else:
+            cells.append(fmt)
+            varying.append(col)
+    row_text = ",".join(cells)
+    if not varying:
+        return [row_text % ()] * len(table)
+    return [row_text % row for row in zip(*varying)]
 
 
 def _grid_for(surface, args):
@@ -282,6 +302,7 @@ def build_parser():
             "kinematics and isometric embeddings."
         ),
     )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, grids=True):

@@ -54,7 +54,8 @@ class ControlCurve:
     def from_file(cls, path):
         """Rows `t, c1, c2`; comma or whitespace delimited, '#' comments.
         Every entry must be a finite number and the times must increase.  A
-        path that cannot be opened for reading is a usage error naming it."""
+        path that cannot be opened for reading, or whose bytes are not UTF-8
+        text, is a usage error naming it."""
         times = []
         values = []
         try:
@@ -62,7 +63,11 @@ class ControlCurve:
         except OSError as exc:
             raise SpecParseError(f"cannot read the control file {path!r}: {exc.strerror}") from None
         with fh:
-            for lineno, raw in enumerate(fh, start=1):
+            try:
+                lines = list(fh)
+            except UnicodeDecodeError as exc:  # decoded in chunks: no line number to give
+                raise SpecParseError(f"control file {path}: not UTF-8 text ({exc.reason})") from None
+            for lineno, raw in enumerate(lines, start=1):
                 line = raw.strip()
                 if not line or line.startswith("#"):
                     continue

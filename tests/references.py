@@ -2,7 +2,8 @@
 
 No command of the package runs these: the constant-curvature quartic in
 factored form and the necessary condition of the 9:1 ratio, `g2_check`
-written one grid point at a time, the root classifier written one quartic
+written one grid point at a time, the table row writer formatting every
+cell on its own, the root classifier written one quartic
 at a time in Python arithmetic, the rows of the derived frame as the
 callables the numerical brackets differentiate, the RK4 roll with its stage
 in numpy arrays, the pair symmetries and
@@ -78,6 +79,13 @@ def g2_check_by_rows(s1, lam, grid, tol=VANISH_TOL):
     worst = max([0.0] + scaled)
     return G2Report(points=grid, kappa=np.array(kappas), quartics=np.array(quartics).reshape(-1, 5),
                     scaled=np.array(scaled), tags=tags, max_scaled=worst, is_g2=worst < tol)
+
+
+def rows_by_cells(table, *text):
+    """The lines of `cli._rows`, every cell formatted on its own: each row
+    of the 2-D array `table` in %.17g, then its entries of the `text` columns."""
+    return [",".join(["%.17g" % v for v in row] + texts)
+            for row, *texts in zip(table.tolist(), *text)]
 
 
 def classify_roots(roots, inf_mult):

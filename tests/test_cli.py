@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import time
@@ -137,6 +138,14 @@ class TestRoll:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: cannot read the control file {path!r}: {reason}\n"
+
+    def test_a_control_file_that_is_not_utf8_is_a_usage_error(self, tmp_path, capsys):
+        ctrl = tmp_path / "ctrl.bin"
+        ctrl.write_bytes(b"0 1 0\n0.5 1 \xff\n")
+        assert main(["roll", "--s1", "sphere:r=1", "--s2", "plane", "--control", str(ctrl)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: control file {ctrl}: not UTF-8 text (invalid start byte)\n"
 
     def test_domain_exit_reported(self, tmp_path):
         code, _ = run(tmp_path, "roll", "--s1", "sphere:r=1", "--s2", "plane",
@@ -475,6 +484,16 @@ class TestModuleEntryPoints:
         proc.stderr.close()
         assert proc.wait(timeout=120) == 141
         assert err == b""
+
+
+class TestVersion:
+    def test_version_is_the_package_and_project_version(self, capsys):
+        assert main(["--version"]) == 0
+        printed = capsys.readouterr().out
+        assert printed == f"rolling-twistor {rolling_twistor.__version__}\n"
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        project = re.search(r'^version = "(.*)"$', pyproject.read_text(), re.MULTILINE)
+        assert printed.split()[1] == project.group(1)
 
 
 class TestSerialFrontEnd:
