@@ -19,7 +19,6 @@ from .cartan_invariants import (
 from .conformal_oracle import (
     cartan_from_weyl,
     metric_components,
-    omega_coframe,
     proportionality_residual,
     theta_coframe,
 )

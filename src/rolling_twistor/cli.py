@@ -57,6 +57,14 @@ def _finite(text):
     return x
 
 
+def _require_finite_positive(args, *names):
+    """A usage error unless each named option of args is a finite positive number."""
+    for name in names:
+        x = getattr(args, name)
+        if not 0.0 < x < math.inf:
+            raise SpecParseError(f"--{name} must be a finite positive number, got {x!r}")
+
+
 def _parse_range(spec, name):
     parts = spec.split(":")
     if len(parts) != 3:
@@ -151,8 +159,7 @@ def _constant_curvature(s2):
 def _quartic_table(args, verdict):
     """Write the quartic table of `quartic`/`g2check` (with the verdict line
     when `verdict`) and return the G2 report of the whole grid."""
-    if not 0.0 < args.tol < math.inf:
-        raise SpecParseError(f"--tol must be a finite positive number, got {args.tol!r}")
+    _require_finite_positive(args, "tol")
     s1 = parse_surface(args.s1)
     s2 = parse_surface(args.s2)
     lam = _constant_curvature(s2)
@@ -203,8 +210,7 @@ def cmd_growth(args):
 def cmd_roll(args):
     s1 = parse_surface(args.s1)
     s2 = parse_surface(args.s2)
-    if not 0.0 < args.T < np.inf:
-        raise SpecParseError(f"--T must be a finite positive number, got {args.T!r}")
+    _require_finite_positive(args, "T", "dt")
     if args.control:
         ctrl = roll_mod.ControlCurve.from_file(args.control)
         t0, t1 = float(ctrl.times[0]), float(ctrl.times[-1])

@@ -10,18 +10,20 @@ a common nonvanishing factor.  Agreement with the closed forms is therefore
 a genuine two-route consistency check, and the vanishing of the full Weyl
 tensor (conformal flatness) is an independent maximal-symmetry detector.
 
-The coframes, the metric and the Weyl quartic take one chart point or an
+The coframe, the metric and the Weyl quartic take one chart point or an
 (m, 5) stack of points through one code path (a point is a stack of one),
 and each row rounds as it does on its own: squares go through
-`cartan_invariants._ipow`, the C library's pow, as a float's ** does.  The
-curvature has one path, `_curvature_tiers`, which `cartan_from_weyl` runs
-once per block of POINTS_PER_PASS points: one theta coframe call on the
-stencils of every point at both steps (FD_STEP and its half), 19 rows each
-over x, u and phi, the metric's only coordinates, then array passes over a
-leading (point, tier) axis for the derivatives, the curvature of the
-Richardson blend and of each step, and the contractions.  A stack that
-fails raises the error of its first failing row, as that row raises on its
-own (`errors.first_failing_row`).
+`cartan_invariants._ipow`, the C library's pow, as a float's ** does.
+`cartan_from_weyl` makes one theta coframe call per block of
+POINTS_PER_PASS points, on the stencils of every point at both steps
+(FD_STEP and its half), 19 rows each over x, u and phi, the metric's only
+coordinates.  The zero-step rows are the points themselves: their coframes
+are inverted once, to the duals Y, and give the inverse metric
+Y ETA5^-1 Y^T.  `_curvature_tiers` then runs array passes over a leading
+(point, tier) axis for the derivatives, the curvature of the Richardson
+blend and of each step, and the contractions.  A stack that fails raises
+the error of its first failing row, as that row raises on its own
+(`errors.first_failing_row`).
 """
 
 from __future__ import annotations
@@ -43,6 +45,8 @@ ETA5 = np.zeros((5, 5))
 ETA5[0, 4] = ETA5[4, 0] = 1.0
 ETA5[1, 3] = ETA5[3, 1] = -1.0
 ETA5[2, 2] = 4.0 / 3.0
+ETA5_INV = ETA5.copy()  # its inverse, exact: the +-1 blocks are their own inverses
+ETA5_INV[2, 2] = 0.75
 
 FD_STEP = 1e-3  # central-difference step of the metric derivatives
 
@@ -100,20 +104,6 @@ def _sigma_rows(d1, d2):
     return rows
 
 
-def omega_coframe(s1, s2, p):
-    """Rows omega_1..omega_5 of the adapted coframe at p, or at each point of
-    an (m, 5) stack.
-
-    These dualize the frame (X1, X2, X3, X4 - a2 X3, X5): same
-    filtration spans as the commutator frame, with the fourth slot shifted
-    by a multiple of X3.  Any such adapted choice represents the same
-    conformal class; this one admits the compact closed form used here.
-    The second surface must have constant curvature.
-    """
-    _require_constant(s2)
-    return _stacked(lambda a: _omega_rows(a, *_surface_data(s1, s2, a)), p)
-
-
 def _surface_data(s1, s2, a):
     """(j1, d2) at the chart points a, an (m, 5) stack: the jet of the first
     surface, which carries its frame data, and the frame data of the second,
@@ -126,9 +116,14 @@ def _column(x):
 
 
 def _omega_rows(a, j1, d2):
-    """omega_coframe at the chart points a, an (m, 5) stack, as (m, 5, 5)
-    rows, given the jet j1 of the first surface and the frame data d2 of the
-    second there."""
+    """Rows omega_1..omega_5 of the adapted coframe at the chart points a,
+    an (m, 5) stack, as (m, 5, 5) rows, given the jet j1 of the first
+    surface and the frame data d2 of the second there.
+
+    These dualize the frame (X1, X2, X3, X4 - a2 X3, X5): same filtration
+    spans as the commutator frame, with the fourth slot shifted by a
+    multiple of X3.  Any such adapted choice represents the same conformal
+    class; this one admits the compact closed form used here."""
     _require_noninteg(j1.kappa, d2.kappa)
     k, lam, a2, a4, k1 = map(_column, (j1.kappa, d2.kappa, j1.a2, d2.a2, j1.kappa1))
     d = k - lam
@@ -288,9 +283,12 @@ def _frobenius(w):
     return np.sqrt(np.sum((w**2).reshape(*w.shape[:-4], -1), axis=-1))
 
 
-def _assemble_curvature(d):
-    """(g0, ginv, Riemann, Ricci, scalar, Weyl) from the metric and its
-    derivatives d, with any leading axes (one entry per point and tier).
+def _assemble_curvature(d, ginv):
+    """(Riemann, Ricci, scalar, Weyl) from the metric and its derivatives d
+    and the inverse metric ginv, with any leading axes (one entry per point
+    and tier; ginv broadcasts against them).  The caller supplies ginv: the
+    oracle takes it from the duals of the theta coframe, which it inverts
+    anyway, not from a second inverse of the metric.
 
     R_ijkl = a_ijkl - a_ijlk with a_ijkl = 1/2 (d_j d_k g_il + d_i d_l g_jk)
     + Gamma_{m,il} Gamma^m_{jk}, and W = R minus the Kulkarni-Nomizu product
@@ -298,7 +296,6 @@ def _assemble_curvature(d):
     antisymmetric in (k, l) by construction."""
     g0, dg, ddg = d
     n = g0.shape[-1]
-    ginv = np.linalg.inv(g0)
     # T[s, m, v] = d_m g_{s v} + d_v g_{s m} - d_s g_{m v} = 2 Gamma_{s,mv}
     T = np.einsum("...msv->...smv", dg) + np.einsum("...vsm->...smv", dg) - dg
     gamma = 0.5 * np.einsum("...ls,...smv->...lmv", ginv, T)  # Gamma^l_{mv}
@@ -311,25 +308,21 @@ def _assemble_curvature(d):
     m = (np.einsum("...ik,...jl->...ijkl", schouten, g0)
          + np.einsum("...ik,...jl->...ijkl", g0, schouten))
     w = riem - (m - np.swapaxes(m, -1, -2))
-    return g0, ginv, riem, ricci, scalar, w
+    return riem, ricci, scalar, w
 
 
-def _curvature_tiers(metric, a):
-    """`_assemble_curvature` at each point of the (m, 5) stack a, with
-    leading (m, 3) axes: the Richardson blend of the two steps' metric
-    derivatives, then the step h, then the step h/2.  The metric is called
-    once, on the stencil rows of every point and both steps, and must depend
-    on (x, u, phi) only: its derivatives along y and v are taken as zero."""
-    m, n = a.shape
-    g = np.asarray(metric(_stencil(a).reshape(-1, n)), dtype=float)
-    g0, dg, ddg = _metric_derivatives(g.reshape(m, 2, -1, n, n))
+def _curvature_tiers(g, ginv):
+    """`_assemble_curvature` at each of m points, with leading (m, 3) axes:
+    the Richardson blend of the two steps' metric derivatives, then the step
+    h, then the step h/2.  g holds the metric on `_stencil`'s rows of the
+    points, (m, 2, 19, n, n), and ginv its inverse at the points, (m, n, n),
+    which serves all three tiers.  The metric must depend on (x, u, phi)
+    only: its derivatives along y and v are taken as zero."""
+    g0, dg, ddg = _metric_derivatives(g)
     blend = _Derivs(g0[:, 0], richardson(dg[:, 0], dg[:, 1]), richardson(ddg[:, 0], ddg[:, 1]))
     tiers = _Derivs(*(np.concatenate([x[:, None], y], axis=1)
                       for x, y in zip(blend, (g0, dg, ddg))))
-    try:
-        return _assemble_curvature(tiers)
-    except np.linalg.LinAlgError:  # `first_failing_row` retries a stack point by point
-        raise DomainError(f"the oracle metric is singular at {_where(a[0])}") from None
+    return _assemble_curvature(tiers, ginv[:, None])
 
 
 def _by_blocks(fn, a):
@@ -376,13 +369,14 @@ def cartan_from_weyl(s1, s2, p):
     with their orthogonal partners in the transverse null plane, both taken
     from the duals of the theta coframe.  A Weyl tensor, Weyl norm or
     quartic that is not finite raises DomainError naming the curvatures and
-    the point; a theta coframe or metric singular in floating point names
-    the point.
+    the point, as does a metric that is singular in floating point, whose
+    inverse from the duals is not finite; a theta coframe singular in
+    floating point names the point.
     A stack is one pass (one per block of POINTS_PER_PASS points): one
     coframe call on all their stencil rows, which gives the metric and, at
-    the zero-step rows, the duals.  A stack that fails is replayed point by
-    point, so the first failing point raises its own error (its coframe's
-    before its stencil's).
+    the zero-step rows, the duals and the inverse metric.  A stack that
+    fails is replayed point by point, so the first failing point raises its
+    own error (its coframe's before its stencil's).
     """
     a, single = _as_stack5(p)
     A, noise, norm, weyl_noise = _by_blocks(
@@ -398,18 +392,15 @@ def cartan_from_weyl(s1, s2, p):
 def _weyl_quartics(s1, s2, a):
     """(quartic, noise, weyl_norm, weyl_noise) of `cartan_from_weyl` at the
     (m, 5) stack a, as (m, 5), (m, 5), (m,) and (m,) arrays."""
-    thetas = []
-
-    def metric(rows):  # the zero-step rows are the points a
-        thetas.append(theta_coframe(s1, s2, rows))
-        return _metric_of(thetas[0])
-
+    m, n = a.shape
     try:
-        w = _curvature_tiers(metric, a)[-1]
+        theta = theta_coframe(s1, s2, _stencil(a).reshape(-1, n))
     except (RollingTwistorError, ArithmeticError, ValueError):
         _duals(theta_coframe(s1, s2, a), a)  # a point's own coframe fails, or is singular, first
         raise
-    Y = _duals(thetas[0].reshape(len(a), -1, 5, 5)[:, 0], a)
+    Y = _duals(theta.reshape(m, -1, n, n)[:, 0], a)  # the zero-step rows are the points a
+    ginv = Y @ ETA5_INV @ np.swapaxes(Y, -1, -2)
+    w = _curvature_tiers(_metric_of(theta).reshape(m, 2, -1, n, n), ginv)[-1]
     A = _contract_quartic(w, Y[:, None])  # (m, 3, 5): blend, step h, step h/2
     norms = _frobenius(w)
     norm, weyl_noise = norms[:, 0], np.abs(norms[:, 1] - norms[:, 2])

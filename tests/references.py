@@ -181,16 +181,15 @@ def weyl_trace_residual(bundle):
     return float(np.max(np.abs(tr)))
 
 
-def curvature_by_raised_riemann(g0, dg, ddg):
-    """(ginv, Gamma, Riemann, Ricci, scalar, Weyl) of the metric g0 with
-    derivatives dg[..., k, :, :] = d_k g and ddg[..., k, l, :, :] = d_k d_l g,
-    any leading axes: the long route through the derivatives of the inverse
-    metric and of the Christoffel symbols and the raised Riemann tensor
-    R^i_{jkl}, lowered with g0 at the end.  The oracle's assembly once took
-    this route; its Riemann and Weyl tensors are fully lowered, with Ricci
-    R^k_{jkl} and Gamma[..., i, j, k] = Gamma^i_{jk}."""
+def curvature_by_raised_riemann(g0, dg, ddg, ginv):
+    """(Gamma, Riemann, Ricci, scalar, Weyl) of the metric g0 with inverse
+    ginv and derivatives dg[..., k, :, :] = d_k g and ddg[..., k, l, :, :] =
+    d_k d_l g, any leading axes: the long route through the derivatives of
+    the inverse metric and of the Christoffel symbols and the raised Riemann
+    tensor R^i_{jkl}, lowered with g0 at the end.  The oracle's assembly
+    once took this route; its Riemann and Weyl tensors are fully lowered,
+    with Ricci R^k_{jkl} and Gamma[..., i, j, k] = Gamma^i_{jk}."""
     n = g0.shape[-1]
-    ginv = np.linalg.inv(g0)
     dginv = -np.einsum("...ia,...kab,...bj->...kij", ginv, dg, ginv)
 
     # T[s, m, v] = d_m g_{s v} + d_v g_{s m} - d_s g_{m v}
@@ -234,7 +233,7 @@ def curvature_by_raised_riemann(g0, dg, ddg):
             - np.einsum("...il,...jk->...ijkl", g0, g0)
         )
     )
-    return ginv, gamma, riem, ricci, scalar, w
+    return gamma, riem, ricci, scalar, w
 
 
 def full_stencil_steps():
@@ -268,22 +267,26 @@ def full_stencil_derivatives(metric, p):
     return co._Derivs(g0, dg, ddg)
 
 
+def oracle_inverse_metric(s1, s2, p):
+    """(Y, ginv) at the one chart point p: the duals Y of the theta coframe
+    and the inverse metric Y ETA5^-1 Y^T that the oracle assembles with."""
+    a = np.asarray(p, dtype=float)[None]
+    Y = co._duals(co.theta_coframe(s1, s2, a), a)[0]
+    return Y, Y @ co.ETA5_INV @ Y.T
+
+
 def oracle_by_full_stencil(s1, s2, p):
     """(quartic, noise, weyl_norm, weyl_noise) of `cartan_from_weyl` at the
     one chart point p, or the error it raises, by the oracle's route before
-    its stencil dropped y and v: the duals from a coframe call on p, then
-    the metric on the 102 rows of `full_stencil_derivatives`, the Richardson
-    blend and the curvature of the blend and of each step."""
-    a = np.asarray(p, dtype=float)[None]
+    its stencil dropped y and v: the duals and inverse metric from a coframe
+    call on p, then the metric on the 102 rows of `full_stencil_derivatives`,
+    the Richardson blend and the curvature of the blend and of each step."""
     with np.errstate(all="ignore"):
-        Y = co._duals(co.theta_coframe(s1, s2, a), a)[0]
+        Y, ginv = oracle_inverse_metric(s1, s2, p)
         d = full_stencil_derivatives(lambda rows: co.metric_components(s1, s2, rows), p)
         blend = co._Derivs(d.g0[0], richardson(d.dg[0], d.dg[1]), richardson(d.ddg[0], d.ddg[1]))
         tiers = co._Derivs(*(np.concatenate([x[None], y]) for x, y in zip(blend, d)))
-        try:
-            w = co._assemble_curvature(tiers)[-1]
-        except np.linalg.LinAlgError:
-            raise DomainError(f"the oracle metric is singular at {co._where(p)}") from None
+        w = co._assemble_curvature(tiers, ginv)[-1]
         A = co._contract_quartic(w, Y)
         norms = co._frobenius(w)
     if not (np.isfinite(w[0]).all() and np.isfinite(A[0]).all() and np.isfinite(norms).all()):

@@ -737,6 +737,12 @@ class TestRollInputs:
         assert code == 2
         assert text == ""
         assert "--T must be a finite positive number" in capsys.readouterr().err
+        # and so must the step, a usage error too, before any integration
+        code, text = run(tmp_path, "roll", "--s1", "sphere:r=1", "--s2", "plane", f"--dt={T}")
+        assert code == 2
+        assert text == ""
+        assert capsys.readouterr().err == (
+            f"error: --dt must be a finite positive number, got {float(T)!r}\n")
 
     def test_control_file_must_cover_the_run(self, tmp_path, capsys):
         ctrl = tmp_path / "short.csv"
@@ -855,13 +861,16 @@ class TestHugeCurvature:
     @pytest.mark.parametrize("s1, x", [("sphere:r=1", "0.4"), ("g2:eps=-1", "1.2")])
     def test_oracle_singular_metric_names_the_point(self, tmp_path, capsys, s1, x):
         # the metric of the second surface's chart at scale 1e-300 is below
-        # the float range; numpy's LinAlgError must not read as a usage error
+        # the float range, and its inverse above it: a numeric failure
+        # (exit 3) naming the point, not a usage error
         code, text = run(tmp_path, "oracle", "--s1", s1, "--s2", "plane:scale=1e-300",
                          "--points", "2")
+        kappa = {"0.4": "1.0", "1.2": "23.478587528174312"}[x]
         assert code == 3
         assert text == ""
-        assert capsys.readouterr().err == ("error: the oracle metric is singular at"
-                                           f" (x, y, u, v, phi) = ({x}, 0.0, 0.0, 0.0, 0.3)\n")
+        assert capsys.readouterr().err == (
+            "error: the Weyl tensor of the oracle metric or its norm is not finite at"
+            f" kappa = {kappa}, lambda = 0.0, (x, y, u, v, phi) = ({x}, 0.0, 0.0, 0.0, 0.3)\n")
 
     @pytest.mark.parametrize("argv", [
         ["--s1", "profile:alpha=1,beta=-5", "--s2", "plane", "--rho=1e-300:1e-299:2"],

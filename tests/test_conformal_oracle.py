@@ -9,6 +9,7 @@ from references import (
     curvature_by_raised_riemann,
     full_stencil_derivatives,
     oracle_by_full_stencil,
+    oracle_inverse_metric,
     riemann_symmetry_residual,
     weyl_trace_residual,
 )
@@ -54,6 +55,12 @@ def sample_points(n):
     return pts
 
 
+def omega_coframe(s1, s2, p):
+    """Rows omega_1..omega_5 of the oracle's adapted coframe, `_omega_rows`,
+    at p or at each point of an (m, 5) stack, as `theta_coframe` reads them."""
+    return co._stacked(lambda a: co._omega_rows(a, *co._surface_data(s1, s2, a)), p)
+
+
 def displayed_frame(s1, s2, p):
     """The frame the displayed coframe dualizes: it differs from the bracket
     frame by a multiple of X3 in the X4 slot, which leaves every bracket span
@@ -66,7 +73,7 @@ def displayed_frame(s1, s2, p):
 class TestOmegaCoframe:
     def test_duality_against_distribution_frame(self):
         for p in sample_points(8):
-            W = co.omega_coframe(SPHERE, PLANE, p)
+            W = omega_coframe(SPHERE, PLANE, p)
             rows = displayed_frame(SPHERE, PLANE, p)
             assert np.max(np.abs(W @ rows.T - np.eye(5))) < 1e-9
 
@@ -74,7 +81,7 @@ class TestOmegaCoframe:
         # omega_1..omega_5 against X1, X2, X3 of the bracket frame: these
         # slots agree between the two frame conventions
         for p in sample_points(5):
-            W = co.omega_coframe(SPHERE, PLANE, p)
+            W = omega_coframe(SPHERE, PLANE, p)
             for j, X in enumerate(field_rows(SPHERE, PLANE, p)[:3]):
                 pairing = W @ X
                 expected = np.zeros(5)
@@ -83,18 +90,18 @@ class TestOmegaCoframe:
 
     def test_omega4_has_no_fiber_component(self):
         for p in sample_points(5):
-            W = co.omega_coframe(SPHERE, PLANE, p)
+            W = omega_coframe(SPHERE, PLANE, p)
             assert W[3, 4] == 0.0
 
     def test_integrable_pair_raises(self):
         with pytest.raises(IntegrablePointError):
-            co.omega_coframe(PLANE, PLANE, np.zeros(5))
+            omega_coframe(PLANE, PLANE, np.zeros(5))
 
 
 class TestThetaCoframe:
     def test_theta3_is_minus_omega3(self):
         for p in sample_points(5):
-            W = co.omega_coframe(SPHERE, PLANE, p)
+            W = omega_coframe(SPHERE, PLANE, p)
             T = co.theta_coframe(SPHERE, PLANE, p)
             assert np.allclose(T[2], -W[2], atol=1e-14)
 
@@ -107,7 +114,7 @@ class TestThetaCoframe:
         # kappa1 = kappa11 = 0 for the sphere: theta4/theta5 coefficients
         # collapse to their curvature-only values
         p = np.array([1.0, 0.0, 0.2, 0.1, 0.7])
-        W = co.omega_coframe(SPHERE, PLANE, p)
+        W = omega_coframe(SPHERE, PLANE, p)
         T = co.theta_coframe(SPHERE, PLANE, p)
         j = SPHERE.jet((1.0, 0.0))
         k, lam, a2 = j.kappa, 0.0, j.a2
@@ -161,15 +168,24 @@ class TestMetric:
                     assert abs(Y[:, a] @ G @ Y[:, b]) < 1e-9
 
 
-def curvature_at(metric, p):
-    """The oracle's curvature pass, `_curvature_tiers`, at the one point p:
-    the metric g, ginv and the Riemann, Ricci, scalar and Weyl curvatures of
-    the Richardson blend, and `weyl_tiers`, the Weyl tensors of the steps h
-    and h/2."""
-    tiers = co._curvature_tiers(metric, np.asarray(p, dtype=float)[None])
-    g, ginv, riemann, ricci, scalar, w = (x[0] for x in tiers)
-    return SimpleNamespace(g=g[0], ginv=ginv[0], riemann=riemann[0], ricci=ricci[0],
+def curvature_at(metric, p, ginv=None):
+    """The oracle's curvature pass, `_curvature_tiers`, at the one point p,
+    given the metric on rows of chart points and its inverse ginv at p (by
+    default the inverse of the metric there): the metric g, ginv and the
+    Riemann, Ricci, scalar and Weyl curvatures of the Richardson blend, and
+    `weyl_tiers`, the Weyl tensors of the steps h and h/2."""
+    a = np.asarray(p, dtype=float)[None]
+    g = np.asarray(metric(co._stencil(a).reshape(-1, 5)), dtype=float).reshape(1, 2, -1, 5, 5)
+    ginv = np.linalg.inv(g[0, 0, 0]) if ginv is None else ginv
+    riemann, ricci, scalar, w = (x[0] for x in co._curvature_tiers(g, ginv[None]))
+    return SimpleNamespace(g=g[0, 0, 0], ginv=ginv, riemann=riemann[0], ricci=ricci[0],
                            scalar=scalar[0], weyl=w[0], weyl_tiers=(w[1], w[2]))
+
+
+def oracle_curvature_at(s1, s2, p):
+    """`curvature_at` of the oracle's metric, with the inverse it assembles with."""
+    return curvature_at(lambda rows: co.metric_components(s1, s2, rows), p,
+                        oracle_inverse_metric(s1, s2, p)[1])
 
 
 class TestCurvature:
@@ -194,7 +210,7 @@ class TestCurvature:
 
     def test_riemann_symmetries_and_weyl_traces(self):
         p = np.array([1.2, 0.1, 0.3, -0.2, 0.8])
-        bundle = curvature_at(lambda rows: co.metric_components(SPHERE, PLANE, rows), p)
+        bundle = oracle_curvature_at(SPHERE, PLANE, p)
         scale = np.max(np.abs(bundle.riemann)) + 1.0
         assert riemann_symmetry_residual(bundle) < 1e-4 * scale
         assert weyl_trace_residual(bundle) < 1e-4 * scale
@@ -202,7 +218,7 @@ class TestCurvature:
 
     def test_nine_to_one_pair_conformally_flat(self):
         p = np.array([1.0, 0.1, 1.3, 0.2, 0.5])
-        bundle = curvature_at(lambda rows: co.metric_components(Sphere(1.0), Sphere(3.0), rows), p)
+        bundle = oracle_curvature_at(Sphere(1.0), Sphere(3.0), p)
         w_h, w_h2 = bundle.weyl_tiers
         assert co._frobenius(bundle.weyl) < 10.0 * max(np.max(np.abs(w_h - w_h2)), 1e-14)
 
@@ -210,7 +226,7 @@ class TestCurvature:
         # the tiers are the Weyl tensors at steps h and h/2, and the bundle's
         # tensors the Richardson blend of their derivatives
         p = np.array([1.2, 0.1, 0.3, -0.2, 0.8])
-        bundle = curvature_at(lambda rows: co.metric_components(SPHERE, PLANE, rows), p)
+        bundle = oracle_curvature_at(SPHERE, PLANE, p)
         w_h, w_h2 = bundle.weyl_tiers
         assert w_h.shape == w_h2.shape == bundle.weyl.shape == (5, 5, 5, 5)
         assert not np.array_equal(w_h, w_h2)
@@ -241,8 +257,9 @@ def test_assembly_matches_the_raised_riemann_route(jets):
     # the lowered formula against the route through d(g^-1), d(Gamma) and
     # R^i_jkl, to rounding relative to the inputs' curvature scale
     g0, dg, ddg = jets
-    _, ginv, riem, ricci, scalar, weyl = co._assemble_curvature(co._Derivs(g0, dg, ddg))
-    _, _, riem_ref, ricci_ref, scalar_ref, weyl_ref = curvature_by_raised_riemann(g0, dg, ddg)
+    ginv = np.linalg.inv(g0)
+    riem, ricci, scalar, weyl = co._assemble_curvature(co._Derivs(g0, dg, ddg), ginv)
+    _, riem_ref, ricci_ref, scalar_ref, weyl_ref = curvature_by_raised_riemann(g0, dg, ddg, ginv)
     gi = np.max(np.abs(ginv))
     cond = np.max(np.abs(g0)) * gi
     bound = 64 * np.finfo(float).eps * cond * (np.max(np.abs(ddg)) + gi * np.max(np.abs(dg)) ** 2)
@@ -374,7 +391,7 @@ class TestLargeCurvature:
     def test_a_finite_weyl_tensor_whose_norm_overflows_is_an_error(self):
         # the chart, not the curvature, grows with theta
         s1, p = Hyperbolic(1.0), np.array([150.0, 0.0, 0.0, 0.0, 0.3])
-        bundle = curvature_at(lambda rows: co.metric_components(s1, PLANE, rows), p)
+        bundle = oracle_curvature_at(s1, PLANE, p)
         assert np.isfinite(bundle.weyl).all()
         with np.errstate(over="ignore"):
             assert np.isinf(co._frobenius(bundle.weyl))
@@ -482,9 +499,9 @@ class TestStackedMetric:
     @pytest.mark.parametrize("s1, s2", STACK_PAIRS[:4], ids=lambda s: s.spec_string())
     def test_stacked_coframes_equal_each_row_on_its_own(self, s1, s2):
         rows = _rows_in_charts(s1, s2, 12, seed=5)
-        W = co.omega_coframe(s1, s2, rows)
+        W = omega_coframe(s1, s2, rows)
         T = co.theta_coframe(s1, s2, rows)
-        assert _same_bits(W, np.array([co.omega_coframe(s1, s2, r) for r in rows]))
+        assert _same_bits(W, np.array([omega_coframe(s1, s2, r) for r in rows]))
         assert _same_bits(T, np.array([co.theta_coframe(s1, s2, r) for r in rows]))
 
     def test_stencil_order(self):
@@ -580,7 +597,7 @@ class TestStencilErrors:
         # coframe's overflow error, as omega raises it
         s1 = CustomRevolution(lambda r: 1.0 + 1e155 * (r - 1.0) ** 2, "steep")
         p = np.array([1.0, 0.0, 1.0, 0.0, 0.3])
-        assert np.isfinite(co.omega_coframe(s1, Sphere(1.0), p)).all()
+        assert np.isfinite(omega_coframe(s1, Sphere(1.0), p)).all()
         with pytest.raises(DomainError, match="overflows at kappa = 0.0, lambda = 1.0"):
             co.cartan_from_weyl(s1, Sphere(1.0), p)
 
@@ -601,10 +618,13 @@ class TestStencilErrors:
     @pytest.mark.parametrize("s1, x", [(Sphere(1.0), 0.4), (G2Family(-1), 1.2)])
     def test_singular_metric_names_the_point(self, s1, x):
         # at plane scale 1e-300 the metric's components fall below the
-        # float range; a stack raises the error of its first point
+        # float range, and its inverse from the duals above it, so the Weyl
+        # tensor is not finite; a stack raises the error of its first point
         s2 = Plane(1e-300)
         points = np.array([[x, 0.0, 0.0, 0.0, 0.3], [x + 0.1, 0.0, 0.0, 0.0, 0.3]])
-        message = (r"^the oracle metric is singular at \(x, y, u, v, phi\)"
+        kappa = {0.4: "1.0", 1.2: "23.478587528174312"}[x]
+        message = (rf"^the Weyl tensor of the oracle metric or its norm is not finite at"
+                   rf" kappa = {kappa}, lambda = 0.0, \(x, y, u, v, phi\)"
                    rf" = \({x}, 0.0, 0.0, 0.0, 0.3\)$")
         for p in (points[0], points):
             with pytest.raises(DomainError, match=message):
